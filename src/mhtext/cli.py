@@ -173,16 +173,22 @@ def _cmd_train(args) -> int:
     dataset = PreparedDataset.load(args.prepared)
     if args.best:
         best = _load_json(args.best, "best config")
-        family = best["family"]
-        params = dict(best.get("params", {}))
-        model_seed = derive_seed(
-            int(best.get("seed", 0)), STAGE_MODEL, int(best.get("trial_index", 0))
-        )
+        try:
+            family = best["family"]
+            params = best.get("params", {})
+            model_seed = derive_seed(
+                int(best.get("seed", 0)), STAGE_MODEL, int(best.get("trial_index", 0))
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"invalid best config {args.best!r}: {exc!r}") from exc
     else:
         family = args.family
-        params = dict(_load_json(args.params, "params file")) if args.params else {}
+        params = _load_json(args.params, "params file") if args.params else {}
         model_seed = derive_seed(args.seed, STAGE_MODEL, 0)
-    fitted = search_mod.train_family(family, params, dataset, model_seed=model_seed)
+    try:
+        fitted = search_mod.train_family(family, params, dataset, model_seed=model_seed)
+    except ValueError as exc:  # solvers reject out-of-range hyperparameters
+        raise UsageError(f"bad {family} hyperparameters: {exc}") from exc
     out = _resolve(args.out)
     path = search_mod.save_model(fitted, out)
     print(f"trained {family} on {dataset.labels_for('train').size} documents -> {path}")

@@ -27,6 +27,7 @@ from .corpus import (
     split_dataset,
 )
 from .errors import DataError, UsageError
+from .families import REGISTRY
 from .gru import SeqVocabulary
 from .seeds import STAGE_SPLIT, derive_seed
 
@@ -34,33 +35,7 @@ SCHEMA_VERSION = 1
 
 SPLIT_NAMES = ("train", "validation", "test")
 
-FAMILIES = ("logistic", "svm", "cart", "forest", "gbdt", "gru")
-
-# Hyperparameters each family accepts, enforced at config load time so a
-# typo fails fast instead of burning a search run.
-ALLOWED_PARAMS: dict[str, frozenset] = {
-    "logistic": frozenset({"C", "class_weight", "max_iter", "tol"}),
-    "svm": frozenset(
-        {"C", "kernel", "gamma", "degree", "coef0", "alpha", "class_weight",
-         "max_epochs", "tol"}
-    ),
-    "cart": frozenset(
-        {"criterion", "max_depth", "min_samples_split", "min_samples_leaf",
-         "class_weight"}
-    ),
-    "forest": frozenset(
-        {"criterion", "max_depth", "min_samples_split", "min_samples_leaf",
-         "class_weight", "n_estimators", "max_features", "bootstrap"}
-    ),
-    "gbdt": frozenset(
-        {"n_estimators", "learning_rate", "num_leaves", "min_child_samples",
-         "max_bins", "max_depth", "class_weight"}
-    ),
-    "gru": frozenset(
-        {"embedding_dim", "hidden_dim", "learning_rate", "epochs",
-         "batch_size", "dropout", "class_weight"}
-    ),
-}
+FAMILIES = tuple(REGISTRY)
 
 _AXIS_KINDS = ("log_uniform", "uniform", "int_range", "choice")
 
@@ -234,7 +209,8 @@ class ExperimentConfig:
             raise UsageError(f"unknown search mode {self.mode!r}; use grid or random")
         if self.mode == "random" and self.n_samples < 1:
             raise UsageError("n_samples must be positive for random search")
-        allowed = ALLOWED_PARAMS[self.family]
+        # a hyperparameter typo fails here instead of burning a search run
+        allowed = set(REGISTRY[self.family].params)
         space = self.grid if self.mode == "grid" else self.random
         for source_name, source in (("fixed", self.fixed), ("space", space)):
             unknown = sorted(set(source) - allowed)

@@ -10,7 +10,6 @@ never changes the model.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -124,7 +123,7 @@ def to_dict(model: TfIdfModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "terms": list(model.terms),
-        "idf": [float(v) for v in model.idf],
+        "idf": model.idf.tolist(),
         "n_docs": model.n_docs,
         "ngram_range": list(model.ngram_range),
         "max_features": model.max_features,
@@ -136,20 +135,15 @@ def from_dict(data: dict) -> TfIdfModel:
         raise DataError(
             f"unsupported TF-IDF model schema: {data.get('schema_version')!r}"
         )
+    terms = tuple(data["terms"])
+    idf = np.array(data["idf"], dtype=np.float64)
+    if idf.shape != (len(terms),):
+        raise DataError("TF-IDF model needs one idf value per term")
     return TfIdfModel(
-        tuple(data["terms"]),
-        np.array(data["idf"], dtype=np.float64),
+        terms,
+        idf,
         int(data["n_docs"]),
         tuple(data["ngram_range"]),
         int(data["max_features"]),
     )
 
-
-def save(model: TfIdfModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_dict(model), handle, sort_keys=True, indent=2)
-
-
-def load(path: str) -> TfIdfModel:
-    with open(path, encoding="utf-8") as handle:
-        return from_dict(json.load(handle))

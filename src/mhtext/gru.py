@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .linear import class_weights
-from .metrics import confusion_matrix, precision_recall_f1
+from .linear import class_weights, log_softmax, sigmoid
+from .metrics import weighted_f1
 from .seeds import MODEL_DROPOUT, MODEL_INIT, MODEL_SHUFFLE, derive_seed
 
 SCHEMA_VERSION = 1
@@ -187,19 +187,10 @@ def init_params(
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
-
-
 def gru_cell(x, h_prev, params: GruParams):
     """One recurrence step for embedded inputs x (E,) or (B, E)."""
-    update = _sigmoid(x @ params.w_update + h_prev @ params.u_update + params.b_update)
-    reset = _sigmoid(x @ params.w_reset + h_prev @ params.u_reset + params.b_reset)
+    update = sigmoid(x @ params.w_update + h_prev @ params.u_update + params.b_update)
+    reset = sigmoid(x @ params.w_reset + h_prev @ params.u_reset + params.b_reset)
     cand = np.tanh(x @ params.w_cand + (reset * h_prev) @ params.u_cand + params.b_cand)
     return (1.0 - update) * h_prev + update * cand
 
@@ -212,8 +203,8 @@ def _run_forward(params: GruParams, batch: np.ndarray, keep_cache: bool):
     for t in range(seq_len):
         ids = batch[:, t]
         x = params.embedding[ids]
-        update = _sigmoid(x @ params.w_update + hidden @ params.u_update + params.b_update)
-        reset = _sigmoid(x @ params.w_reset + hidden @ params.u_reset + params.b_reset)
+        update = sigmoid(x @ params.w_update + hidden @ params.u_update + params.b_update)
+        reset = sigmoid(x @ params.w_reset + hidden @ params.u_reset + params.b_reset)
         cand = np.tanh(
             x @ params.w_cand + (reset * hidden) @ params.u_cand + params.b_cand
         )
@@ -241,11 +232,6 @@ def forward(params: GruParams, batch, train: bool = False, dropout_mask=None) ->
     return hidden @ params.w_out + params.b_out
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def loss_and_gradients(
     params: GruParams, batch_x, batch_y, weight_per_class, dropout_mask=None
 ):
@@ -266,7 +252,7 @@ def loss_and_gradients(
         dropped = final_hidden
         dropout_mask = None
     logits = dropped @ params.w_out + params.b_out
-    logp = _log_softmax(logits)
+    logp = log_softmax(logits)
     rows = np.arange(n_rows)
     loss = float(-(sample_w @ logp[rows, batch_y])) / n_rows
 
@@ -315,7 +301,7 @@ def predict_scores(params: GruParams, batch_x, chunk: int = 256) -> np.ndarray:
     outputs = []
     for start in range(0, batch_x.shape[0], chunk):
         logits = forward(params, batch_x[start : start + chunk])
-        outputs.append(np.exp(_log_softmax(logits)))
+        outputs.append(np.exp(log_softmax(logits)))
     return np.concatenate(outputs) if outputs else np.empty((0, params.n_classes))
 
 
@@ -353,10 +339,6 @@ class _Adam:
             v *= _ADAM_BETA2
             v += (1.0 - _ADAM_BETA2) * grad * grad
             tensor -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
-
-
-def _weighted_f1(y_true, y_pred, n_classes: int) -> float:
-    return precision_recall_f1(confusion_matrix(y_true, y_pred, n_classes)).weighted["f1"]
 
 
 def train(data: GruData, config: GruConfig, history: dict | None = None) -> GruParams:
@@ -399,7 +381,7 @@ def train(data: GruData, config: GruConfig, history: dict | None = None) -> GruP
             optimizer.step(params, grads)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-        val_f1 = _weighted_f1(data.val_y, predict(params, data.val_x), data.n_classes)
+        val_f1 = weighted_f1(data.val_y, predict(params, data.val_x), data.n_classes)
         epoch_f1s.append(val_f1)
         if val_f1 > best_f1:
             best_f1 = val_f1
@@ -411,34 +393,36 @@ def train(data: GruData, config: GruConfig, history: dict | None = None) -> GruP
     return best_params
 
 
+def to_dict(params: GruParams) -> dict[str, np.ndarray]:
+    """The arrays of the npz sidecar: every tensor plus a meta record."""
+    meta = {
+        "schema_version": SCHEMA_VERSION,
+        "dropout": params.dropout,
+        "shapes": {n: list(t.shape) for n, t in params.tensors()},
+    }
+    return {"meta": np.array(json.dumps(meta, sort_keys=True)), **dict(params.tensors())}
+
+
+def from_dict(arrays) -> GruParams:
+    meta = json.loads(str(arrays["meta"]))
+    if meta.get("schema_version") != SCHEMA_VERSION:
+        raise DataError("unsupported recurrent model payload")
+    return GruParams(
+        **{name: arrays[name] for name in GruParams._ORDER},
+        dropout=float(meta["dropout"]),
+    )
+
+
 def save(params: GruParams, vocab: SeqVocabulary, stem: str) -> None:
     """Write <stem>.npz (tensors plus a meta record) and <stem>.vocab.json."""
-    meta = json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "dropout": params.dropout,
-            "shapes": {n: list(t.shape) for n, t in params.tensors()},
-        },
-        sort_keys=True,
-    )
-    np.savez(
-        stem + ".npz",
-        meta=np.array(meta),
-        **{name: tensor for name, tensor in params.tensors()},
-    )
+    np.savez(stem + ".npz", **to_dict(params))
     with open(stem + ".vocab.json", "w", encoding="utf-8") as handle:
         json.dump(vocab.to_dict(), handle, sort_keys=True, indent=2)
 
 
 def load(stem: str) -> tuple[GruParams, SeqVocabulary]:
-    with np.load(stem + ".npz") as bundle:
-        meta = json.loads(str(bundle["meta"]))
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            raise DataError("unsupported recurrent model payload")
-        params = GruParams(
-            **{name: bundle[name] for name in GruParams._ORDER},
-            dropout=float(meta["dropout"]),
-        )
+    with np.load(stem + ".npz") as arrays:
+        params = from_dict(arrays)
     with open(stem + ".vocab.json", encoding="utf-8") as handle:
         vocab = SeqVocabulary.from_dict(json.load(handle))
     return params, vocab

@@ -14,7 +14,6 @@ backtracking, so the objective never increases across iterations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +88,7 @@ class LinearModelParams:
         )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -98,7 +97,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -110,10 +109,10 @@ def predict_proba(params: LinearModelParams, X) -> np.ndarray:
     if single:
         X = X[None, :]
     if params.kind == "sigmoid":
-        p1 = _sigmoid(X @ params.weights[0] + params.bias[0])
+        p1 = sigmoid(X @ params.weights[0] + params.bias[0])
         proba = np.column_stack([1.0 - p1, p1])
     else:
-        proba = np.exp(_log_softmax(X @ params.weights.T + params.bias))
+        proba = np.exp(log_softmax(X @ params.weights.T + params.bias))
     return proba[0] if single else proba
 
 
@@ -136,12 +135,12 @@ def loss_and_gradient(
         # -ln sigma(z) = softplus(-z); CE = softplus(z) - y*z
         ce = np.logaddexp(0.0, z) - y * z
         data_loss = float(sample_w @ ce) / n
-        residual = sample_w * (_sigmoid(z) - y) / n
+        residual = sample_w * (sigmoid(z) - y) / n
         grad_w = (residual @ X)[None, :] + 2.0 * l2_strength * params.weights
         grad_b = np.array([residual.sum()])
     else:
         logits = X @ params.weights.T + params.bias
-        logp = _log_softmax(logits)
+        logp = log_softmax(logits)
         data_loss = float(-(sample_w @ logp[np.arange(n), y])) / n
         residual = np.exp(logp)
         residual[np.arange(n), y] -= 1.0
@@ -237,12 +236,3 @@ def from_dict(data: dict) -> LinearModelParams:
         ),
     )
 
-
-def save(params: LinearModelParams, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_dict(params), handle, sort_keys=True, indent=2)
-
-
-def load(path: str) -> LinearModelParams:
-    with open(path, encoding="utf-8") as handle:
-        return from_dict(json.load(handle))

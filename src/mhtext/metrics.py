@@ -129,6 +129,11 @@ def precision_recall_f1(cm: np.ndarray) -> PrfReport:
     )
 
 
+def weighted_f1(y_true, y_pred, n_classes: int) -> float:
+    """Support-weighted F1, the model-selection score."""
+    return precision_recall_f1(confusion_matrix(y_true, y_pred, n_classes)).weighted["f1"]
+
+
 def _midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties averaged (midranks)."""
     order = np.argsort(scores, kind="mergesort")

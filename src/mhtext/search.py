@@ -24,15 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import families
 from . import features as features_mod
 from . import gru as gru_mod
-from . import linear as linear_mod
-from . import svm as svm_mod
-from . import trees as trees_mod
-from .config import FAMILIES, ExperimentConfig, PreparedDataset
+from .config import ExperimentConfig, PreparedDataset
 from .corpus import LabelScheme
 from .errors import DataError, SearchFailedError, ToolkitError, UsageError
-from .metrics import EvaluationReport, confusion_matrix, evaluate_predictions, precision_recall_f1
+from .metrics import EvaluationReport, evaluate_predictions, weighted_f1
 from .seeds import STAGE_MODEL, STAGE_SEARCH, derive_seed
 
 SCHEMA_VERSION = 1
@@ -94,11 +92,23 @@ class FittedModel:
     tfidf: features_mod.TfIdfModel | None = None
     vocab: gru_mod.SeqVocabulary | None = None
     extra: dict = field(default_factory=dict)
+    spec: families.Family = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.spec = families.get(self.family)
 
     def _inputs(self, dataset: PreparedDataset, split_name: str):
-        if self.family == "gru":
-            return dataset.sequences_for(split_name)
-        return dataset.matrix_for(split_name)
+        """Rows of one split, refusing a dataset whose feature model is
+        not the one this model was trained on."""
+        if self.spec.inputs == families.SEQUENCES:
+            ours, theirs, what = self.vocab, dataset.vocab, "sequence vocabularies"
+            same = ours == theirs
+        else:
+            ours, theirs, what = self.tfidf, dataset.tfidf, "TF-IDF models"
+            same = ours is theirs or features_mod.to_dict(ours) == features_mod.to_dict(theirs)
+        if not same:
+            raise DataError(f"model bundle and prepared dataset use different {what}")
+        return self.spec.rows(dataset, split_name)
 
     def predict(self, dataset: PreparedDataset, split_name: str) -> np.ndarray:
         return self.predict_rows(self._inputs(dataset, split_name))
@@ -107,42 +117,12 @@ class FittedModel:
         return self.score_rows(self._inputs(dataset, split_name))
 
     def predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        p = self.payload
-        if self.family == "logistic":
-            return linear_mod.predict(p, rows)
-        if self.family == "svm":
-            return svm_mod.predict(p, rows)
-        if self.family == "cart":
-            return trees_mod.predict_tree(p["root"], rows)
-        if self.family == "forest":
-            return trees_mod.predict_forest(p, rows)
-        if self.family == "gbdt":
-            return trees_mod.predict_gbdt(p, rows)
-        return gru_mod.predict(p, rows)
+        if self.spec.predict is None:
+            return np.argmax(self.spec.scores(self.payload, rows), axis=1)
+        return self.spec.predict(self.payload, rows)
 
     def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        p = self.payload
-        if self.family == "logistic":
-            scores = linear_mod.predict_proba(p, rows)
-        elif self.family == "svm":
-            scores = svm_mod.class_scores(p, rows)
-        elif self.family == "cart":
-            scores = trees_mod.tree_class_scores(
-                p["root"], rows, p["n_classes"], p["weight_per_class"]
-            )
-        elif self.family == "forest":
-            scores = trees_mod.forest_scores(p, rows)
-        elif self.family == "gbdt":
-            scores = trees_mod.predict_gbdt_proba(p, rows)
-        else:
-            scores = gru_mod.predict_scores(p, rows)
-        return pad_scores(scores, self.scheme.n_classes)
-
-    def encode_tokens(self, token_docs) -> np.ndarray:
-        """Feature rows for raw token sequences, using the bundled models."""
-        if self.family == "gru":
-            return self.vocab.encode_many([tuple(t) for t in token_docs])
-        return features_mod.matrix(self.tfidf, token_docs)
+        return pad_scores(self.spec.scores(self.payload, rows), self.scheme.n_classes)
 
 
 def pad_scores(scores: np.ndarray, n_classes: int) -> np.ndarray:
@@ -156,10 +136,6 @@ def pad_scores(scores: np.ndarray, n_classes: int) -> np.ndarray:
     return padded
 
 
-def _pop(params: dict, key: str, default):
-    return params[key] if key in params else default
-
-
 def train_family(
     family: str,
     params: dict,
@@ -167,108 +143,17 @@ def train_family(
     model_seed: int = 0,
 ) -> FittedModel:
     """Train one model of the given family on the training split."""
-    if family not in FAMILIES:
-        raise DataError(f"unknown model family {family!r}")
-    y_train = dataset.labels_for("train")
-    extra: dict = {}
-    if family == "gru":
-        cfg = gru_mod.GruConfig(
-            embedding_dim=int(_pop(params, "embedding_dim", 160)),
-            hidden_dim=int(_pop(params, "hidden_dim", 256)),
-            learning_rate=float(_pop(params, "learning_rate", 5e-4)),
-            epochs=int(_pop(params, "epochs", 5)),
-            batch_size=int(_pop(params, "batch_size", 32)),
-            dropout=float(_pop(params, "dropout", 0.3)),
-            class_weight=_pop(params, "class_weight", "balanced"),
-            seed=model_seed,
-        )
-        data = gru_mod.GruData(
-            train_x=dataset.sequences_for("train"),
-            train_y=y_train,
-            val_x=dataset.sequences_for("validation"),
-            val_y=dataset.labels_for("validation"),
-            vocab_size=dataset.vocab.vocab_size,
-            n_classes=dataset.scheme.n_classes,
-        )
-        history: dict = {}
-        payload = gru_mod.train(data, cfg, history)
-        extra["history"] = history
-        return FittedModel("gru", payload, dataset.scheme, vocab=dataset.vocab, extra=extra)
-
-    X_train = dataset.matrix_for("train")
-    if family == "logistic":
-        cfg = linear_mod.LogisticConfig(
-            C=float(_pop(params, "C", 1.0)),
-            class_weight=_pop(params, "class_weight", None),
-            max_iter=int(_pop(params, "max_iter", 1000)),
-            tol=float(_pop(params, "tol", 1e-6)),
-        )
-        payload = linear_mod.fit_logistic(X_train, y_train, cfg)
-    elif family == "svm":
-        kernel = svm_mod.KernelSpec(
-            kind=_pop(params, "kernel", "linear"),
-            gamma=_pop(params, "gamma", "scale"),
-            degree=int(_pop(params, "degree", 3)),
-            coef0=float(_pop(params, "coef0", 0.0)),
-            alpha=float(_pop(params, "alpha", 1.0)),
-        )
-        payload = svm_mod.fit_svm(
-            X_train,
-            y_train,
-            c_value=float(_pop(params, "C", 1.0)),
-            kernel=kernel,
-            class_weight=_pop(params, "class_weight", None),
-            max_epochs=int(_pop(params, "max_epochs", 1000)),
-            tol=float(_pop(params, "tol", 1e-6)),
-            seed=model_seed,
-        )
-    elif family == "cart":
-        cfg = trees_mod.TreeConfig(
-            criterion=_pop(params, "criterion", "gini"),
-            max_depth=_pop(params, "max_depth", None),
-            min_samples_split=int(_pop(params, "min_samples_split", 2)),
-            min_samples_leaf=int(_pop(params, "min_samples_leaf", 1)),
-            class_weight=_pop(params, "class_weight", None),
-        )
-        root = trees_mod.fit_cart(X_train, y_train, cfg)
-        n_model_classes = int(y_train.max()) + 1
-        payload = {
-            "root": root,
-            "config": cfg,
-            "n_classes": n_model_classes,
-            "weight_per_class": linear_mod.class_weights(
-                y_train, cfg.class_weight, n_model_classes
-            ),
-        }
-    elif family == "forest":
-        cfg = trees_mod.TreeConfig(
-            criterion=_pop(params, "criterion", "gini"),
-            max_depth=_pop(params, "max_depth", None),
-            min_samples_split=int(_pop(params, "min_samples_split", 2)),
-            min_samples_leaf=int(_pop(params, "min_samples_leaf", 1)),
-            class_weight=_pop(params, "class_weight", None),
-            n_estimators=int(_pop(params, "n_estimators", 100)),
-            max_features=_pop(params, "max_features", "sqrt"),
-            bootstrap=bool(_pop(params, "bootstrap", True)),
-        )
-        payload = trees_mod.fit_forest(X_train, y_train, cfg, seed=model_seed)
-    else:  # gbdt
-        cfg = trees_mod.TreeConfig(
-            max_depth=_pop(params, "max_depth", None),
-            class_weight=_pop(params, "class_weight", None),
-            n_estimators=int(_pop(params, "n_estimators", 100)),
-            learning_rate=float(_pop(params, "learning_rate", 0.1)),
-            num_leaves=int(_pop(params, "num_leaves", 31)),
-            min_child_samples=int(_pop(params, "min_child_samples", 20)),
-            max_bins=int(_pop(params, "max_bins", 255)),
-        )
-        payload = trees_mod.fit_gbdt(X_train, y_train, cfg, seed=model_seed)
-        extra["train_loss"] = [float(v) for v in payload.train_loss]
+    spec = families.get(family)
+    payload, extra = spec.fit(
+        spec.rows(dataset, "train"),
+        dataset.labels_for("train"),
+        spec.coerce(params),
+        model_seed,
+        dataset,
+    )
+    if spec.inputs == families.SEQUENCES:
+        return FittedModel(family, payload, dataset.scheme, vocab=dataset.vocab, extra=extra)
     return FittedModel(family, payload, dataset.scheme, tfidf=dataset.tfidf, extra=extra)
-
-
-def weighted_f1(y_true, y_pred, n_classes: int) -> float:
-    return precision_recall_f1(confusion_matrix(y_true, y_pred, n_classes)).weighted["f1"]
 
 
 @dataclass(frozen=True)
@@ -393,27 +278,12 @@ def save_model(fitted: FittedModel, stem: str) -> str:
         "scheme": fitted.scheme.to_dict(),
         "extra": fitted.extra,
     }
-    if fitted.family == "gru":
+    if fitted.spec.inputs == families.SEQUENCES:
         gru_mod.save(fitted.payload, fitted.vocab, stem)
         bundle["weights"] = "sidecar"
     else:
         bundle["tfidf"] = features_mod.to_dict(fitted.tfidf)
-        p = fitted.payload
-        if fitted.family == "logistic":
-            bundle["model"] = linear_mod.to_dict(p)
-        elif fitted.family == "svm":
-            bundle["model"] = svm_mod.to_dict(p)
-        elif fitted.family == "cart":
-            bundle["model"] = {
-                "root": trees_mod.node_to_dict(p["root"]),
-                "config": trees_mod.config_to_dict(p["config"]),
-                "n_classes": p["n_classes"],
-                "weight_per_class": [float(w) for w in p["weight_per_class"]],
-            }
-        elif fitted.family == "forest":
-            bundle["model"] = trees_mod.forest_to_dict(p)
-        else:
-            bundle["model"] = trees_mod.gbdt_to_dict(p)
+        bundle["model"] = fitted.spec.to_dict(fitted.payload)
     path = stem + ".model.json"
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(bundle, handle, sort_keys=True)
@@ -425,35 +295,26 @@ def load_model(stem: str) -> FittedModel:
     try:
         with open(path, encoding="utf-8") as handle:
             bundle = json.load(handle)
+        if bundle.get("schema_version") != SCHEMA_VERSION:
+            raise DataError("unsupported model bundle payload")
+        spec = families.get(bundle["family"])
+        scheme = LabelScheme.from_dict(bundle["scheme"])
+        extra = bundle.get("extra", {})
+        if spec.inputs == families.SEQUENCES:
+            params, vocab = gru_mod.load(stem)
+            fitted = FittedModel(spec.name, params, scheme, vocab=vocab, extra=extra)
+            probe = np.zeros((1, 1), dtype=np.int32)  # one PAD step
+        else:
+            tfidf = features_mod.from_dict(bundle["tfidf"])
+            fitted = FittedModel(
+                spec.name, spec.from_dict(bundle["model"]), scheme, tfidf=tfidf, extra=extra
+            )
+            probe = np.zeros((1, tfidf.dim))
+        # a payload can decode and still be unusable, e.g. a scalar where
+        # an array belongs; scoring one row of its feature space shows it
+        fitted.score_rows(probe)
     except OSError as exc:
         raise DataError(f"cannot open model bundle {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid model bundle {path!r}: {exc}") from exc
-    if bundle.get("schema_version") != SCHEMA_VERSION:
-        raise DataError("unsupported model bundle payload")
-    family = bundle["family"]
-    scheme = LabelScheme.from_dict(bundle["scheme"])
-    extra = bundle.get("extra", {})
-    if family == "gru":
-        params, vocab = gru_mod.load(stem)
-        return FittedModel(family, params, scheme, vocab=vocab, extra=extra)
-    tfidf = features_mod.from_dict(bundle["tfidf"])
-    model = bundle["model"]
-    if family == "logistic":
-        payload = linear_mod.from_dict(model)
-    elif family == "svm":
-        payload = svm_mod.from_dict(model)
-    elif family == "cart":
-        payload = {
-            "root": trees_mod.node_from_dict(model["root"]),
-            "config": trees_mod.config_from_dict(model["config"]),
-            "n_classes": int(model["n_classes"]),
-            "weight_per_class": np.asarray(model["weight_per_class"], dtype=np.float64),
-        }
-    elif family == "forest":
-        payload = trees_mod.forest_from_dict(model)
-    elif family == "gbdt":
-        payload = trees_mod.gbdt_from_dict(model)
-    else:
-        raise DataError(f"unknown model family {family!r} in bundle")
-    return FittedModel(family, payload, scheme, tfidf=tfidf, extra=extra)
+    return fitted

@@ -21,7 +21,6 @@ STAGE_SYNTH = 4
 MODEL_INIT = 1
 MODEL_SHUFFLE = 2
 MODEL_DROPOUT = 3
-MODEL_SOLVER = 4
 
 
 def _splitmix64(value: int) -> int:

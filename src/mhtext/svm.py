@@ -21,7 +21,6 @@ with the bias recovered afterwards from the average KKT residual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -246,7 +245,7 @@ def fit_svm(
     class_weight: str | None = None,
     *,
     max_epochs: int = 1000,
-    tol: float = 1e-4,
+    tol: float = 1e-6,
     seed: int = 0,
 ) -> SvmModel:
     """Train a one-vs-one SVM. Class weights scale each sample's C."""
@@ -380,12 +379,3 @@ def from_dict(data: dict) -> SvmModel:
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
     )
 
-
-def save(model: SvmModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_dict(model), handle, sort_keys=True, indent=2)
-
-
-def load(path: str) -> SvmModel:
-    with open(path, encoding="utf-8") as handle:
-        return from_dict(json.load(handle))

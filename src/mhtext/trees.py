@@ -27,14 +27,13 @@ class per round on softmax gradients.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .linear import class_weights
+from .linear import class_weights, log_softmax, sigmoid
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
@@ -60,6 +59,8 @@ class TreeConfig:
     def __post_init__(self):
         if self.criterion not in ("gini", "entropy"):
             raise ValueError(f"unknown criterion: {self.criterion!r}")
+        if self.max_depth is not None and not isinstance(self.max_depth, (int, float)):
+            raise ValueError(f"max_depth must be a number or None: {self.max_depth!r}")
         if self.min_samples_leaf < 1 or self.min_samples_split < 2:
             raise ValueError("min_samples_leaf >= 1 and min_samples_split >= 2 required")
         if self.n_estimators < 1:
@@ -253,21 +254,28 @@ def fit_cart(X, y, config: TreeConfig = TreeConfig()) -> TreeNode:
     )
 
 
-def predict_tree(root: TreeNode, X) -> np.ndarray:
-    """Route rows down the tree (x[f] <= threshold goes left)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = np.zeros(X.shape[0], dtype=np.int64)
+def _leaves(root: TreeNode, X):
+    """Route rows of a 2-D X down the tree (x[f] <= threshold goes left);
+    yields each leaf that rows reach with the indices of those rows."""
     stack = [(root, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
         if node.is_leaf:
-            out[idx] = node.label
+            yield node, idx
             continue
         goes_left = X[idx, node.feature] <= node.threshold
         stack.append((node.left, idx[goes_left]))
         stack.append((node.right, idx[~goes_left]))
+
+
+def predict_tree(root: TreeNode, X) -> np.ndarray:
+    """Leaf labels of the rows of X."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    for leaf, idx in _leaves(root, X):
+        out[idx] = leaf.label
     return out
 
 
@@ -277,36 +285,27 @@ def tree_class_scores(root: TreeNode, X, n_classes: int, weight_per_class=None) 
     if weight_per_class is None:
         weight_per_class = np.ones(n_classes)
     out = np.zeros((X.shape[0], n_classes))
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            weighted = node.counts * weight_per_class[: node.counts.size]
-            out[idx, : node.counts.size] = weighted / weighted.sum()
-            continue
-        goes_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[goes_left]))
-        stack.append((node.right, idx[~goes_left]))
+    for leaf, idx in _leaves(root, X):
+        weighted = leaf.counts * weight_per_class[: leaf.counts.size]
+        out[idx, : leaf.counts.size] = weighted / weighted.sum()
     return out
 
 
 def _tree_values(root: TreeNode, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.zeros(X.shape[0])
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        goes_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[goes_left]))
-        stack.append((node.right, idx[~goes_left]))
+    for leaf, idx in _leaves(root, X):
+        out[idx] = leaf.value
     return out
+
+
+@dataclass
+class CartModel:
+    """A single tree plus the class weights its leaf distributions use."""
+
+    root: TreeNode
+    config: TreeConfig
+    n_classes: int
+    weight_per_class: np.ndarray
 
 
 @dataclass
@@ -322,7 +321,7 @@ class ForestModel:
 def _resolve_max_features(setting, n_features: int) -> int:
     if setting is None or setting == "sqrt":
         return min(n_features, math.ceil(math.sqrt(n_features)))
-    if isinstance(setting, str):
+    if not isinstance(setting, (int, float)):
         raise ValueError(f"unknown max_features policy: {setting!r}")
     return max(1, min(int(setting), n_features))
 
@@ -533,15 +532,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
-
-
 def fit_gbdt(X, y, config: TreeConfig = TreeConfig(), seed: int = 0) -> GbdtModel:
     """Boosted histogram trees on sigmoid/softmax gradients.
 
@@ -574,7 +564,7 @@ def fit_gbdt(X, y, config: TreeConfig = TreeConfig(), seed: int = 0) -> GbdtMode
             return float(sample_w @ point) / n
         losses.append(loss())
         for _ in range(config.n_estimators):
-            prob = _stable_sigmoid(scores)
+            prob = sigmoid(scores)
             grad = sample_w * (prob - target)
             hess = sample_w * prob * (1.0 - prob)
             root = _grow_tree_leafwise(binned, upper_bounds, grad, hess, config, scores)
@@ -590,9 +580,7 @@ def fit_gbdt(X, y, config: TreeConfig = TreeConfig(), seed: int = 0) -> GbdtMode
         scores = np.tile(base_score, (n, 1))
         rows = np.arange(n)
         def loss() -> float:
-            shifted = scores - scores.max(axis=1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            return float(-(sample_w @ logp[rows, y])) / n
+            return float(-(sample_w @ log_softmax(scores)[rows, y])) / n
         losses.append(loss())
         one_hot = np.zeros((n, n_classes))
         one_hot[rows, y] = 1.0
@@ -617,7 +605,7 @@ def predict_gbdt_proba(model: GbdtModel, X) -> np.ndarray:
         margin = np.full(X.shape[0], model.base_score[0])
         for (root,) in model.rounds:
             margin += _tree_values(root, X)
-        pos = _stable_sigmoid(margin)
+        pos = sigmoid(margin)
         return np.column_stack([1.0 - pos, pos])
     scores = np.tile(model.base_score, (X.shape[0], 1))
     for round_trees in model.rounds:
@@ -634,7 +622,7 @@ def predict_gbdt(model: GbdtModel, X) -> np.ndarray:
 # Serialization
 
 
-def _node_to_dict(node: TreeNode) -> dict:
+def node_to_dict(node: TreeNode) -> dict:
     data: dict = {
         "n_samples": node.n_samples,
         "impurity": node.impurity,
@@ -647,12 +635,12 @@ def _node_to_dict(node: TreeNode) -> dict:
     if not node.is_leaf:
         data["feature"] = node.feature
         data["threshold"] = node.threshold
-        data["left"] = _node_to_dict(node.left)
-        data["right"] = _node_to_dict(node.right)
+        data["left"] = node_to_dict(node.left)
+        data["right"] = node_to_dict(node.right)
     return data
 
 
-def _node_from_dict(data: dict) -> TreeNode:
+def node_from_dict(data: dict) -> TreeNode:
     node = TreeNode(
         n_samples=int(data["n_samples"]),
         impurity=float(data["impurity"]),
@@ -665,12 +653,12 @@ def _node_from_dict(data: dict) -> TreeNode:
     if "feature" in data:
         node.feature = int(data["feature"])
         node.threshold = float(data["threshold"])
-        node.left = _node_from_dict(data["left"])
-        node.right = _node_from_dict(data["right"])
+        node.left = node_from_dict(data["left"])
+        node.right = node_from_dict(data["right"])
     return node
 
 
-def _config_to_dict(config: TreeConfig) -> dict:
+def config_to_dict(config: TreeConfig) -> dict:
     return {
         "criterion": config.criterion,
         "max_depth": config.max_depth,
@@ -687,27 +675,38 @@ def _config_to_dict(config: TreeConfig) -> dict:
     }
 
 
-def _config_from_dict(data: dict) -> TreeConfig:
+def config_from_dict(data: dict) -> TreeConfig:
     return TreeConfig(**data)
 
 
-# Public names for callers that persist single trees.
-node_to_dict = _node_to_dict
-node_from_dict = _node_from_dict
-config_to_dict = _config_to_dict
-config_from_dict = _config_from_dict
+def cart_to_dict(model: CartModel) -> dict:
+    return {
+        "root": node_to_dict(model.root),
+        "config": config_to_dict(model.config),
+        "n_classes": model.n_classes,
+        "weight_per_class": [float(w) for w in model.weight_per_class],
+    }
+
+
+def cart_from_dict(data: dict) -> CartModel:
+    return CartModel(
+        root=node_from_dict(data["root"]),
+        config=config_from_dict(data["config"]),
+        n_classes=int(data["n_classes"]),
+        weight_per_class=np.asarray(data["weight_per_class"], dtype=np.float64),
+    )
 
 
 def forest_to_dict(model: ForestModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "forest",
-        "config": _config_to_dict(model.config),
+        "config": config_to_dict(model.config),
         "n_classes": model.n_classes,
         "n_features": model.n_features,
         "weight_per_class": model.weight_per_class.tolist(),
         "tree_seeds": list(model.tree_seeds),
-        "trees": [_node_to_dict(root) for root in model.roots],
+        "trees": [node_to_dict(root) for root in model.roots],
     }
 
 
@@ -715,8 +714,8 @@ def forest_from_dict(data: dict) -> ForestModel:
     if data.get("schema_version") != SCHEMA_VERSION or data.get("kind") != "forest":
         raise DataError("unsupported forest model payload")
     return ForestModel(
-        roots=[_node_from_dict(t) for t in data["trees"]],
-        config=_config_from_dict(data["config"]),
+        roots=[node_from_dict(t) for t in data["trees"]],
+        config=config_from_dict(data["config"]),
         n_classes=int(data["n_classes"]),
         n_features=int(data["n_features"]),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
@@ -728,11 +727,11 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "gbdt",
-        "config": _config_to_dict(model.config),
+        "config": config_to_dict(model.config),
         "n_classes": model.n_classes,
         "base_score": model.base_score.tolist(),
         "bin_upper_bounds": [b.tolist() for b in model.bin_upper_bounds],
-        "rounds": [[_node_to_dict(t) for t in rnd] for rnd in model.rounds],
+        "rounds": [[node_to_dict(t) for t in rnd] for rnd in model.rounds],
         "train_loss": [float(v) for v in model.train_loss],
     }
 
@@ -742,19 +741,9 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
         raise DataError("unsupported boosted model payload")
     return GbdtModel(
         base_score=np.array(data["base_score"], dtype=np.float64),
-        rounds=[[_node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
+        rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
         n_classes=int(data["n_classes"]),
-        config=_config_from_dict(data["config"]),
+        config=config_from_dict(data["config"]),
         bin_upper_bounds=[np.array(b, dtype=np.float64) for b in data["bin_upper_bounds"]],
         train_loss=[float(v) for v in data.get("train_loss", [])],
     )
-
-
-def save(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-
-
-def load(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)

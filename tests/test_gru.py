@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhtext import gru
+from mhtext import gru, metrics
 from mhtext.errors import DataError
 
 
@@ -370,7 +370,7 @@ class TestTraining:
         assert history["best_val_weighted_f1"] == max(
             history["val_weighted_f1"]
         )
-        refit = gru._weighted_f1(
+        refit = metrics.weighted_f1(
             data.val_y, gru.predict(params, data.val_x), 2
         )
         assert refit == history["best_val_weighted_f1"]

@@ -8,10 +8,16 @@ is driven end to end through temp directories using its return codes.
 
 import json
 import os
+import shutil
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from mhtext import cli, metrics, presets, report, search
@@ -649,3 +655,188 @@ class TestCli:
             "--split", "test", "--out", str(tmp_path / "eval.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("family, params", [
+        ("logistic", {"max_itr": 5}),
+        ("logistic", {"C": -1}),  # checked by the config dataclass
+        ("svm", {"C": -1}),  # checked by the solver
+        ("logistic", {"C": "abc"}),
+        ("cart", {"max_depth": "abc"}),
+        ("logistic", [["max_iter", 5]]),
+    ], ids=["unknown-key", "out-of-range", "out-of-range-svm", "wrong-type",
+            "wrong-type-cart", "not-an-object"])
+    def test_bad_params_exit_one(self, cli_prepared, tmp_path, family, params):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(params), encoding="utf-8")
+        code = cli.run([
+            "train", "--prepared", cli_prepared["prep"], "--family", family,
+            "--params", str(params_path), "--out", str(tmp_path / "model"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "model.model.json").exists()
+
+    @pytest.mark.parametrize("family", ["logistic", "gru"])
+    def test_evaluate_feature_space_mismatch_exits_two(
+        self, cli_prepared, tmp_path, family, capsys
+    ):
+        other_prep = tmp_path / "prepared_seed1.json"
+        assert cli.run([
+            "prepare", "--corpus", cli_prepared["corpus"], "--out", str(other_prep),
+            "--scheme", "binary", "--seed", "1", "--max-features", "400",
+        ]) == 0
+        stem = str(tmp_path / "model")
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(FAMILY_PARAMS[family]), encoding="utf-8")
+        assert cli.run([
+            "train", "--prepared", cli_prepared["prep"], "--family", family,
+            "--params", str(params_path), "--out", stem,
+        ]) == 0
+        capsys.readouterr()
+        code = cli.run([
+            "evaluate", "--prepared", str(other_prep), "--model", stem,
+            "--out", str(tmp_path / "eval.json"),
+        ])
+        assert code == 2
+        assert "different" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def cli_artifacts(cli_prepared) -> dict:
+    """A best config and a saved bundle per family, for mutation tests."""
+    base = cli_prepared["base"] / "artifacts"
+    base.mkdir()
+    dataset = PreparedDataset.load(cli_prepared["prep"])
+    out = {}
+    for family, params in FAMILY_PARAMS.items():
+        stem = str(base / family)
+        search.save_model(search.train_family(family, dict(params), dataset), stem)
+        with open(stem + ".model.json", encoding="utf-8") as handle:
+            bundle = json.load(handle)
+        best = {"schema_version": 1, "family": family, "params": dict(params),
+                "seed": 3, "trial_index": 0}
+        out[family] = {"stem": stem, "bundle": bundle, "best": best}
+    return out
+
+
+def _key_paths(data: dict, depth: int, prefix=()):
+    """Every key path into nested objects, down to `depth` levels."""
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict) and depth > 1:
+            yield from _key_paths(value, depth - 1, prefix + (key,))
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool) or value is None:
+        return repr(value)
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+# one value of each JSON type; numbers stay small so a swapped count
+# cannot start a long fit
+_SWAP_VALUES = (None, True, 3, "x", [], {})
+
+
+class TestMalformedArtifacts:
+    def _train_best(self, cli_prepared, tmp_path, best) -> int:
+        best_path = tmp_path / "best_config.json"
+        best_path.write_text(json.dumps(best), encoding="utf-8")
+        return cli.run([
+            "train", "--prepared", cli_prepared["prep"], "--best", str(best_path),
+            "--out", str(tmp_path / "model"),
+        ])
+
+    def _evaluate(self, cli_prepared, stem) -> int:
+        return cli.run([
+            "evaluate", "--prepared", cli_prepared["prep"], "--model", stem,
+            "--out", stem + ".evaluation.json",
+        ])
+
+    def test_best_config_without_family_exits_two(self, cli_prepared, tmp_path):
+        best = {"schema_version": 1, "params": {}, "seed": 0, "trial_index": 0}
+        assert self._train_best(cli_prepared, tmp_path, best) == 2
+
+    @pytest.mark.parametrize("bundle", [
+        {"schema_version": 1},
+        {"schema_version": 1, "family": "logistic"},
+        ["not", "an", "object"],
+    ])
+    def test_truncated_bundle_exits_two(self, cli_prepared, tmp_path, bundle):
+        stem = str(tmp_path / "model")
+        with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+            json.dump(bundle, handle)
+        assert self._evaluate(cli_prepared, stem) == 2
+
+    @pytest.mark.parametrize("family", sorted(set(FAMILY_PARAMS) - {"gru"}))
+    def test_bundle_model_missing_a_key_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, family
+    ):
+        model = cli_artifacts[family]["bundle"]["model"]
+        for key in set(model) - {"train_loss"}:  # bundles may omit gbdt's loss trace
+            bundle = json.loads(json.dumps(cli_artifacts[family]["bundle"]))
+            del bundle["model"][key]
+            stem = str(tmp_path / f"{family}_{key}")
+            with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+                json.dump(bundle, handle)
+            assert self._evaluate(cli_prepared, stem) == 2, key
+
+    def test_gru_bundle_without_weights_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path
+    ):
+        stem = str(tmp_path / "gru")
+        shutil.copy(cli_artifacts["gru"]["stem"] + ".model.json", stem + ".model.json")
+        shutil.copy(cli_artifacts["gru"]["stem"] + ".vocab.json", stem + ".vocab.json")
+        assert self._evaluate(cli_prepared, stem) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_artifact_never_escapes(self, cli_prepared, cli_artifacts, data):
+        family = data.draw(st.sampled_from(sorted(cli_artifacts)))
+        artifact = data.draw(st.sampled_from(["best", "bundle"]))
+        original = cli_artifacts[family][artifact]
+        path = data.draw(st.sampled_from(list(_key_paths(original, depth=3))))
+        mutant = json.loads(json.dumps(original))
+        parent = mutant
+        for key in path[:-1]:
+            parent = parent[key]
+        current = parent[path[-1]]
+        swaps = [v for v in _SWAP_VALUES if _json_type(v) != _json_type(current)]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(st.sampled_from(swaps))
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            if artifact == "best":
+                code = self._train_best(cli_prepared, work, mutant)
+            else:
+                stem = str(work / family)
+                for suffix in (".npz", ".vocab.json"):
+                    if os.path.exists(cli_artifacts[family]["stem"] + suffix):
+                        shutil.copy(cli_artifacts[family]["stem"] + suffix, stem + suffix)
+                with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+                    json.dump(mutant, handle)
+                code = self._evaluate(cli_prepared, stem)
+        assert code in (0, 1, 2)
+
+
+class TestBenchTracing:
+    def test_every_trace_target_exists(self):
+        """Traced benchmark runs wrap these attributes; a missing one
+        counts as a failed check there."""
+        perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            import tracing
+        finally:
+            sys.path.remove(perfbench)
+        import mhtext
+
+        tracer = tracing.Tracer()
+        try:
+            assert tracer.install(mhtext) == []
+        finally:
+            tracer.restore()
+        assert not hasattr(mhtext.search.train_family, "__wrapped__")

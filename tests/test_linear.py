@@ -1,5 +1,6 @@
 """Logistic regression: exact gradients, optimizer behavior, invariances."""
 
+import json
 import math
 
 import numpy as np
@@ -257,16 +258,14 @@ class TestFit:
 
 
 class TestSerialization:
-    def test_round_trip_preserves_predictions(self, tmp_path, rng):
+    def test_round_trip_preserves_predictions(self, rng):
         X = rng.normal(0, 1, (20, 3))
         y = (X[:, 0] > 0).astype(int)
         y[:2] = [0, 1]
         params = linear.fit_logistic(
             X, y, linear.LogisticConfig(C=4.0, class_weight="balanced")
         )
-        path = tmp_path / "model.json"
-        linear.save(params, str(path))
-        again = linear.load(str(path))
+        again = linear.from_dict(json.loads(json.dumps(linear.to_dict(params))))
         assert again.kind == params.kind
         assert again.config == params.config
         assert np.array_equal(again.weights, params.weights)
