@@ -1,109 +1,55 @@
 """Train every model family on the public mental-health corpus.
 
 Expects the combined Kaggle sentiment CSV (statement, status columns;
-about 51k rows after dropping empties). Prints test weighted F1 and
-AUROC per family for the chosen scheme and writes the evaluations to
-the output directory. The kernel dual solver is quadratic in corpus
-size, so the SVM runs through the primal linear path here.
+about 51k rows after dropping empties). Trains each family with
+`presets.PUBLIC_CORPUS_PARAMS` and model seed 1, which the recorded
+targets of acceptance check 9 assume, prints test weighted F1, AUROC
+and seconds per family for the chosen scheme, and writes the prepared
+dataset and each family's evaluation file to the output directory.
 
 This is a long run: the forest and GRU take hours on a laptop.
 """
 
 import argparse
-import json
 import os
 import time
 
 from mhtext import report, search
 from mhtext.config import prepare_dataset
-
-BINARY_PARAMS = {
-    "logistic": {"C": 1000.0, "max_iter": 500},
-    "svm": {"kernel": "linear", "C": 1.0, "class_weight": "balanced",
-            "max_epochs": 2000},
-    "forest": {"n_estimators": 100, "min_samples_split": 5,
-               "class_weight": "balanced"},
-    "gbdt": {"n_estimators": 100, "learning_rate": 0.1, "num_leaves": 50,
-             "min_child_samples": 10},
-    "gru": {"embedding_dim": 96, "hidden_dim": 128, "learning_rate": 5e-4,
-            "epochs": 4, "batch_size": 64},
-}
-MULTICLASS_PARAMS = {
-    "logistic": {"C": 1000.0, "class_weight": "balanced", "max_iter": 500},
-    "svm": {"kernel": "linear", "C": 1.0, "class_weight": "balanced",
-            "max_epochs": 2000},
-    "forest": {"n_estimators": 200, "min_samples_leaf": 2,
-               "class_weight": "balanced"},
-    "gbdt": {"n_estimators": 100, "learning_rate": 0.1, "num_leaves": 63,
-             "class_weight": "balanced"},
-    "gru": {"embedding_dim": 96, "hidden_dim": 128, "learning_rate": 5e-4,
-            "epochs": 5, "batch_size": 64},
-}
+from mhtext.presets import PUBLIC_CORPUS_PARAMS
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--corpus", required=True, help="public corpus CSV")
     parser.add_argument("--outdir", required=True)
-    parser.add_argument("--scheme", choices=("binary", "multiclass"),
-                        default="binary")
+    parser.add_argument("--scheme", choices=("binary", "multiclass"), default="binary")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--families", nargs="+", default=None,
                         help="subset of families to run (default: all five)")
     args = parser.parse_args()
 
     os.makedirs(args.outdir, exist_ok=True)
-    param_table = BINARY_PARAMS if args.scheme == "binary" else MULTICLASS_PARAMS
-    families = args.families or list(param_table)
-
+    param_table = PUBLIC_CORPUS_PARAMS[args.scheme]
     print(f"preparing {args.scheme} dataset from {args.corpus} ...")
-    dataset = prepare_dataset(
-        args.corpus, scheme_kind=args.scheme, seed=args.seed, stratify=True
-    )
+    dataset = prepare_dataset(args.corpus, scheme_kind=args.scheme, seed=args.seed,
+                              stratify=True)
     print(f"{dataset.n_docs} documents, {dataset.scheme.n_classes} classes, "
           f"{dataset.n_dropped} dropped as empty")
     dataset.save(os.path.join(args.outdir, f"prepared_{args.scheme}.json"))
 
-    rows = []
-    for family in families:
-        params = dict(param_table[family])
+    for family in args.families or list(param_table):
         start = time.perf_counter()
-        fitted = search.train_family(family, params, dataset, model_seed=1)
+        fitted = search.train_family(family, dict(param_table[family]), dataset,
+                                     model_seed=1)
         evaluation = search.evaluate_model(fitted, dataset, "test")
-        seconds = time.perf_counter() - start
-        f1 = evaluation.prf.weighted["f1"]
-        auc = evaluation.auroc_values.get(
-            "binary", evaluation.auroc_values.get("micro")
-        )
-        rows.append((family, f1, auc, seconds))
-        print(f"{family:>9}: weighted F1 {f1:.4f}  AUROC {auc:.4f}  "
-              f"({seconds:.0f}s)")
-        payload = {
-            "schema_version": 1,
-            "family": family,
-            "split": "test",
-            "n_eval": int(dataset.labels_for("test").size),
-            "class_names": list(dataset.scheme.names),
-            "scheme_kind": dataset.scheme.kind,
-            "metrics": evaluation.to_dict(),
-        }
+        auc = evaluation.auroc_values.get("binary", evaluation.auroc_values.get("micro"))
+        print(f"{family:>9}: weighted F1 {evaluation.prf.weighted['f1']:.4f}  "
+              f"AUROC {auc:.4f}  ({time.perf_counter() - start:.0f}s)")
         report.write_json(
-            payload,
+            search.evaluation_record(family, dataset, "test", evaluation),
             os.path.join(args.outdir, f"evaluation_{args.scheme}_{family}.json"),
         )
-
-    summary = {
-        "scheme": args.scheme,
-        "seed": args.seed,
-        "results": [
-            {"family": f, "weighted_f1": f1, "auroc": auc, "seconds": s}
-            for f, f1, auc, s in rows
-        ],
-    }
-    with open(os.path.join(args.outdir, f"summary_{args.scheme}.json"), "w",
-              encoding="utf-8") as handle:
-        json.dump(summary, handle, sort_keys=True, indent=2)
-    print(f"wrote {args.outdir}/summary_{args.scheme}.json")
 
 
 if __name__ == "__main__":

@@ -1,84 +1,58 @@
-"""End-to-end shakedown: generate, prepare, tune, train, evaluate, report.
+"""End-to-end shakedown: generate a corpus, then run the five CLI stages.
 
-Runs one preset search on a fresh synthetic corpus and leaves every
-artifact (prepared dataset, search log, model bundle, evaluation,
-report files) in the output directory.
+Makes a synthetic corpus (or reuses one) and calls `mhtext prepare`,
+`tune`, `train --best`, `evaluate` and `report` through `mhtext.cli.run`,
+leaving every artifact in the output directory. Exits with the first
+nonzero stage exit code.
 """
 
 import argparse
-import json
 import os
+import sys
 
-from mhtext import presets, report, search, synth
-from mhtext.config import prepare_dataset
+from mhtext import cli, presets, synth
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--outdir", required=True)
     parser.add_argument("--preset", default="binary",
                         help=f"one of: {', '.join(presets.preset_names())}")
-    parser.add_argument("--scheme", choices=("binary", "multiclass"),
-                        default="binary")
+    parser.add_argument("--scheme", choices=("binary", "multiclass"), default="binary")
     parser.add_argument("--n-docs", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--corpus", default=None,
-                        help="reuse an existing corpus CSV instead of generating")
+    parser.add_argument("--corpus", help="reuse a corpus CSV instead of generating one")
     args = parser.parse_args()
 
-    os.makedirs(args.outdir, exist_ok=True)
-    corpus = args.corpus or os.path.join(args.outdir, "corpus.csv")
+    # absolute paths, so MHTEXT_OUTPUT_ROOT cannot move one stage's
+    # outputs away from the next stage's inputs
+    outdir = os.path.abspath(args.outdir)
+    os.makedirs(outdir, exist_ok=True)
+    corpus = os.path.abspath(args.corpus or os.path.join(outdir, "corpus.csv"))
     if not args.corpus:
         statuses = ("Normal", "Depression") if args.scheme == "binary" else None
         kwargs = {"statuses": statuses, "normal_fraction": 0.5} if statuses else {}
         synth.make_corpus_file(corpus, args.n_docs, args.seed, **kwargs)
         print(f"generated {corpus}")
 
-    dataset = prepare_dataset(corpus, scheme_kind=args.scheme, seed=args.seed)
-    dataset.save(os.path.join(args.outdir, "prepared.json"))
-    print(f"prepared {dataset.n_docs} documents "
-          f"({dataset.scheme.n_classes} classes)")
-
-    config = presets.get_preset(args.preset)
-    result = search.run_search(dataset, config)
-    with open(os.path.join(args.outdir, "search.json"), "w", encoding="utf-8") as f:
-        json.dump(result.to_dict(), f, sort_keys=True, indent=2)
-    best = result.best_trial
-    print(f"best trial #{best.index}: {best.params} "
-          f"(validation weighted F1 {best.val_weighted_f1:.4f})")
-
-    fitted = search.refit_best(dataset, result)
-    stem = os.path.join(args.outdir, "model")
-    search.save_model(fitted, stem)
-
-    evaluation = search.evaluate_model(fitted, dataset, "test")
-    payload = {
-        "schema_version": 1,
-        "family": fitted.family,
-        "split": "test",
-        "n_eval": int(dataset.labels_for("test").size),
-        "class_names": list(dataset.scheme.names),
-        "scheme_kind": dataset.scheme.kind,
-        "metrics": evaluation.to_dict(),
-    }
-    report.write_json(payload, os.path.join(args.outdir, "evaluation.json"))
-    written = report.emit_report(payload, args.outdir)
-    print(f"test accuracy {evaluation.prf.accuracy:.4f}, "
-          f"weighted F1 {evaluation.prf.weighted['f1']:.4f}")
-    print("report files: " + ", ".join(os.path.basename(p) for p in written))
-
-    # the exact refit seed, recorded so `mhtext train` can reproduce it
-    best_config = {
-        "schema_version": 1,
-        "family": config.family,
-        "params": best.params,
-        "seed": config.seed,
-        "trial_index": best.index,
-    }
-    with open(os.path.join(args.outdir, "best_config.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(best_config, f, sort_keys=True, indent=2)
+    prepared, model, evaluation = (os.path.join(outdir, name) for name in
+                                   ("prepared.json", "model", "evaluation.json"))
+    stages = (
+        ["prepare", "--corpus", corpus, "--out", prepared,
+         "--scheme", args.scheme, "--seed", str(args.seed)],
+        ["tune", "--prepared", prepared, "--preset", args.preset, "--outdir", outdir],
+        ["train", "--prepared", prepared,
+         "--best", os.path.join(outdir, "best_config.json"), "--out", model],
+        ["evaluate", "--prepared", prepared, "--model", model,
+         "--split", "test", "--out", evaluation],
+        ["report", "--evaluation", evaluation, "--outdir", outdir],
+    )
+    for argv in stages:
+        code = cli.run(argv)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,16 +17,14 @@ output paths resolve under $MHTEXT_OUTPUT_ROOT when it is set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import report as report_mod
 from . import search as search_mod
 from .config import FAMILIES, ExperimentConfig, PreparedDataset, prepare_dataset
-from .errors import DataError, SearchFailedError, ToolkitError, UsageError
+from .errors import DataError, SearchFailedError, ToolkitError, UsageError, read_json
 from .presets import get_preset, preset_names
-from .seeds import STAGE_MODEL, derive_seed
 
 OUTPUT_ROOT_ENV = "MHTEXT_OUTPUT_ROOT"
 
@@ -129,25 +127,10 @@ def _cmd_tune(args) -> int:
         result = search_mod.run_search(dataset, config)
     except SearchFailedError as exc:
         # still leave a log behind so the failure is inspectable
-        report_mod.write_json(
-            {
-                "schema_version": 1,
-                "status": "no successful trials",
-                "config": config.to_dict(),
-                "trials": [t.to_dict() for t in getattr(exc, "trials", [])],
-            },
-            os.path.join(outdir, "search.json"),
-        )
+        report_mod.write_json(exc.result.to_dict(), os.path.join(outdir, "search.json"))
         raise
     report_mod.write_json(result.to_dict(), os.path.join(outdir, "search.json"))
-    best = {
-        "schema_version": 1,
-        "family": config.family,
-        "params": result.best_params,
-        "seed": config.seed,
-        "trial_index": result.best_index,
-    }
-    report_mod.write_json(best, os.path.join(outdir, "best_config.json"))
+    report_mod.write_json(result.best_config(), os.path.join(outdir, "best_config.json"))
     n_failed = sum(1 for t in result.trials if t.error is not None)
     print(
         f"searched {len(result.trials)} candidates ({n_failed} failed); "
@@ -157,34 +140,17 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot open {what} {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid {what} {path!r}: {exc}") from exc
-
-
 def _cmd_train(args) -> int:
     if args.best and args.params:
         raise UsageError("--params only applies with --family")
     dataset = PreparedDataset.load(args.prepared)
     if args.best:
-        best = _load_json(args.best, "best config")
-        try:
-            family = best["family"]
-            params = best.get("params", {})
-            model_seed = derive_seed(
-                int(best.get("seed", 0)), STAGE_MODEL, int(best.get("trial_index", 0))
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"invalid best config {args.best!r}: {exc!r}") from exc
+        family, params, model_seed = read_json(
+            args.best, "best config", search_mod.decode_best_config
+        )
     else:
-        family = args.family
-        params = _load_json(args.params, "params file") if args.params else {}
-        model_seed = derive_seed(args.seed, STAGE_MODEL, 0)
+        family, model_seed = args.family, search_mod.trial_seed(args.seed, 0)
+        params = read_json(args.params, "params file", lambda data: data) if args.params else {}
     try:
         fitted = search_mod.train_family(family, params, dataset, model_seed=model_seed)
     except ValueError as exc:  # solvers reject out-of-range hyperparameters
@@ -198,20 +164,11 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     dataset = PreparedDataset.load(args.prepared)
     fitted = search_mod.load_model(args.model)
-    if fitted.scheme.to_dict() != dataset.scheme.to_dict():
-        raise DataError("model bundle and prepared dataset use different label schemes")
     result = search_mod.evaluate_model(fitted, dataset, args.split)
-    payload = {
-        "schema_version": 1,
-        "family": fitted.family,
-        "split": args.split,
-        "n_eval": int(dataset.labels_for(args.split).size),
-        "class_names": list(dataset.scheme.names),
-        "scheme_kind": dataset.scheme.kind,
-        "metrics": result.to_dict(),
-    }
     out = _resolve(args.out)
-    report_mod.write_json(payload, out)
+    report_mod.write_json(
+        search_mod.evaluation_record(fitted.family, dataset, args.split, result), out
+    )
     summary = result.prf.weighted
     auroc = result.auroc_values.get("binary", result.auroc_values.get("micro"))
     auroc_text = f" auroc={auroc:.4f}" if auroc is not None else ""
@@ -224,9 +181,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    evaluation = _load_json(args.evaluation, "evaluation file")
-    if "metrics" not in evaluation:
-        raise DataError(f"evaluation file {args.evaluation!r} has no metrics")
+    evaluation = read_json(args.evaluation, "evaluation file", report_mod.check_evaluation)
     written = report_mod.emit_report(evaluation, _resolve(args.outdir))
     print("wrote " + ", ".join(written))
     return 0

@@ -26,9 +26,10 @@ from .corpus import (
     load_csv,
     split_dataset,
 )
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, read_json
 from .families import REGISTRY
 from .gru import SeqVocabulary
+from .report import write_json
 from .seeds import STAGE_SPLIT, derive_seed
 
 SCHEMA_VERSION = 1
@@ -99,7 +100,7 @@ class PreparedDataset:
     def from_dict(cls, data: dict) -> "PreparedDataset":
         if data.get("schema_version") != SCHEMA_VERSION:
             raise DataError("unsupported prepared-dataset payload")
-        return cls(
+        dataset = cls(
             ids=tuple(data["ids"]),
             tokens=tuple(tuple(toks) for toks in data["tokens"]),
             labels=np.asarray(data["labels"], dtype=np.int64),
@@ -110,6 +111,16 @@ class PreparedDataset:
             seed=int(data["seed"]),
             n_dropped=int(data.get("n_dropped", 0)),
         )
+        # cheap shape checks, so a bad file fails here and not mid-fit
+        n_docs = dataset.n_docs
+        if len(dataset.tokens) != n_docs or dataset.labels.shape != (n_docs,):
+            raise DataError("prepared dataset needs one token list and label per id")
+        if not _within(dataset.labels, dataset.scheme.n_classes):
+            raise DataError("prepared dataset has labels outside its scheme")
+        for name in SPLIT_NAMES:
+            if not _within(np.asarray(dataset.indices(name), dtype=np.int64), n_docs):
+                raise DataError(f"prepared dataset has {name} indices past its documents")
+        return dataset
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -117,13 +128,14 @@ class PreparedDataset:
 
     @classmethod
     def load(cls, path: str) -> "PreparedDataset":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return cls.from_dict(json.load(handle))
-        except OSError as exc:
-            raise DataError(f"cannot open prepared dataset {path!r}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DataError(f"invalid prepared dataset {path!r}: {exc}") from exc
+        return read_json(path, "prepared dataset", cls.from_dict)
+
+
+def _within(values: np.ndarray, bound: int) -> bool:
+    """One dimension, every value in [0, bound)."""
+    if values.ndim != 1:
+        return False
+    return values.size == 0 or (values.min() >= 0 and values.max() < bound)
 
 
 def prepare_dataset(
@@ -255,16 +267,8 @@ class ExperimentConfig:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return cls.from_dict(json.load(handle))
-        except OSError as exc:
-            raise UsageError(f"cannot open experiment config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"invalid experiment config {path!r}: {exc}") from exc
+        return read_json(path, "experiment config", cls.from_dict, error=UsageError)

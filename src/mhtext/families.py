@@ -15,6 +15,7 @@ call.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +29,21 @@ SEQUENCES = "sequences"  # fixed-length token id sequences
 
 
 def _as_is(value):
+    return value
+
+
+def _int(value) -> int:
+    """An integer or an integral float (100.0); bools and fractions are
+    refused, not truncated."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
+            isinstance(value, float) and value.is_integer())):
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):  # bool("false") is True
+        raise ValueError("expected true or false")
     return value
 
 
@@ -118,8 +134,8 @@ def _fit_gru(X, y, params, seed, dataset):
 _TREE_PARAMS = {
     "criterion": _as_is,
     "max_depth": _as_is,
-    "min_samples_split": int,
-    "min_samples_leaf": int,
+    "min_samples_split": _int,
+    "min_samples_leaf": _int,
     "class_weight": _as_is,
 }
 
@@ -128,7 +144,7 @@ REGISTRY: dict[str, Family] = {
     for family in (
         Family(
             "logistic",
-            {"C": float, "class_weight": _as_is, "max_iter": int, "tol": float},
+            {"C": float, "class_weight": _as_is, "max_iter": _int, "tol": float},
             TFIDF,
             fit=_fit_logistic,
             scores=lambda p, rows: linear.predict_proba(p, rows),
@@ -137,9 +153,9 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "svm",
-            {"C": float, "kernel": _as_is, "gamma": _as_is, "degree": int,
+            {"C": float, "kernel": _as_is, "gamma": _as_is, "degree": _int,
              "coef0": float, "alpha": float, "class_weight": _as_is,
-             "max_epochs": int, "tol": float},
+             "max_epochs": _int, "tol": float},
             TFIDF,
             fit=_fit_svm,
             scores=lambda p, rows: svm.class_scores(p, rows),
@@ -163,8 +179,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "forest",
-            {**_TREE_PARAMS, "n_estimators": int, "max_features": _as_is,
-             "bootstrap": bool},
+            {**_TREE_PARAMS, "n_estimators": _int, "max_features": _as_is,
+             "bootstrap": _bool},
             TFIDF,
             fit=_fit_forest,
             scores=lambda p, rows: trees.forest_scores(p, rows),
@@ -173,8 +189,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "gbdt",
-            {"n_estimators": int, "learning_rate": float, "num_leaves": int,
-             "min_child_samples": int, "max_bins": int, "max_depth": _as_is,
+            {"n_estimators": _int, "learning_rate": float, "num_leaves": _int,
+             "min_child_samples": _int, "max_bins": _int, "max_depth": _as_is,
              "class_weight": _as_is},
             TFIDF,
             fit=_fit_gbdt,
@@ -184,8 +200,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "gru",
-            {"embedding_dim": int, "hidden_dim": int, "learning_rate": float,
-             "epochs": int, "batch_size": int, "dropout": float,
+            {"embedding_dim": _int, "hidden_dim": _int, "learning_rate": float,
+             "epochs": _int, "batch_size": _int, "dropout": float,
              "class_weight": _as_is},
             SEQUENCES,
             fit=_fit_gru,

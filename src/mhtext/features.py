@@ -139,11 +139,12 @@ def from_dict(data: dict) -> TfIdfModel:
     idf = np.array(data["idf"], dtype=np.float64)
     if idf.shape != (len(terms),):
         raise DataError("TF-IDF model needs one idf value per term")
+    lo, hi = data["ngram_range"]
     return TfIdfModel(
         terms,
         idf,
         int(data["n_docs"]),
-        tuple(data["ngram_range"]),
+        (int(lo), int(hi)),
         int(data["max_features"]),
     )
 

@@ -24,12 +24,13 @@ checkpoint with the best validation weighted F1 (earliest on ties).
 from __future__ import annotations
 
 import json
+import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json
 from .linear import class_weights, log_softmax, sigmoid
 from .metrics import weighted_f1
 from .seeds import MODEL_DROPOUT, MODEL_INIT, MODEL_SHUFFLE, derive_seed
@@ -187,12 +188,18 @@ def init_params(
     )
 
 
-def gru_cell(x, h_prev, params: GruParams):
-    """One recurrence step for embedded inputs x (E,) or (B, E)."""
+def _step(x, h_prev, params: GruParams):
+    """The cell equations: next state, update gate, reset gate, candidate."""
     update = sigmoid(x @ params.w_update + h_prev @ params.u_update + params.b_update)
     reset = sigmoid(x @ params.w_reset + h_prev @ params.u_reset + params.b_reset)
     cand = np.tanh(x @ params.w_cand + (reset * h_prev) @ params.u_cand + params.b_cand)
-    return (1.0 - update) * h_prev + update * cand
+    return (1.0 - update) * h_prev + update * cand, update, reset, cand
+
+
+def gru_cell(x, h_prev, params: GruParams):
+    """One recurrence step for embedded inputs x (E,) or (B, E); the step
+    forward and training run on every non-PAD position."""
+    return _step(x, h_prev, params)[0]
 
 
 def _run_forward(params: GruParams, batch: np.ndarray, keep_cache: bool):
@@ -202,13 +209,7 @@ def _run_forward(params: GruParams, batch: np.ndarray, keep_cache: bool):
     cache = []
     for t in range(seq_len):
         ids = batch[:, t]
-        x = params.embedding[ids]
-        update = sigmoid(x @ params.w_update + hidden @ params.u_update + params.b_update)
-        reset = sigmoid(x @ params.w_reset + hidden @ params.u_reset + params.b_reset)
-        cand = np.tanh(
-            x @ params.w_cand + (reset * hidden) @ params.u_cand + params.b_cand
-        )
-        advanced = (1.0 - update) * hidden + update * cand
+        advanced, update, reset, cand = _step(params.embedding[ids], hidden, params)
         mask = (ids != PAD_ID).astype(np.float64)[:, None]
         new_hidden = mask * advanced + (1.0 - mask) * hidden
         if keep_cache:
@@ -421,8 +422,9 @@ def save(params: GruParams, vocab: SeqVocabulary, stem: str) -> None:
 
 
 def load(stem: str) -> tuple[GruParams, SeqVocabulary]:
-    with np.load(stem + ".npz") as arrays:
-        params = from_dict(arrays)
-    with open(stem + ".vocab.json", encoding="utf-8") as handle:
-        vocab = SeqVocabulary.from_dict(json.load(handle))
-    return params, vocab
+    try:
+        with np.load(stem + ".npz") as arrays:
+            params = from_dict(arrays)
+    except (EOFError, zipfile.BadZipFile) as exc:  # an empty, cut or corrupt archive
+        raise DataError(f"invalid weights {stem + '.npz'!r}: {exc}") from exc
+    return params, read_json(stem + ".vocab.json", "vocabulary", SeqVocabulary.from_dict)

@@ -135,17 +135,15 @@ def weighted_f1(y_true, y_pred, n_classes: int) -> float:
 
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged (midranks)."""
+    """1-based ranks, ties averaged (midranks); NaN equals nothing, so
+    each NaN is ranked alone."""
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    start = 0
-    while start < scores.size:
-        stop = start
-        while stop + 1 < scores.size and sorted_scores[stop + 1] == sorted_scores[start]:
-            stop += 1
-        ranks[order[start : stop + 1]] = 0.5 * (start + stop) + 1.0
-        start = stop + 1
+    # a run of equal scores starts wherever the sorted value changes
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    stops = np.r_[starts[1:], scores.size] - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + stops) + 1.0, stops - starts + 1)
     return ranks
 
 

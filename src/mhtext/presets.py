@@ -71,6 +71,34 @@ def _build() -> dict[str, ExperimentConfig]:
 
 PRESETS = _build()
 
+# Fixed per-family params for the public-corpus reproduction
+# (scripts/reproduce_public_corpus.py and acceptance check 9), by label
+# scheme. The kernel dual solver is quadratic in n, so at corpus scale
+# the SVM runs through the primal linear path.
+_PUBLIC_SVM = {"kernel": "linear", "C": 1.0, "class_weight": "balanced", "max_epochs": 2000}
+PUBLIC_CORPUS_PARAMS = {
+    "binary": {
+        "logistic": {"C": 1000.0, "max_iter": 500},
+        "svm": _PUBLIC_SVM,
+        "forest": {"n_estimators": 100, "min_samples_split": 5,
+                   "class_weight": "balanced"},
+        "gbdt": {"n_estimators": 100, "learning_rate": 0.1, "num_leaves": 50,
+                 "min_child_samples": 10},
+        "gru": {"embedding_dim": 96, "hidden_dim": 128, "learning_rate": 5e-4,
+                "epochs": 4, "batch_size": 64},
+    },
+    "multiclass": {
+        "logistic": {"C": 1000.0, "class_weight": "balanced", "max_iter": 500},
+        "svm": _PUBLIC_SVM,
+        "forest": {"n_estimators": 200, "min_samples_leaf": 2,
+                   "class_weight": "balanced"},
+        "gbdt": {"n_estimators": 100, "learning_rate": 0.1, "num_leaves": 63,
+                 "class_weight": "balanced"},
+        "gru": {"embedding_dim": 96, "hidden_dim": 128, "learning_rate": 5e-4,
+                "epochs": 5, "batch_size": 64},
+    },
+}
+
 
 def preset_names() -> tuple[str, ...]:
     return tuple(sorted(PRESETS))

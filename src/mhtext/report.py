@@ -123,35 +123,48 @@ def distribution_svg(rows, title: str = "Class distribution") -> str:
     return "\n".join(parts) + "\n"
 
 
+def _render(evaluation: dict) -> list[tuple[str, str]]:
+    """The ROC and class-distribution files as (name, text) pairs; raises
+    on metrics they cannot be drawn from."""
+    metrics = evaluation.get("metrics", {})
+    files = []
+    points = metrics.get("roc_points")
+    if points:
+        files.append(("roc_points.csv", _roc_csv(points)))
+    confusion = metrics.get("confusion_matrix")
+    if confusion:
+        rows = _distribution_rows(confusion, evaluation.get("class_names", []))
+        files.append(("class_distribution.csv", _distribution_csv(rows)))
+        files.append(("class_distribution.svg", distribution_svg(rows)))
+    return files
+
+
+def check_evaluation(evaluation: dict) -> dict:
+    """Decode an evaluation file read from JSON: its metrics must be an
+    object that every report file can be drawn from."""
+    if not isinstance(evaluation.get("metrics"), dict):
+        raise ValueError("no metrics object")
+    _render(evaluation)
+    return evaluation
+
+
 def emit_report(evaluation: dict, outdir: str) -> list[str]:
     """Write report.json plus ROC and class-distribution files.
 
     Returns the list of paths written. The ROC CSV is only produced when
-    the evaluation carries ROC points.
+    the evaluation carries ROC points. Every file is rendered before the
+    first one is written.
     """
-    os.makedirs(outdir, exist_ok=True)
-    written = []
+    files = _render(evaluation)
     payload = dict(evaluation)
     payload["generated_at"] = timestamp()
+    os.makedirs(outdir, exist_ok=True)
     report_path = os.path.join(outdir, "report.json")
     write_json(payload, report_path)
-    written.append(report_path)
-    metrics = evaluation.get("metrics", {})
-    points = metrics.get("roc_points")
-    if points:
-        roc_path = os.path.join(outdir, "roc_points.csv")
-        with open(roc_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_roc_csv(points))
-        written.append(roc_path)
-    confusion = metrics.get("confusion_matrix")
-    if confusion:
-        rows = _distribution_rows(confusion, evaluation.get("class_names", []))
-        csv_path = os.path.join(outdir, "class_distribution.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_distribution_csv(rows))
-        written.append(csv_path)
-        svg_path = os.path.join(outdir, "class_distribution.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(distribution_svg(rows))
-        written.append(svg_path)
+    written = [report_path]
+    for name, text in files:
+        path = os.path.join(outdir, name)
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        written.append(path)
     return written

@@ -16,6 +16,7 @@ the selected configuration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from . import features as features_mod
 from . import gru as gru_mod
 from .config import ExperimentConfig, PreparedDataset
 from .corpus import LabelScheme
-from .errors import DataError, SearchFailedError, ToolkitError, UsageError
+from .errors import DataError, SearchFailedError, ToolkitError, UsageError, read_json
 from .metrics import EvaluationReport, evaluate_predictions, weighted_f1
 from .seeds import STAGE_MODEL, STAGE_SEARCH, derive_seed
 
@@ -98,8 +99,10 @@ class FittedModel:
         self.spec = families.get(self.family)
 
     def _inputs(self, dataset: PreparedDataset, split_name: str):
-        """Rows of one split, refusing a dataset whose feature model is
-        not the one this model was trained on."""
+        """Rows of one split, refusing a dataset whose label scheme or
+        feature model is not the one this model was trained on."""
+        if self.scheme.to_dict() != dataset.scheme.to_dict():
+            raise DataError("model bundle and prepared dataset use different label schemes")
         if self.spec.inputs == families.SEQUENCES:
             ours, theirs, what = self.vocab, dataset.vocab, "sequence vocabularies"
             same = ours == theirs
@@ -189,15 +192,34 @@ class SearchResult:
         return dict(self.best_trial.params)
 
     def to_dict(self) -> dict:
-        return {
+        """The search log, search.json; a failed search (best_index -1)
+        logs its trials without a best candidate."""
+        log = {
             "schema_version": SCHEMA_VERSION,
-            "status": "ok",
+            "status": "ok" if self.best_index >= 0 else "no successful trials",
             "config": self.config.to_dict(),
             "trials": [t.to_dict() for t in self.trials],
-            "best_index": self.best_index,
-            "best_params": self.best_params,
-            "best_val_weighted_f1": self.best_trial.val_weighted_f1,
         }
+        if self.best_index >= 0:
+            log.update(best_index=self.best_index, best_params=self.best_params,
+                       best_val_weighted_f1=self.best_trial.val_weighted_f1)
+        return log
+
+    def best_config(self) -> dict:
+        """best_config.json: the winning candidate and the seed path that
+        trained it, which decode_best_config reads back."""
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "family": self.config.family,
+            "params": self.best_params,
+            "seed": self.config.seed,
+            "trial_index": self.best_index,
+        }
+
+
+def trial_seed(seed: int, index: int) -> int:
+    """The model seed of search trial `index` (`train --family` is trial 0)."""
+    return derive_seed(seed, STAGE_MODEL, index)
 
 
 def run_search(
@@ -218,10 +240,8 @@ def run_search(
     for i, params in enumerate(candidates):
         start = clock()
         try:
-            fitted = train_family(
-                config.family, params, dataset,
-                model_seed=derive_seed(config.seed, STAGE_MODEL, i),
-            )
+            fitted = train_family(config.family, params, dataset,
+                                  model_seed=trial_seed(config.seed, i))
             score = weighted_f1(
                 val_labels, fitted.predict(dataset, "validation"), n_classes
             )
@@ -234,23 +254,18 @@ def run_search(
             best_index = i
     if best_index < 0:
         first_error = next(t.error for t in trials if t.error is not None)
-        failure = SearchFailedError(
-            f"all {len(trials)} trials failed; first error: {first_error}"
+        raise SearchFailedError(
+            f"all {len(trials)} trials failed; first error: {first_error}",
+            SearchResult(config, trials, best_index),
         )
-        failure.trials = trials  # lets callers log the attempts
-        raise failure
     return SearchResult(config, trials, best_index)
 
 
-def refit_best(dataset: PreparedDataset, result: SearchResult) -> FittedModel:
-    """Retrain the winning candidate with its original trial seed, so the
-    refit model is identical to the one scored during the search."""
-    return train_family(
-        result.config.family,
-        result.best_params,
-        dataset,
-        model_seed=derive_seed(result.config.seed, STAGE_MODEL, result.best_index),
-    )
+def decode_best_config(data: dict) -> tuple[str, dict, int]:
+    """The family, params and model seed that retrain a best config's
+    candidate exactly as the search trained it."""
+    seed = trial_seed(int(data.get("seed", 0)), int(data.get("trial_index", 0)))
+    return data["family"], data.get("params", {}), seed
 
 
 def evaluate_model(
@@ -263,6 +278,20 @@ def evaluate_model(
         fitted.scores(dataset, split_name),
         n_classes=dataset.scheme.n_classes,
     )
+
+
+def evaluation_record(family: str, dataset: PreparedDataset, split_name: str,
+                      evaluation: EvaluationReport) -> dict:
+    """The evaluation file: what `mhtext evaluate` writes and `report` reads."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "family": family,
+        "split": split_name,
+        "n_eval": int(dataset.labels_for(split_name).size),
+        "class_names": list(dataset.scheme.names),
+        "scheme_kind": dataset.scheme.kind,
+        "metrics": evaluation.to_dict(),
+    }
 
 
 def save_model(fitted: FittedModel, stem: str) -> str:
@@ -291,30 +320,27 @@ def save_model(fitted: FittedModel, stem: str) -> str:
 
 
 def load_model(stem: str) -> FittedModel:
-    path = stem + ".model.json"
-    try:
-        with open(path, encoding="utf-8") as handle:
-            bundle = json.load(handle)
-        if bundle.get("schema_version") != SCHEMA_VERSION:
-            raise DataError("unsupported model bundle payload")
-        spec = families.get(bundle["family"])
-        scheme = LabelScheme.from_dict(bundle["scheme"])
-        extra = bundle.get("extra", {})
-        if spec.inputs == families.SEQUENCES:
-            params, vocab = gru_mod.load(stem)
-            fitted = FittedModel(spec.name, params, scheme, vocab=vocab, extra=extra)
-            probe = np.zeros((1, 1), dtype=np.int32)  # one PAD step
-        else:
-            tfidf = features_mod.from_dict(bundle["tfidf"])
-            fitted = FittedModel(
-                spec.name, spec.from_dict(bundle["model"]), scheme, tfidf=tfidf, extra=extra
-            )
-            probe = np.zeros((1, tfidf.dim))
-        # a payload can decode and still be unusable, e.g. a scalar where
-        # an array belongs; scoring one row of its feature space shows it
-        fitted.score_rows(probe)
-    except OSError as exc:
-        raise DataError(f"cannot open model bundle {path!r}: {exc}") from exc
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid model bundle {path!r}: {exc}") from exc
+    return read_json(stem + ".model.json", "model bundle",
+                     functools.partial(_decode_bundle, stem=stem))
+
+
+def _decode_bundle(bundle: dict, stem: str) -> FittedModel:
+    if bundle.get("schema_version") != SCHEMA_VERSION:
+        raise DataError("unsupported model bundle payload")
+    spec = families.get(bundle["family"])
+    scheme = LabelScheme.from_dict(bundle["scheme"])
+    extra = bundle.get("extra", {})
+    if spec.inputs == families.SEQUENCES:
+        params, vocab = gru_mod.load(stem)
+        fitted = FittedModel(spec.name, params, scheme, vocab=vocab, extra=extra)
+        probe = np.zeros((1, 1), dtype=np.int32)  # one PAD step
+    else:
+        tfidf = features_mod.from_dict(bundle["tfidf"])
+        fitted = FittedModel(
+            spec.name, spec.from_dict(bundle["model"]), scheme, tfidf=tfidf, extra=extra
+        )
+        probe = np.zeros((1, tfidf.dim))
+    # a payload can decode and still be unusable, e.g. a scalar where
+    # an array belongs; scoring one row of its feature space shows it
+    fitted.score_rows(probe)
     return fitted

@@ -640,7 +640,7 @@ def node_to_dict(node: TreeNode) -> dict:
     return data
 
 
-def node_from_dict(data: dict) -> TreeNode:
+def node_from_dict(data: dict, need_counts: bool = False) -> TreeNode:
     node = TreeNode(
         n_samples=int(data["n_samples"]),
         impurity=float(data["impurity"]),
@@ -648,13 +648,13 @@ def node_from_dict(data: dict) -> TreeNode:
         value=float(data["value"]),
         gain=float(data["gain"]),
     )
-    if "counts" in data:
+    if need_counts or "counts" in data:
         node.counts = np.array(data["counts"], dtype=np.int64)
     if "feature" in data:
         node.feature = int(data["feature"])
         node.threshold = float(data["threshold"])
-        node.left = node_from_dict(data["left"])
-        node.right = node_from_dict(data["right"])
+        node.left = node_from_dict(data["left"], need_counts)
+        node.right = node_from_dict(data["right"], need_counts)
     return node
 
 
@@ -690,7 +690,8 @@ def cart_to_dict(model: CartModel) -> dict:
 
 def cart_from_dict(data: dict) -> CartModel:
     return CartModel(
-        root=node_from_dict(data["root"]),
+        # scores read the counts of any leaf, not just the one the load probe reaches
+        root=node_from_dict(data["root"], need_counts=True),
         config=config_from_dict(data["config"]),
         n_classes=int(data["n_classes"]),
         weight_per_class=np.asarray(data["weight_per_class"], dtype=np.float64),

@@ -19,6 +19,7 @@ from numpy.random import default_rng
 from mhtext import gru, linear, metrics, report, search, synth, trees
 from mhtext.config import prepare_dataset
 from mhtext.corpus import split_dataset
+from mhtext.presets import PUBLIC_CORPUS_PARAMS
 
 ACCEPT_SEED = 20240819
 
@@ -445,30 +446,9 @@ MULTICLASS_F1_TARGETS = {
     "gbdt": (0.7747, 0.05),
     "gru": (0.7756, 0.05),
 }
-# the kernel dual solver is quadratic in n, so at corpus scale the SVM
-# runs through the primal linear path
-BINARY_PARAMS = {
-    "logistic": {"C": 1000.0, "max_iter": 500},
-    "svm": {"kernel": "linear", "C": 1.0, "class_weight": "balanced",
-            "max_epochs": 2000},
-    "forest": {"n_estimators": 100, "min_samples_split": 5,
-               "class_weight": "balanced"},
-    "gbdt": {"n_estimators": 100, "learning_rate": 0.1, "num_leaves": 50,
-             "min_child_samples": 10},
-    "gru": {"embedding_dim": 96, "hidden_dim": 128, "learning_rate": 5e-4,
-            "epochs": 4, "batch_size": 64},
-}
-MULTICLASS_PARAMS = {
-    "logistic": {"C": 1000.0, "class_weight": "balanced", "max_iter": 500},
-    "svm": {"kernel": "linear", "C": 1.0, "class_weight": "balanced",
-            "max_epochs": 2000},
-    "forest": {"n_estimators": 200, "min_samples_leaf": 2,
-               "class_weight": "balanced"},
-    "gbdt": {"n_estimators": 100, "learning_rate": 0.1, "num_leaves": 63,
-             "class_weight": "balanced"},
-    "gru": {"embedding_dim": 96, "hidden_dim": 128, "learning_rate": 5e-4,
-            "epochs": 5, "batch_size": 64},
-}
+# per-family params shared with scripts/reproduce_public_corpus.py
+BINARY_PARAMS = PUBLIC_CORPUS_PARAMS["binary"]
+MULTICLASS_PARAMS = PUBLIC_CORPUS_PARAMS["multiclass"]
 
 
 @pytest.mark.skipif(

@@ -151,6 +151,18 @@ class TestCell:
         got = gru.gru_cell(x, h_prev, params)
         assert np.allclose(got, h_prev, atol=1e-12)
 
+    def test_forward_advances_by_the_cell(self, rng):
+        """The checks above hold for forward and training: both step
+        through the same cell, bit for bit, on every non-PAD position."""
+        params = tiny_params(rng, hid=3, n_classes=2)
+        batch = np.array([[2, 3, 0], [4, 0, 0], [5, 6, 7]])
+        hidden = np.zeros((3, 3))
+        for t in range(batch.shape[1]):
+            stepped = gru.gru_cell(params.embedding[batch[:, t]], hidden, params)
+            hidden = np.where((batch[:, t] != gru.PAD_ID)[:, None], stepped, hidden)
+        expect = hidden @ params.w_out + params.b_out
+        assert np.array_equal(gru.forward(params, batch), expect)
+
 
 class TestForward:
     def test_all_pad_rows_emit_the_output_bias(self, rng):

@@ -8,7 +8,9 @@ is driven end to end through temp directories using its return codes.
 
 import json
 import os
+import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -159,6 +161,15 @@ class TestExperimentConfig:
     def test_load_malformed_json_is_usage_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(UsageError):
+            ExperimentConfig.load(str(path))
+
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("fixed", "x"), ("grid", 3)])
+    def test_load_bad_field_is_usage_error(self, tmp_path, key, value):
+        payload = make_config().to_dict()
+        payload[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(UsageError):
             ExperimentConfig.load(str(path))
 
@@ -319,7 +330,8 @@ class TestRunSearch:
     def test_refit_best_reproduces_validation_score(self, prepared_binary):
         dataset = prepared_binary
         result = search.run_search(dataset, make_config())
-        refit = search.refit_best(dataset, result)
+        family, params, model_seed = search.decode_best_config(result.best_config())
+        refit = search.train_family(family, params, dataset, model_seed=model_seed)
         score = search.weighted_f1(
             dataset.labels_for("validation"),
             refit.predict(dataset, "validation"),
@@ -384,6 +396,23 @@ class TestPreparedDatasetIO:
     def test_load_malformed_json_is_data_error(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("[1, 2", encoding="utf-8")
+        with pytest.raises(DataError):
+            PreparedDataset.load(str(path))
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["labels"].pop(),
+        lambda d: d["tokens"].pop(),
+        lambda d: d["split"]["test"].append(len(d["ids"])),
+        lambda d: d["split"].update(train=-1),
+        lambda d: d["labels"].__setitem__(0, len(d["scheme"]["names"])),
+        lambda d: d["tfidf"].update(ngram_range="x"),
+    ], ids=["labels-short", "tokens-short", "split-index-past-end", "split-not-a-list",
+            "label-outside-scheme", "bad-ngram-range"])
+    def test_inconsistent_payload_is_data_error(self, prepared_binary, tmp_path, mutate):
+        payload = prepared_binary.to_dict()
+        mutate(payload)
+        path = tmp_path / "prepared.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataError):
             PreparedDataset.load(str(path))
 
@@ -663,8 +692,14 @@ class TestCli:
         ("logistic", {"C": "abc"}),
         ("cart", {"max_depth": "abc"}),
         ("logistic", [["max_iter", 5]]),
+        ("forest", {"bootstrap": "false"}),
+        ("forest", {"n_estimators": 2.9}),
+        ("gru", {"epochs": 1.9}),
+        ("logistic", {"max_iter": True}),
+        ("logistic", {"max_iter": "5"}),
     ], ids=["unknown-key", "out-of-range", "out-of-range-svm", "wrong-type",
-            "wrong-type-cart", "not-an-object"])
+            "wrong-type-cart", "not-an-object", "bool-as-string", "fractional-int",
+            "fractional-epochs", "bool-as-int", "int-as-string"])
     def test_bad_params_exit_one(self, cli_prepared, tmp_path, family, params):
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps(params), encoding="utf-8")
@@ -674,6 +709,30 @@ class TestCli:
         ])
         assert code == 1
         assert not (tmp_path / "model.model.json").exists()
+
+    def test_integral_float_param_trains_like_an_int(self, cli_prepared, tmp_path):
+        bundles = []
+        for value in (3, 3.0):
+            params_path = tmp_path / "params.json"
+            params_path.write_text(json.dumps({"n_estimators": value}), encoding="utf-8")
+            stem = tmp_path / f"forest_{value}"
+            assert cli.run([
+                "train", "--prepared", cli_prepared["prep"], "--family", "forest",
+                "--params", str(params_path), "--out", str(stem),
+            ]) == 0
+            bundles.append((tmp_path / f"forest_{value}.model.json").read_bytes())
+        assert bundles[0] == bundles[1]
+
+    def test_unusable_evaluation_writes_nothing(self, tmp_path):
+        evaluation = binary_evaluation()
+        evaluation["metrics"]["confusion_matrix"] = "x"
+        eval_path = tmp_path / "evaluation.json"
+        eval_path.write_text(json.dumps(evaluation), encoding="utf-8")
+        report_dir = tmp_path / "report"
+        assert cli.run([
+            "report", "--evaluation", str(eval_path), "--outdir", str(report_dir),
+        ]) == 2
+        assert not report_dir.exists()
 
     @pytest.mark.parametrize("family", ["logistic", "gru"])
     def test_evaluate_feature_space_mismatch_exits_two(
@@ -718,12 +777,34 @@ def cli_artifacts(cli_prepared) -> dict:
     return out
 
 
-def _key_paths(data: dict, depth: int, prefix=()):
-    """Every key path into nested objects, down to `depth` levels."""
-    for key, value in data.items():
-        yield prefix + (key,)
-        if isinstance(value, dict) and depth > 1:
-            yield from _key_paths(value, depth - 1, prefix + (key,))
+@pytest.fixture(scope="module")
+def cli_inputs(cli_prepared, cli_artifacts) -> dict:
+    """A prepared dataset, an experiment config and an evaluation file,
+    as parsed JSON, for mutation tests."""
+    evaluation = cli_prepared["base"] / "artifacts" / "evaluation.json"
+    assert cli.run([
+        "evaluate", "--prepared", cli_prepared["prep"],
+        "--model", cli_artifacts["cart"]["stem"], "--out", str(evaluation),
+    ]) == 0
+    with open(cli_prepared["prep"], encoding="utf-8") as handle:
+        prepared = json.load(handle)
+    with open(evaluation, encoding="utf-8") as handle:
+        evaluation = json.load(handle)
+    config = make_config(fixed={"max_iter": 5}, grid={"C": [1.0]}).to_dict()
+    return {"prepared": prepared, "config": config, "evaluation": evaluation}
+
+
+def _draw_key_path(draw, data: dict, depth: int) -> tuple:
+    """A key path into nested objects, down to `depth` levels, drawn one
+    level at a time so that a large object (a vocabulary) does not
+    crowd out its siblings."""
+    path = []
+    while True:
+        key = draw(st.sampled_from(sorted(data)))
+        path.append(key)
+        data = data[key]
+        if not (isinstance(data, dict) and data and len(path) < depth and draw(st.booleans())):
+            return tuple(path)
 
 
 def _json_type(value) -> str:
@@ -782,6 +863,21 @@ class TestMalformedArtifacts:
                 json.dump(bundle, handle)
             assert self._evaluate(cli_prepared, stem) == 2, key
 
+    def test_cart_leaf_without_counts_exits_two(self, cli_prepared, cli_artifacts, tmp_path):
+        """The load probe scores one all-zero row, which reaches only the
+        leftmost leaf; the rightmost leaf lies four or more keys deep."""
+        bundle = json.loads(json.dumps(cli_artifacts["cart"]["bundle"]))
+        node, path = bundle["model"]["root"], ["model", "root"]
+        while "right" in node:
+            node = node["right"]
+            path.append("right")
+        del node["counts"]
+        assert len(path + ["counts"]) >= 4
+        stem = str(tmp_path / "cart")
+        with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+            json.dump(bundle, handle)
+        assert self._evaluate(cli_prepared, stem) == 2
+
     def test_gru_bundle_without_weights_exits_two(
         self, cli_prepared, cli_artifacts, tmp_path
     ):
@@ -790,13 +886,53 @@ class TestMalformedArtifacts:
         shutil.copy(cli_artifacts["gru"]["stem"] + ".vocab.json", stem + ".vocab.json")
         assert self._evaluate(cli_prepared, stem) == 2
 
-    @settings(max_examples=60, deadline=None)
+    def _read(self, cli_prepared, work, artifact, path) -> int:
+        """Run the cheapest stage that reads a prepared dataset, an
+        experiment config or an evaluation file."""
+        if artifact == "prepared":
+            params = work / "params.json"
+            params.write_text(json.dumps({"max_iter": 5}), encoding="utf-8")
+            return cli.run([
+                "train", "--prepared", str(path), "--family", "logistic",
+                "--params", str(params), "--out", str(work / "model"),
+            ])
+        if artifact == "config":
+            return cli.run([
+                "tune", "--prepared", cli_prepared["prep"], "--config", str(path),
+                "--outdir", str(work / "tune"),
+            ])
+        return cli.run(["report", "--evaluation", str(path), "--outdir", str(work / "report")])
+
+    @pytest.mark.parametrize("cut", ["empty", "truncated", "flipped-byte"])
+    def test_gru_bundle_with_corrupt_weights_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, cut
+    ):
+        source = cli_artifacts["gru"]["stem"]
+        stem = str(tmp_path / "gru")
+        shutil.copy(source + ".model.json", stem + ".model.json")
+        shutil.copy(source + ".vocab.json", stem + ".vocab.json")
+        weights = bytearray(Path(source + ".npz").read_bytes())
+        if cut == "flipped-byte":
+            weights[len(weights) // 2] ^= 0xFF
+        Path(stem + ".npz").write_bytes(
+            {"empty": b"", "truncated": weights[: len(weights) // 2]}.get(cut, weights)
+        )
+        assert self._evaluate(cli_prepared, stem) == 2
+
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_mutated_artifact_never_escapes(self, cli_prepared, cli_artifacts, data):
-        family = data.draw(st.sampled_from(sorted(cli_artifacts)))
-        artifact = data.draw(st.sampled_from(["best", "bundle"]))
-        original = cli_artifacts[family][artifact]
-        path = data.draw(st.sampled_from(list(_key_paths(original, depth=3))))
+    def test_mutated_artifact_never_escapes(
+        self, cli_prepared, cli_artifacts, cli_inputs, data
+    ):
+        artifact = data.draw(st.sampled_from(
+            ["best", "bundle", "prepared", "config", "evaluation"]
+        ))
+        if artifact in ("best", "bundle"):
+            family = data.draw(st.sampled_from(sorted(cli_artifacts)))
+            original = cli_artifacts[family][artifact]
+        else:
+            original = cli_inputs[artifact]
+        path = _draw_key_path(data.draw, original, depth=3)
         mutant = json.loads(json.dumps(original))
         parent = mutant
         for key in path[:-1]:
@@ -811,7 +947,7 @@ class TestMalformedArtifacts:
             work = Path(work)
             if artifact == "best":
                 code = self._train_best(cli_prepared, work, mutant)
-            else:
+            elif artifact == "bundle":
                 stem = str(work / family)
                 for suffix in (".npz", ".vocab.json"):
                     if os.path.exists(cli_artifacts[family]["stem"] + suffix):
@@ -819,7 +955,76 @@ class TestMalformedArtifacts:
                 with open(stem + ".model.json", "w", encoding="utf-8") as handle:
                     json.dump(mutant, handle)
                 code = self._evaluate(cli_prepared, stem)
-        assert code in (0, 1, 2)
+            else:
+                mutant_path = work / f"{artifact}.json"
+                mutant_path.write_text(json.dumps(mutant), encoding="utf-8")
+                code = self._read(cli_prepared, work, artifact, mutant_path)
+        # a config may decode into a search whose every trial fails
+        assert code in ((0, 1, 2, 3) if artifact == "config" else (0, 1, 2))
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script(name: str, *args, cwd=None, env=None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+
+
+class TestScripts:
+    def test_synthetic_experiment_matches_the_readme_commands(self, tmp_path, monkeypatch):
+        """run_synthetic_experiment.py leaves the files the README's corpus
+        command and five CLI stages leave, byte for byte apart from
+        per-trial seconds, and a relative --outdir is not moved by
+        MHTEXT_OUTPUT_ROOT."""
+        monkeypatch.setenv(report.FIXED_CLOCK_ENV, "1")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        ran = _script(
+            "run_synthetic_experiment.py", "--outdir", "script", "--n-docs", 300,
+            "--seed", 0, "--preset", "binary", cwd=tmp_path,
+            env={**env, cli.OUTPUT_ROOT_ENV: str(tmp_path / "elsewhere")},
+        )
+        assert ran.returncode == 0, ran.stderr
+        assert not (tmp_path / "elsewhere").exists()
+
+        hand = tmp_path / "hand"
+        hand.mkdir()
+        corpus, prep = hand / "corpus.csv", hand / "prepared.json"
+        ran = _script("make_synthetic_corpus.py", "--out", corpus, "--n-docs", 300,
+                      "--seed", 0, "--statuses", "Normal", "Depression",
+                      "--normal-fraction", 0.5, env=env)
+        assert ran.returncode == 0, ran.stderr
+        for argv in (
+            ["prepare", "--corpus", corpus, "--out", prep, "--scheme", "binary", "--seed", 0],
+            ["tune", "--prepared", prep, "--preset", "binary", "--outdir", hand / "tune"],
+            ["train", "--prepared", prep, "--best", hand / "tune" / "best_config.json",
+             "--out", hand / "model"],
+            ["evaluate", "--prepared", prep, "--model", hand / "model",
+             "--split", "test", "--out", hand / "evaluation.json"],
+            ["report", "--evaluation", hand / "evaluation.json", "--outdir", hand / "report"],
+        ):
+            assert cli.run([str(a) for a in argv]) == 0
+
+        subdir = {"search.json": "tune", "best_config.json": "tune",
+                  "report.json": "report", "roc_points.csv": "report",
+                  "class_distribution.csv": "report", "class_distribution.svg": "report"}
+        names = sorted(p.name for p in (tmp_path / "script").iterdir())
+        assert names == sorted([*subdir, "corpus.csv", "prepared.json",
+                                "model.model.json", "evaluation.json"])
+        for name in names:
+            ours = (tmp_path / "script" / name).read_bytes()
+            theirs = (hand / subdir.get(name, "") / name).read_bytes()
+            if name == "search.json":
+                ours, theirs = (re.sub(rb'"seconds": [-+.\de]+', b'"seconds": 0', text)
+                                for text in (ours, theirs))
+            assert ours == theirs, name
+
+        ran = _script("run_synthetic_experiment.py", "--outdir", tmp_path / "bad",
+                      "--corpus", corpus, "--preset", "nope", env=env)
+        assert ran.returncode == 1
 
 
 class TestBenchTracing:

@@ -170,6 +170,32 @@ class TestAuroc:
             metrics.auroc([0, 2], [0.2, 0.9])
 
 
+def brute_midranks(scores):
+    """Test-local oracle: each score's rank is one plus the count below
+    it plus half the other scores equal to it; NaN equals nothing and
+    sorts last in input order."""
+    finite = [s for s in scores if not math.isnan(s)]
+    ranks, nan_seen = [], 0
+    for s in scores:
+        if math.isnan(s):
+            ranks.append(len(finite) + nan_seen + 1.0)
+            nan_seen += 1
+            continue
+        below = sum(1 for t in finite if t < s)
+        equal = sum(1 for t in finite if t == s)
+        ranks.append(below + (equal + 1) / 2.0)
+    return ranks
+
+
+class TestMidranks:
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, math.nan]),
+                    max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_on_heavy_ties(self, scores):
+        got = metrics._midranks(np.array(scores, dtype=np.float64))
+        assert got.tolist() == brute_midranks(scores)
+
+
 class TestRocCurve:
     def test_perfect_separation(self):
         curve = metrics.roc_curve([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9])
