@@ -41,6 +41,18 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A JSON number; bools and strings are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("expected a number")
+    return float(value)
+
+
+def _depth(value) -> int | None:
+    """null or a whole number (negative means unbounded)."""
+    return None if value is None else _int(value)
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):  # bool("false") is True
         raise ValueError("expected true or false")
@@ -133,7 +145,7 @@ def _fit_gru(X, y, params, seed, dataset):
 
 _TREE_PARAMS = {
     "criterion": _as_is,
-    "max_depth": _as_is,
+    "max_depth": _depth,
     "min_samples_split": _int,
     "min_samples_leaf": _int,
     "class_weight": _as_is,
@@ -144,7 +156,7 @@ REGISTRY: dict[str, Family] = {
     for family in (
         Family(
             "logistic",
-            {"C": float, "class_weight": _as_is, "max_iter": _int, "tol": float},
+            {"C": _float, "class_weight": _as_is, "max_iter": _int, "tol": _float},
             TFIDF,
             fit=_fit_logistic,
             scores=lambda p, rows: linear.predict_proba(p, rows),
@@ -153,9 +165,9 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "svm",
-            {"C": float, "kernel": _as_is, "gamma": _as_is, "degree": _int,
-             "coef0": float, "alpha": float, "class_weight": _as_is,
-             "max_epochs": _int, "tol": float},
+            {"C": _float, "kernel": _as_is, "gamma": _as_is, "degree": _int,
+             "coef0": _float, "alpha": _float, "class_weight": _as_is,
+             "max_epochs": _int, "tol": _float},
             TFIDF,
             fit=_fit_svm,
             scores=lambda p, rows: svm.class_scores(p, rows),
@@ -189,8 +201,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "gbdt",
-            {"n_estimators": _int, "learning_rate": float, "num_leaves": _int,
-             "min_child_samples": _int, "max_bins": _int, "max_depth": _as_is,
+            {"n_estimators": _int, "learning_rate": _float, "num_leaves": _int,
+             "min_child_samples": _int, "max_bins": _int, "max_depth": _depth,
              "class_weight": _as_is},
             TFIDF,
             fit=_fit_gbdt,
@@ -200,8 +212,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "gru",
-            {"embedding_dim": _int, "hidden_dim": _int, "learning_rate": float,
-             "epochs": _int, "batch_size": _int, "dropout": float,
+            {"embedding_dim": _int, "hidden_dim": _int, "learning_rate": _float,
+             "epochs": _int, "batch_size": _int, "dropout": _float,
              "class_weight": _as_is},
             SEQUENCES,
             fit=_fit_gru,

@@ -3,7 +3,10 @@
 Sequence handling: token id 0 is PAD and id 1 is OOV; encoded sequences
 are right-truncated and right-padded to a fixed length, and PAD
 positions never advance the hidden state, so appending padding cannot
-change the logits.
+change the logits. Forward, BPTT and scoring stop at a batch's last
+non-PAD column: every step after it is an exact identity (the hidden
+state passes through unchanged, and every gradient term it would add
+is a signed zero), so skipping it leaves the same bits out.
 
 Cell equations (row-vector convention, weights are input_dim x hidden):
 
@@ -71,17 +74,23 @@ class SeqVocabulary:
         )
         return cls({t: i + 2 for i, t in enumerate(kept)}, max_len, min_freq)
 
+    def _ids(self, tokens) -> list[int]:
+        return [self.index.get(t, OOV_ID) for t in list(tokens)[: self.max_len]]
+
     def encode(self, tokens) -> np.ndarray:
         """Fixed-length id sequence: truncate right, pad right with PAD."""
-        ids = [self.index.get(t, OOV_ID) for t in list(tokens)[: self.max_len]]
+        ids = self._ids(tokens)
         out = np.full(self.max_len, PAD_ID, dtype=np.int32)
         out[: len(ids)] = ids
         return out
 
     def encode_many(self, docs) -> np.ndarray:
-        return np.stack([self.encode(d) for d in docs]) if docs else np.empty(
-            (0, self.max_len), dtype=np.int32
-        )
+        """encode() of each document, one row each."""
+        out = np.full((len(docs), self.max_len), PAD_ID, dtype=np.int32)
+        for row, tokens in zip(out, docs):
+            ids = self._ids(tokens)
+            row[: len(ids)] = ids
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -204,16 +213,17 @@ def gru_cell(x, h_prev, params: GruParams):
 
 def _run_forward(params: GruParams, batch: np.ndarray, keep_cache: bool):
     batch = np.atleast_2d(np.asarray(batch, dtype=np.int64))
-    n_rows, seq_len = batch.shape
-    hidden = np.zeros((n_rows, params.hidden_dim))
+    hidden = np.zeros((batch.shape[0], params.hidden_dim))
     cache = []
-    for t in range(seq_len):
+    occupied = np.flatnonzero((batch != PAD_ID).any(axis=0))
+    for t in range(occupied[-1] + 1 if occupied.size else 0):
         ids = batch[:, t]
-        advanced, update, reset, cand = _step(params.embedding[ids], hidden, params)
+        x = params.embedding[ids]
+        advanced, update, reset, cand = _step(x, hidden, params)
         mask = (ids != PAD_ID).astype(np.float64)[:, None]
         new_hidden = mask * advanced + (1.0 - mask) * hidden
         if keep_cache:
-            cache.append((ids, hidden, update, reset, cand, mask))
+            cache.append((ids, x, hidden, update, reset, cand, mask))
         hidden = new_hidden
     return batch, hidden, cache
 
@@ -266,7 +276,8 @@ def loss_and_gradients(
     dhidden = dlogits @ params.w_out.T
     if dropout_mask is not None:
         dhidden = dhidden * dropout_mask / keep
-    for ids, h_prev, update, reset, cand, mask in reversed(cache):
+    scatter_ids, scatter_dx = [], []
+    for ids, x, h_prev, update, reset, cand, mask in reversed(cache):
         d_advanced = dhidden * mask
         d_passthrough = dhidden * (1.0 - mask)
         d_update = d_advanced * (cand - h_prev)
@@ -274,7 +285,6 @@ def loss_and_gradients(
         d_prev = d_advanced * (1.0 - update)
         da_cand = d_cand * (1.0 - cand * cand)
         da_update = d_update * update * (1.0 - update)
-        x = params.embedding[ids]
         reset_h = reset * h_prev
         grads["w_cand"] += x.T @ da_cand
         grads["u_cand"] += reset_h.T @ da_cand
@@ -291,8 +301,15 @@ def loss_and_gradients(
         grads["b_reset"] += da_reset.sum(axis=0)
         d_prev = d_prev + da_update @ params.u_update.T + da_reset @ params.u_reset.T
         dx = da_cand @ params.w_cand.T + da_update @ params.w_update.T + da_reset @ params.w_reset.T
-        np.add.at(grads["embedding"], ids, dx)
+        scatter_ids.append(ids)
+        scatter_dx.append(dx)
         dhidden = d_prev + d_passthrough
+    if cache:
+        # add.at applies repeated rows in index order: the same additions,
+        # in the same order, as one scatter per step
+        np.add.at(
+            grads["embedding"], np.concatenate(scatter_ids), np.concatenate(scatter_dx)
+        )
     return loss, grads
 
 

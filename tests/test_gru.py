@@ -1,5 +1,6 @@
 """Recurrent classifier: cell math, exact BPTT, training discipline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +92,23 @@ class TestVocabulary:
         out = vocab.encode_many([["sad"], []])
         assert out.shape == (2, 3)
         assert out.dtype == np.int32
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["sad", "low", "happy", "calm", "unseen"]),
+                     max_size=9),
+            max_size=6,
+        ),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_encode_many_equals_stacked_encode(self, docs, max_len):
+        vocab = gru.SeqVocabulary.build(self.DOCS, min_freq=2, max_len=max_len)
+        got = vocab.encode_many(docs)
+        want = (np.stack([vocab.encode(d) for d in docs]) if docs
+                else np.empty((0, max_len), dtype=np.int32))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_round_trip(self):
         vocab = gru.SeqVocabulary.build(self.DOCS, min_freq=2, max_len=7)
@@ -192,6 +210,35 @@ class TestForward:
         assert np.array_equal(
             gru.forward(params, batch), gru.forward(params, padded)
         )
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 9), min_size=1, max_size=6),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trailing_pad_never_changes_loss_or_gradients(self, docs, extra, drop):
+        rng = np.random.default_rng(99)
+        params = tiny_params(rng, dropout=0.3 if drop else 0.0)
+        width = max(len(d) for d in docs)
+        batch = np.zeros((len(docs), width), dtype=np.int64)
+        for i, doc in enumerate(docs):
+            batch[i, : len(doc)] = doc
+        padded = np.hstack(
+            [batch, np.zeros((len(docs), extra), dtype=np.int64)]
+        )
+        y = rng.integers(0, 3, len(docs))
+        wpc = np.array([1.0, 0.7, 1.3])
+        mask = (rng.random((len(docs), 5)) >= 0.3).astype(np.float64) if drop else None
+        loss, grads = gru.loss_and_gradients(params, batch, y, wpc, mask)
+        loss_p, grads_p = gru.loss_and_gradients(params, padded, y, wpc, mask)
+        assert np.float64(loss).tobytes() == np.float64(loss_p).tobytes()
+        for name, _ in params.tensors():
+            assert grads[name].tobytes() == grads_p[name].tobytes(), name
 
     def test_logit_shape_is_batch_by_classes(self, rng):
         params = tiny_params(rng, n_classes=4)
@@ -386,6 +433,26 @@ class TestTraining:
             data.val_y, gru.predict(params, data.val_x), 2
         )
         assert refit == history["best_val_weighted_f1"]
+
+    def test_padding_width_never_changes_training(self, rng):
+        data = self.make_data(rng)
+
+        def widened(x):
+            return np.hstack([x, np.zeros((x.shape[0], 8), dtype=x.dtype)])
+
+        wide = gru.GruData(
+            train_x=widened(data.train_x), train_y=data.train_y,
+            val_x=widened(data.val_x), val_y=data.val_y,
+            vocab_size=data.vocab_size, n_classes=data.n_classes,
+        )
+        config = dataclasses.replace(self.CONFIG, dropout=0.25)
+        history: dict = {}
+        history_wide: dict = {}
+        a = gru.train(data, config, history)
+        b = gru.train(wide, config, history_wide)
+        assert history == history_wide
+        for (name, ta), (_, tb) in zip(a.tensors(), b.tensors()):
+            assert ta.tobytes() == tb.tobytes(), name
 
     def test_empty_training_split_rejected(self):
         data = gru.GruData(

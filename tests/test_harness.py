@@ -697,9 +697,13 @@ class TestCli:
         ("gru", {"epochs": 1.9}),
         ("logistic", {"max_iter": True}),
         ("logistic", {"max_iter": "5"}),
+        ("logistic", {"C": True}),
+        ("logistic", {"tol": "1e-3"}),
+        ("cart", {"max_depth": 2.9}),
     ], ids=["unknown-key", "out-of-range", "out-of-range-svm", "wrong-type",
             "wrong-type-cart", "not-an-object", "bool-as-string", "fractional-int",
-            "fractional-epochs", "bool-as-int", "int-as-string"])
+            "fractional-epochs", "bool-as-int", "int-as-string", "float-as-bool",
+            "float-as-string", "fractional-max-depth"])
     def test_bad_params_exit_one(self, cli_prepared, tmp_path, family, params):
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps(params), encoding="utf-8")

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mhtext import linear
 from mhtext.errors import DataError
@@ -43,6 +46,47 @@ def random_params(rng, n_features, n_classes, scale=0.5):
         n_classes,
         kind,
     )
+
+
+def masked_sigmoid(z):
+    """Test-local reference: the two-branch sigmoid, each branch computed
+    only on its own mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bits, except that a NaN need only be a NaN."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 709.0, -709.0, 746.0, -746.0, np.inf, -np.inf]
+
+    @given(arrays(
+        np.float64,
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from(EDGES),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_masked_two_branch_form_bitwise(self, z):
+        assert_same_bits(linear.sigmoid(z), masked_sigmoid(z))
+
+    def test_edges_and_nan(self):
+        z = np.array(self.EDGES + [np.nan, -np.nan])
+        got = linear.sigmoid(z)
+        assert_same_bits(got, masked_sigmoid(z))
+        assert got[:2].tolist() == [0.5, 0.5]
+        assert got[-4:-2].tolist() == [1.0, 0.0]
+        assert np.isnan(got[-2:]).all()
 
 
 class TestClassWeights:
