@@ -53,6 +53,27 @@ def _depth(value) -> int | None:
     return None if value is None else _int(value)
 
 
+def _max_features(value) -> int | str | None:
+    """null, "sqrt" or a whole number >= 1 (more than the feature count
+    means all features)."""
+    if value is None or value == "sqrt":
+        return value
+    value = _int(value)
+    if value < 1:
+        raise ValueError("expected null, \"sqrt\" or a whole number >= 1")
+    return value
+
+
+def _gamma(value) -> float | str:
+    """'scale', 'auto' or a number >= 0 (a negative rbf gamma is no kernel)."""
+    if value in ("scale", "auto"):
+        return value
+    value = _float(value)
+    if not value >= 0.0:
+        raise ValueError("expected \"scale\", \"auto\" or a number >= 0")
+    return value
+
+
 def _bool(value) -> bool:
     if not isinstance(value, bool):  # bool("false") is True
         raise ValueError("expected true or false")
@@ -165,7 +186,7 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "svm",
-            {"C": _float, "kernel": _as_is, "gamma": _as_is, "degree": _int,
+            {"C": _float, "kernel": _as_is, "gamma": _gamma, "degree": _int,
              "coef0": _float, "alpha": _float, "class_weight": _as_is,
              "max_epochs": _int, "tol": _float},
             TFIDF,
@@ -191,7 +212,7 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "forest",
-            {**_TREE_PARAMS, "n_estimators": _int, "max_features": _as_is,
+            {**_TREE_PARAMS, "n_estimators": _int, "max_features": _max_features,
              "bootstrap": _bool},
             TFIDF,
             fit=_fit_forest,

@@ -3,9 +3,19 @@
 The vocabulary keeps the max_features most frequent n-grams by total
 corpus count (ties broken lexicographically). IDF uses add-one
 smoothing, idf(t) = ln((1 + N) / (1 + df(t))) + 1, and every document
-vector is L2-normalized, so vectors have norm 1 (or 0 when no token is
-in the vocabulary). Fit on the training split only; transforming text
-never changes the model.
+row is L2-normalized, so rows have norm 1 (or 0 when no token is in the
+vocabulary). Fit on the training split only; featurizing text never
+changes the model.
+
+Rows are built in one sorted pass over all documents: every
+in-vocabulary n-gram becomes a flat key row * dim + slot, and sorting
+the keys gives each row's counts with its slots in ascending order.
+Each row is then normalized by the square root of one dot product of
+its values with themselves, in slot order. That is the same sum over
+the same values in the same order as a build one document at a time,
+so every row has the same bits as that build gives; a reduction that
+sums in another order, such as np.add.reduceat or einsum, could change
+the last bit.
 """
 
 from __future__ import annotations
@@ -13,26 +23,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted-index sparse vector; values at omitted indices are zero."""
-
-    indices: np.ndarray  # int32, strictly increasing
-    values: np.ndarray  # float64, nonzero
-    dim: int
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.values
-        return dense
 
 
 @dataclass(frozen=True)
@@ -43,13 +40,9 @@ class TfIdfModel:
     ngram_range: tuple[int, int]
     max_features: int
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {term: i for i, term in enumerate(self.terms)}
-            object.__setattr__(self, "_index", cached)
-        return cached
+        return {term: i for i, term in enumerate(self.terms)}
 
     @property
     def dim(self) -> int:
@@ -89,33 +82,30 @@ def fit(documents, max_features: int = 1000, ngram_range=(1, 2)) -> TfIdfModel:
     return TfIdfModel(terms, idf, n_docs, (lo, hi), max_features)
 
 
-def transform(model: TfIdfModel, tokens) -> SparseVector:
-    """Map one tokenized document to an L2-normalized TF-IDF vector."""
-    index = model.index
-    counts: Counter = Counter()
-    for gram in ngrams(tokens, *model.ngram_range):
-        slot = index.get(gram)
-        if slot is not None:
-            counts[slot] += 1
-    if not counts:
-        return SparseVector(
-            np.empty(0, dtype=np.int32), np.empty(0), model.dim
-        )
-    indices = np.array(sorted(counts), dtype=np.int32)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    values *= model.idf[indices]
-    norm = math.sqrt(float(values @ values))
-    if norm > 0.0:
-        values /= norm
-    return SparseVector(indices, values, model.dim)
-
-
 def matrix(model: TfIdfModel, documents) -> np.ndarray:
-    """Stack transformed documents into a dense (n_docs, dim) array."""
-    out = np.zeros((len(documents), model.dim))
-    for row, tokens in enumerate(documents):
-        vec = transform(model, tokens)
-        out[row, vec.indices] = vec.values
+    """TF-IDF rows of tokenized documents as a dense (n_docs, dim) array."""
+    index, dim = model.index, model.dim
+    lo, hi = model.ngram_range
+    keys = np.fromiter(
+        (
+            row * dim + slot
+            for row, tokens in enumerate(documents)
+            for slot in map(index.get, ngrams(tokens, lo, hi))
+            if slot is not None
+        ),
+        dtype=np.int64,
+    )
+    flat, counts = np.unique(keys, return_counts=True)
+    del keys  # freed before the dense output is allocated
+    values = counts * model.idf[flat % dim]
+    bounds = np.searchsorted(flat, np.arange(len(documents) + 1) * dim).tolist()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        part = values[start:stop]
+        norm = math.sqrt(float(part @ part))
+        if norm > 0.0:
+            part /= norm
+    out = np.zeros((len(documents), dim))
+    out.ravel()[flat] = values
     return out
 
 

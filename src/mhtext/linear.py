@@ -14,7 +14,7 @@ backtracking, so the objective never increases across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -207,12 +207,7 @@ def to_dict(params: LinearModelParams) -> dict:
         "n_classes": params.n_classes,
         "weights": params.weights.tolist(),
         "bias": params.bias.tolist(),
-        "config": {
-            "C": params.config.C,
-            "class_weight": params.config.class_weight,
-            "max_iter": params.config.max_iter,
-            "tol": params.config.tol,
-        },
+        "config": asdict(params.config),
     }
 
 

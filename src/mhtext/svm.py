@@ -21,7 +21,7 @@ with the bias recovered afterwards from the average KKT residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -61,15 +61,6 @@ class KernelSpec:
         else:
             raise ValueError(f"unknown gamma policy: {self.gamma!r}")
         return replace(self, gamma=value)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gamma": self.gamma,
-            "degree": self.degree,
-            "coef0": self.coef0,
-            "alpha": self.alpha,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelSpec":
@@ -291,15 +282,6 @@ def fit_svm(
     )
 
 
-def decision_function(model: SvmModel, X) -> np.ndarray:
-    """Pairwise margins: (n,) for binary models, (n, n_pairs) otherwise."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    margins = np.column_stack(
-        [pair.margins(model.kernel, X) for pair in model.pairs]
-    )
-    return margins[:, 0] if len(model.pairs) == 1 else margins
-
-
 def _votes_and_margin_sums(model: SvmModel, X):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n_classes = model.n_classes
@@ -345,7 +327,7 @@ def to_dict(model: SvmModel) -> dict:
         pairs.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
-        "kernel": model.kernel.to_dict(),
+        "kernel": asdict(model.kernel),
         "classes": list(model.classes),
         "pairs": pairs,
         "C": model.c_value,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -370,29 +370,6 @@ def forest_scores(model: ForestModel, X) -> np.ndarray:
     return forest_votes(model, X) / len(model.roots)
 
 
-def feature_importance(model: ForestModel) -> np.ndarray:
-    """Mean over trees of each split's gain weighted by the fraction of
-    (class-weighted) samples reaching the node; normalized to sum to 1
-    when any split exists."""
-    total = np.zeros(model.n_features)
-    for root in model.roots:
-        root_mass = float((root.counts * model.weight_per_class).sum())
-        if root_mass <= 0:
-            continue
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            node_mass = float((node.counts * model.weight_per_class).sum())
-            total[node.feature] += (node_mass / root_mass) * node.gain
-            stack.append(node.left)
-            stack.append(node.right)
-    total /= len(model.roots)
-    mass = total.sum()
-    return total / mass if mass > 0 else total
-
-
 # ---------------------------------------------------------------------------
 # Histogram gradient boosting
 
@@ -658,31 +635,10 @@ def node_from_dict(data: dict, need_counts: bool = False) -> TreeNode:
     return node
 
 
-def config_to_dict(config: TreeConfig) -> dict:
-    return {
-        "criterion": config.criterion,
-        "max_depth": config.max_depth,
-        "min_samples_split": config.min_samples_split,
-        "min_samples_leaf": config.min_samples_leaf,
-        "class_weight": config.class_weight,
-        "n_estimators": config.n_estimators,
-        "max_features": config.max_features,
-        "bootstrap": config.bootstrap,
-        "learning_rate": config.learning_rate,
-        "num_leaves": config.num_leaves,
-        "min_child_samples": config.min_child_samples,
-        "max_bins": config.max_bins,
-    }
-
-
-def config_from_dict(data: dict) -> TreeConfig:
-    return TreeConfig(**data)
-
-
 def cart_to_dict(model: CartModel) -> dict:
     return {
         "root": node_to_dict(model.root),
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "n_classes": model.n_classes,
         "weight_per_class": [float(w) for w in model.weight_per_class],
     }
@@ -692,7 +648,7 @@ def cart_from_dict(data: dict) -> CartModel:
     return CartModel(
         # scores read the counts of any leaf, not just the one the load probe reaches
         root=node_from_dict(data["root"], need_counts=True),
-        config=config_from_dict(data["config"]),
+        config=TreeConfig(**data["config"]),
         n_classes=int(data["n_classes"]),
         weight_per_class=np.asarray(data["weight_per_class"], dtype=np.float64),
     )
@@ -702,7 +658,7 @@ def forest_to_dict(model: ForestModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "forest",
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "n_classes": model.n_classes,
         "n_features": model.n_features,
         "weight_per_class": model.weight_per_class.tolist(),
@@ -716,7 +672,7 @@ def forest_from_dict(data: dict) -> ForestModel:
         raise DataError("unsupported forest model payload")
     return ForestModel(
         roots=[node_from_dict(t) for t in data["trees"]],
-        config=config_from_dict(data["config"]),
+        config=TreeConfig(**data["config"]),
         n_classes=int(data["n_classes"]),
         n_features=int(data["n_features"]),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
@@ -728,7 +684,7 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "gbdt",
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "n_classes": model.n_classes,
         "base_score": model.base_score.tolist(),
         "bin_upper_bounds": [b.tolist() for b in model.bin_upper_bounds],
@@ -744,7 +700,7 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
         base_score=np.array(data["base_score"], dtype=np.float64),
         rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
         n_classes=int(data["n_classes"]),
-        config=config_from_dict(data["config"]),
+        config=TreeConfig(**data["config"]),
         bin_upper_bounds=[np.array(b, dtype=np.float64) for b in data["bin_upper_bounds"]],
         train_loss=[float(v) for v in data.get("train_loss", [])],
     )

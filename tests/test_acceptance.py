@@ -373,7 +373,7 @@ def test_acceptance_7_every_family_learns_the_synthetic_corpus(synthetic_run):
     for label, params in FAMILY_SETTINGS:
         family = label.split("-")[0]
         fitted = search.train_family(family, dict(params), dataset, model_seed=9)
-        f1 = search.weighted_f1(
+        f1 = metrics.weighted_f1(
             y_test, fitted.predict(dataset, "test"), dataset.scheme.n_classes
         )
         results[label] = f1

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,6 +46,29 @@ def reference_tfidf(docs, max_features, lo, hi):
         norm = math.sqrt(sum(v * v for v in vec))
         rows.append([v / norm if norm else 0.0 for v in vec])
     return ranked, idf, rows
+
+
+def per_document_matrix(model, documents):
+    """Test-local oracle: the per-document build that features.matrix
+    replaced. Counts one document's slots, sorts them, scales by idf,
+    L2-normalizes with one dot product and scatters the row."""
+    out = np.zeros((len(documents), model.dim))
+    for row, tokens in enumerate(documents):
+        counts = Counter()
+        for gram in features.ngrams(tokens, *model.ngram_range):
+            slot = model.index.get(gram)
+            if slot is not None:
+                counts[slot] += 1
+        if not counts:
+            continue
+        indices = np.array(sorted(counts), dtype=np.int32)
+        values = np.array([counts[i] for i in indices], dtype=np.float64)
+        values *= model.idf[indices]
+        norm = math.sqrt(float(values @ values))
+        if norm > 0.0:
+            values /= norm
+        out[row, indices] = values
+    return out
 
 
 class TestNgrams:
@@ -95,20 +119,20 @@ class TestFit:
 class TestTransform:
     def test_single_known_token_is_a_unit_vector(self):
         model = features.fit([["sad"], ["sad", "happy"]], max_features=10)
-        vec = features.transform(model, ["sad"])
-        assert vec.values.tolist() == [1.0]
+        row = features.matrix(model, [["sad"]])[0]
+        assert row[row != 0].tolist() == [1.0]
 
     def test_two_equal_terms_split_the_norm(self):
         model = features.fit([["sad", "happy"], ["sad", "happy"]], max_features=10,
                              ngram_range=(1, 1))
-        vec = features.transform(model, ["sad", "happy"])
-        assert np.allclose(vec.values, [1 / math.sqrt(2)] * 2)
+        row = features.matrix(model, [["sad", "happy"]])[0]
+        assert np.allclose(row[row != 0], [1 / math.sqrt(2)] * 2)
 
     def test_unseen_tokens_are_ignored(self):
         model = features.fit([["sad"]], max_features=10)
-        vec = features.transform(model, ["unseen", "tokens"])
-        assert vec.indices.size == 0
-        assert np.array_equal(vec.to_dense(), np.zeros(model.dim))
+        row = features.matrix(model, [["unseen", "tokens"]])[0]
+        assert np.count_nonzero(row) == 0
+        assert np.array_equal(row, np.zeros(model.dim))
 
     def test_three_doc_corpus_matches_reference(self):
         docs = [
@@ -157,10 +181,43 @@ class TestTransform:
 
     def test_sparse_vector_invariants(self):
         model = features.fit([["a", "b", "c"], ["b", "c", "d"]], max_features=10)
-        vec = features.transform(model, ["c", "a", "c"])
-        assert np.all(np.diff(vec.indices) > 0)
-        assert np.all(vec.values != 0.0)
-        assert vec.dim == model.dim
+        doc = ["c", "a", "c"]
+        row = features.matrix(model, [doc])[0]
+        in_vocab = {model.index[g] for g in features.ngrams(doc, *model.ngram_range)
+                    if g in model.index}
+        assert np.flatnonzero(row).tolist() == sorted(in_vocab)
+        assert row.shape == (model.dim,)
+
+    @given(
+        fit_docs=st.lists(
+            st.lists(st.sampled_from("abcdef"), min_size=0, max_size=10),
+            min_size=1,
+            max_size=8,
+        ),
+        docs=st.lists(
+            st.one_of(
+                st.just([]),
+                st.lists(st.sampled_from(["x", "y", "zz"]), min_size=1, max_size=4),
+                st.lists(st.sampled_from("abcdefxy"), min_size=0, max_size=14),
+                st.lists(st.sampled_from("ab"), min_size=0, max_size=14),
+            ),
+            min_size=0,
+            max_size=10,
+        ),
+        ngram_range=st.sampled_from([(1, 1), (1, 3), (2, 2)]),
+        max_features=st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_is_bitwise_the_per_document_build(
+        self, fit_docs, docs, ngram_range, max_features
+    ):
+        # empty, out-of-vocabulary-only and repeated-n-gram documents
+        model = features.fit(fit_docs, max_features=max_features, ngram_range=ngram_range)
+        for batch in (docs, fit_docs, fit_docs + docs):
+            got = features.matrix(model, batch)
+            want = per_document_matrix(model, batch)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSerialization:

@@ -332,7 +332,7 @@ class TestRunSearch:
         result = search.run_search(dataset, make_config())
         family, params, model_seed = search.decode_best_config(result.best_config())
         refit = search.train_family(family, params, dataset, model_seed=model_seed)
-        score = search.weighted_f1(
+        score = metrics.weighted_f1(
             dataset.labels_for("validation"),
             refit.predict(dataset, "validation"),
             dataset.scheme.n_classes,
@@ -700,10 +700,15 @@ class TestCli:
         ("logistic", {"C": True}),
         ("logistic", {"tol": "1e-3"}),
         ("cart", {"max_depth": 2.9}),
+        ("forest", {"max_features": True}),
+        ("forest", {"max_features": 2.9}),
+        ("svm", {"kernel": "rbf", "gamma": True}),
+        ("svm", {"kernel": "rbf", "gamma": -2}),
     ], ids=["unknown-key", "out-of-range", "out-of-range-svm", "wrong-type",
             "wrong-type-cart", "not-an-object", "bool-as-string", "fractional-int",
             "fractional-epochs", "bool-as-int", "int-as-string", "float-as-bool",
-            "float-as-string", "fractional-max-depth"])
+            "float-as-string", "fractional-max-depth", "max-features-as-bool",
+            "fractional-max-features", "gamma-as-bool", "negative-gamma"])
     def test_bad_params_exit_one(self, cli_prepared, tmp_path, family, params):
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps(params), encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestLinearSolver:
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
         y[:2] = [0, 1]
         model = svm.fit_svm(X, y, c_value=1.0)
-        margins = svm.decision_function(model, X)
+        margins = model.pairs[0].margins(model.kernel, X)
         assert margins.shape == (30,)
         assert np.array_equal(svm.predict(model, X), (margins >= 0).astype(int))
 
@@ -294,7 +295,7 @@ class TestSerialization:
 
     def test_kernel_spec_round_trip(self):
         spec = svm.KernelSpec("polynomial", gamma=0.5, degree=4, coef0=1.5)
-        assert svm.KernelSpec.from_dict(spec.to_dict()) == spec
+        assert svm.KernelSpec.from_dict(asdict(spec)) == spec
 
     def test_bad_schema_rejected(self):
         with pytest.raises(DataError):

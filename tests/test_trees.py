@@ -431,31 +431,6 @@ class TestForest:
         b = trees.fit_forest(X, y, config, seed=2)
         assert a.tree_seeds != b.tree_seeds
 
-    def test_importance_concentrates_on_the_split_feature(self, rng):
-        n = 60
-        informative = rng.normal(0, 1, n)
-        X = np.column_stack([informative, np.zeros(n), np.ones(n)])
-        y = (informative > 0).astype(int)
-        y[:2] = [0, 1]
-        forest = trees.fit_forest(
-            X, y, trees.TreeConfig(n_estimators=20), seed=5
-        )
-        imp = trees.feature_importance(forest)
-        assert imp[0] == pytest.approx(1.0)
-        assert imp[1] == 0.0 and imp[2] == 0.0
-
-    def test_duplicated_feature_shares_importance(self, rng):
-        n = 80
-        signal = rng.normal(0, 1, n)
-        X = np.column_stack([signal, signal])
-        y = (signal > 0).astype(int)
-        y[:2] = [0, 1]
-        config = trees.TreeConfig(n_estimators=200, max_features=1)
-        forest = trees.fit_forest(X, y, config, seed=9)
-        imp = trees.feature_importance(forest)
-        assert imp.sum() == pytest.approx(1.0)
-        assert abs(imp[0] - 0.5) < 0.15
-
     def test_max_features_policies(self):
         assert trees._resolve_max_features("sqrt", 9) == 3
         assert trees._resolve_max_features(None, 10) == 4
