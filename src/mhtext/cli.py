@@ -23,7 +23,7 @@ import sys
 from . import report as report_mod
 from . import search as search_mod
 from .config import FAMILIES, ExperimentConfig, PreparedDataset, prepare_dataset
-from .errors import DataError, SearchFailedError, ToolkitError, UsageError, read_json
+from .errors import SearchFailedError, ToolkitError, UsageError, read_json
 from .presets import get_preset, preset_names
 
 OUTPUT_ROOT_ENV = "MHTEXT_OUTPUT_ROOT"
@@ -201,18 +201,9 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchFailedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ToolkitError as exc:  # future subclasses default to usage
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 def main() -> None:

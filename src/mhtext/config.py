@@ -26,7 +26,7 @@ from .corpus import (
     load_csv,
     split_dataset,
 )
-from .errors import DataError, UsageError, read_json
+from .errors import DataError, UsageError, check, read_json, real, whole
 from .families import REGISTRY
 from .gru import SeqVocabulary
 from .report import write_json
@@ -193,9 +193,9 @@ def _check_axis_spec(name: str, spec: dict) -> None:
             raise UsageError(f"axis {name!r} needs a non-empty 'options' list")
         return
     try:
-        low, high = float(spec["low"]), float(spec["high"])
+        low, high = real()(spec["low"]), real()(spec["high"])
     except (KeyError, TypeError, ValueError):
-        raise UsageError(f"axis {name!r} needs numeric 'low' and 'high'") from None
+        raise UsageError(f"axis {name!r} needs finite numeric 'low' and 'high'") from None
     if not low < high:
         raise UsageError(f"axis {name!r} needs low < high")
     if kind == "log_uniform" and low <= 0:
@@ -259,8 +259,8 @@ class ExperimentConfig:
         return cls(
             family=data["family"],
             mode=data.get("mode", "grid"),
-            seed=int(data.get("seed", 0)),
-            n_samples=int(data.get("n_samples", 20)),
+            seed=check("seed", data.get("seed", 0), whole()),
+            n_samples=check("n_samples", data.get("n_samples", 20), whole()),
             fixed=dict(data.get("fixed", {})),
             grid=dict(data.get("grid", {})),
             random=dict(data.get("random", {})),

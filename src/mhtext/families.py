@@ -1,11 +1,11 @@
 """The model families, each declared once.
 
 An entry says everything the harness needs to know about one family:
-the hyperparameters it accepts and the type each is coerced to, the
-feature space it reads, how to fit it, how to score rows, and how its
-fitted payload turns into JSON and back. Defaults live only in the
-solvers' own config dataclasses and signatures: a hyperparameter that a
-run leaves out is not passed at all.
+the hyperparameters it accepts, the feature space it reads, how to fit
+it, how to score rows, and how its fitted payload turns into JSON and
+back. Defaults and value rules live only in the solvers' own configs
+and signatures: a hyperparameter that a run leaves out is not passed at
+all, and a value that breaks its rule raises ValueError there.
 
 Entries call solvers through their module attribute at call time
 (``linear.fit_logistic(...)``), never through a function object taken
@@ -15,7 +15,6 @@ call.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,62 +27,10 @@ TFIDF = "tfidf"  # dense TF-IDF rows
 SEQUENCES = "sequences"  # fixed-length token id sequences
 
 
-def _as_is(value):
-    return value
-
-
-def _int(value) -> int:
-    """An integer or an integral float (100.0); bools and fractions are
-    refused, not truncated."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or (
-            isinstance(value, float) and value.is_integer())):
-        raise ValueError("expected a whole number")
-    return int(value)
-
-
-def _float(value) -> float:
-    """A JSON number; bools and strings are refused, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError("expected a number")
-    return float(value)
-
-
-def _depth(value) -> int | None:
-    """null or a whole number (negative means unbounded)."""
-    return None if value is None else _int(value)
-
-
-def _max_features(value) -> int | str | None:
-    """null, "sqrt" or a whole number >= 1 (more than the feature count
-    means all features)."""
-    if value is None or value == "sqrt":
-        return value
-    value = _int(value)
-    if value < 1:
-        raise ValueError("expected null, \"sqrt\" or a whole number >= 1")
-    return value
-
-
-def _gamma(value) -> float | str:
-    """'scale', 'auto' or a number >= 0 (a negative rbf gamma is no kernel)."""
-    if value in ("scale", "auto"):
-        return value
-    value = _float(value)
-    if not value >= 0.0:
-        raise ValueError("expected \"scale\", \"auto\" or a number >= 0")
-    return value
-
-
-def _bool(value) -> bool:
-    if not isinstance(value, bool):  # bool("false") is True
-        raise ValueError("expected true or false")
-    return value
-
-
 @dataclass(frozen=True)
 class Family:
     name: str
-    params: dict[str, Callable]  # accepted hyperparameter -> coercion
+    params: tuple[str, ...]  # accepted hyperparameters
     inputs: str  # TFIDF or SEQUENCES
     fit: Callable  # (X, y, params, seed, dataset) -> (payload, extra)
     scores: Callable  # (payload, rows) -> (n, k) class scores
@@ -91,22 +38,15 @@ class Family:
     from_dict: Callable  # mapping -> payload
     predict: Callable | None = None  # (payload, rows) -> labels, when not argmax(scores)
 
-    def coerce(self, params: dict) -> dict:
-        """Check names against the accepted set and coerce each value."""
+    def check_names(self, params: dict) -> dict:
+        """`params`, once it is an object naming only accepted
+        hyperparameters; the solver's config checks the values."""
         if not isinstance(params, dict):
             raise UsageError(f"{self.name} hyperparameters must be a JSON object")
         unknown = sorted(set(params) - set(self.params))
         if unknown:
             raise UsageError(f"unknown {self.name} hyperparameters: {unknown}")
-        out = {}
-        for key, value in params.items():
-            try:
-                out[key] = self.params[key](value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(
-                    f"bad {self.name} hyperparameter {key}={value!r}: {exc}"
-                ) from None
-        return out
+        return params
 
     def rows(self, dataset, split_name: str) -> np.ndarray:
         if self.inputs == SEQUENCES:
@@ -164,20 +104,15 @@ def _fit_gru(X, y, params, seed, dataset):
     return params, {"history": history}
 
 
-_TREE_PARAMS = {
-    "criterion": _as_is,
-    "max_depth": _depth,
-    "min_samples_split": _int,
-    "min_samples_leaf": _int,
-    "class_weight": _as_is,
-}
+_TREE_PARAMS = ("criterion", "max_depth", "min_samples_split", "min_samples_leaf",
+                "class_weight")
 
 REGISTRY: dict[str, Family] = {
     family.name: family
     for family in (
         Family(
             "logistic",
-            {"C": _float, "class_weight": _as_is, "max_iter": _int, "tol": _float},
+            ("C", "class_weight", "max_iter", "tol"),
             TFIDF,
             fit=_fit_logistic,
             scores=lambda p, rows: linear.predict_proba(p, rows),
@@ -186,9 +121,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "svm",
-            {"C": _float, "kernel": _as_is, "gamma": _gamma, "degree": _int,
-             "coef0": _float, "alpha": _float, "class_weight": _as_is,
-             "max_epochs": _int, "tol": _float},
+            ("C", "kernel", "gamma", "degree", "coef0", "alpha", "class_weight",
+             "max_epochs", "tol"),
             TFIDF,
             fit=_fit_svm,
             scores=lambda p, rows: svm.class_scores(p, rows),
@@ -212,8 +146,7 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "forest",
-            {**_TREE_PARAMS, "n_estimators": _int, "max_features": _max_features,
-             "bootstrap": _bool},
+            (*_TREE_PARAMS, "n_estimators", "max_features", "bootstrap"),
             TFIDF,
             fit=_fit_forest,
             scores=lambda p, rows: trees.forest_scores(p, rows),
@@ -222,9 +155,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "gbdt",
-            {"n_estimators": _int, "learning_rate": _float, "num_leaves": _int,
-             "min_child_samples": _int, "max_bins": _int, "max_depth": _depth,
-             "class_weight": _as_is},
+            ("n_estimators", "learning_rate", "num_leaves", "min_child_samples",
+             "max_bins", "max_depth", "class_weight"),
             TFIDF,
             fit=_fit_gbdt,
             scores=lambda p, rows: trees.predict_gbdt_proba(p, rows),
@@ -233,9 +165,8 @@ REGISTRY: dict[str, Family] = {
         ),
         Family(
             "gru",
-            {"embedding_dim": _int, "hidden_dim": _int, "learning_rate": _float,
-             "epochs": _int, "batch_size": _int, "dropout": _float,
-             "class_weight": _as_is},
+            ("embedding_dim", "hidden_dim", "learning_rate", "epochs", "batch_size",
+             "dropout", "class_weight"),
             SEQUENCES,
             fit=_fit_gru,
             scores=lambda p, rows: gru.predict_scores(p, rows),

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, read_json
-from .linear import class_weights, log_softmax, sigmoid
+from .errors import DataError, check, check_fields, read_json, real, whole
+from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .metrics import weighted_f1
 from .seeds import MODEL_DROPOUT, MODEL_INIT, MODEL_SHUFFLE, derive_seed
 
@@ -47,6 +47,8 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 _INIT_SPAN = 0.08
+
+_DROPOUT = real(at_least=0.0, below=1.0)  # GruConfig's, and a weights file's
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,9 @@ class GruConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.embedding_dim, self.hidden_dim, self.epochs, self.batch_size) < 1:
-            raise ValueError("dimensions, epochs, and batch_size must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1): {self.dropout}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be nonnegative: {self.learning_rate}")
+        check_fields(self, embedding_dim=whole(at_least=1), hidden_dim=whole(at_least=1),
+                     learning_rate=real(at_least=0.0), epochs=whole(at_least=1),
+                     batch_size=whole(at_least=1), dropout=_DROPOUT, class_weight=weight_mode)
 
 
 @dataclass
@@ -427,7 +426,7 @@ def from_dict(arrays) -> GruParams:
         raise DataError("unsupported recurrent model payload")
     return GruParams(
         **{name: arrays[name] for name in GruParams._ORDER},
-        dropout=float(meta["dropout"]),
+        dropout=check("dropout", meta["dropout"], _DROPOUT),
     )
 
 

@@ -18,9 +18,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_fields, one_of, real, stored, whole
 
 SCHEMA_VERSION = 1
+
+# the class_weight rule of every family: ones, or "balanced"
+weight_mode = one_of(None, "none", "balanced")
 
 
 @dataclass(frozen=True)
@@ -31,12 +34,8 @@ class LogisticConfig:
     tol: float = 1e-6  # stop when the full gradient norm drops below
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError(f"C must be positive: {self.C}")
-        if self.class_weight not in (None, "none", "balanced"):
-            raise ValueError(f"unknown class_weight: {self.class_weight!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1: {self.max_iter}")
+        check_fields(self, C=real(above=0.0), class_weight=weight_mode,
+                     max_iter=whole(at_least=1), tol=real())
 
 
 def class_weights(labels, mode, n_classes: int | None = None) -> np.ndarray:
@@ -50,10 +49,8 @@ def class_weights(labels, mode, n_classes: int | None = None) -> np.ndarray:
         n_classes = int(labels.max()) + 1 if labels.size else 0
     if n_classes < 1:
         raise DataError("cannot derive class weights from empty labels")
-    if mode in (None, "none"):
+    if weight_mode(mode) in (None, "none"):
         return np.ones(n_classes)
-    if mode != "balanced":
-        raise ValueError(f"unknown class_weight mode: {mode!r}")
     counts = np.bincount(labels, minlength=n_classes)
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
@@ -216,17 +213,11 @@ def from_dict(data: dict) -> LinearModelParams:
         raise DataError(
             f"unsupported linear model schema: {data.get('schema_version')!r}"
         )
-    cfg = data["config"]
     return LinearModelParams(
         np.array(data["weights"], dtype=np.float64),
         np.array(data["bias"], dtype=np.float64),
         int(data["n_classes"]),
         data["kind"],
-        LogisticConfig(
-            C=cfg["C"],
-            class_weight=cfg["class_weight"],
-            max_iter=cfg["max_iter"],
-            tol=cfg["tol"],
-        ),
+        stored(LogisticConfig, data["config"]),
     )
 

@@ -30,7 +30,7 @@ from . import features as features_mod
 from . import gru as gru_mod
 from .config import ExperimentConfig, PreparedDataset
 from .corpus import LabelScheme
-from .errors import DataError, SearchFailedError, ToolkitError, UsageError, read_json
+from .errors import DataError, SearchFailedError, ToolkitError, UsageError, check, read_json, whole
 from .metrics import EvaluationReport, evaluate_predictions, weighted_f1
 from .seeds import STAGE_MODEL, STAGE_SEARCH, derive_seed
 
@@ -150,7 +150,7 @@ def train_family(
     payload, extra = spec.fit(
         spec.rows(dataset, "train"),
         dataset.labels_for("train"),
-        spec.coerce(params),
+        spec.check_names(params),
         model_seed,
         dataset,
     )
@@ -264,7 +264,8 @@ def run_search(
 def decode_best_config(data: dict) -> tuple[str, dict, int]:
     """The family, params and model seed that retrain a best config's
     candidate exactly as the search trained it."""
-    seed = trial_seed(int(data.get("seed", 0)), int(data.get("trial_index", 0)))
+    seed = trial_seed(check("seed", data.get("seed", 0), whole()),
+                      check("trial_index", data.get("trial_index", 0), whole()))
     return data["family"], data.get("params", {}), seed
 
 

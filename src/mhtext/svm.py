@@ -25,27 +25,31 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError
-from .linear import class_weights
+from .errors import DataError, check, check_fields, one_of, real, stored, whole
+from .linear import class_weights, weight_mode
 
 SCHEMA_VERSION = 1
 
-KERNEL_KINDS = ("linear", "polynomial", "rbf", "sigmoid")
+_POSITIVE_C = real(above=0.0)  # fit_svm's C, and a bundle's
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "linear"
-    gamma: float | str | None = "scale"  # rbf only: "scale" | "auto" | value
+    gamma: float | str = "scale"  # rbf only: "scale" | "auto" | value
     degree: int = 3  # polynomial only
     coef0: float = 0.0  # polynomial and sigmoid offset c
     alpha: float = 1.0  # sigmoid slope
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind: {self.kind!r}")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError(f"polynomial degree must be >= 1: {self.degree}")
+        check_fields(
+            self,
+            kind=one_of("linear", "polynomial", "rbf", "sigmoid"),
+            # a negative rbf gamma is no kernel
+            gamma=one_of("scale", "auto", otherwise=real(at_least=0.0)),
+            degree=whole(at_least=1 if self.kind == "polynomial" else None),
+            coef0=real(), alpha=real(),
+        )
 
     def resolve(self, X) -> "KernelSpec":
         """Fix symbolic gamma against the training matrix."""
@@ -55,22 +59,10 @@ class KernelSpec:
         n_features = X.shape[1]
         if self.gamma == "auto":
             value = 1.0 / n_features
-        elif self.gamma == "scale":
+        else:  # "scale"
             var = float(X.var())
             value = 1.0 / (n_features * var) if var > 0 else 1.0 / n_features
-        else:
-            raise ValueError(f"unknown gamma policy: {self.gamma!r}")
         return replace(self, gamma=value)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelSpec":
-        return cls(
-            kind=data["kind"],
-            gamma=data["gamma"],
-            degree=int(data["degree"]),
-            coef0=float(data["coef0"]),
-            alpha=float(data["alpha"]),
-        )
 
 
 def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
@@ -121,7 +113,7 @@ def hinge_subgradient(w, b, X, y_signed, effective_c):
 
 def _fit_primal_linear(X, y_signed, effective_c, c_value, max_epochs, tol):
     n = X.shape[0]
-    lam = 1.0 / (c_value * n)
+    lam = 1.0 / check("C * rows", c_value * n, real())  # an infinite product leaves no step
     w = np.zeros(X.shape[1])
     b = 0.0
     obj = hinge_objective(w, b, X, y_signed, effective_c)
@@ -240,10 +232,12 @@ def fit_svm(
     seed: int = 0,
 ) -> SvmModel:
     """Train a one-vs-one SVM. Class weights scale each sample's C."""
+    c_value = check("C", c_value, _POSITIVE_C)
+    class_weight = check("class_weight", class_weight, weight_mode)
+    max_epochs = check("max_epochs", max_epochs, whole(at_least=1))
+    tol = check("tol", tol, real())
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if c_value <= 0:
-        raise ValueError(f"C must be positive: {c_value}")
     classes = np.unique(y)
     if classes.size < 2:
         raise DataError("SVM training needs at least two classes")
@@ -353,11 +347,11 @@ def from_dict(data: dict) -> SvmModel:
             pair.dual_coef = np.array(entry["dual_coef"], dtype=np.float64)
         pairs.append(pair)
     return SvmModel(
-        kernel=KernelSpec.from_dict(data["kernel"]),
+        kernel=stored(KernelSpec, data["kernel"]),
         classes=tuple(int(c) for c in data["classes"]),
         pairs=pairs,
-        c_value=float(data["C"]),
-        class_weight=data["class_weight"],
+        c_value=check("C", data["C"], _POSITIVE_C),
+        class_weight=check("class_weight", data["class_weight"], weight_mode),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
     )
 

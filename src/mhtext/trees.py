@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError
-from .linear import class_weights, log_softmax, sigmoid
+from .errors import DataError, check_fields, one_of, real, stored, whole
+from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
@@ -57,20 +57,22 @@ class TreeConfig:
     max_bins: int = 255  # boosting only
 
     def __post_init__(self):
-        if self.criterion not in ("gini", "entropy"):
-            raise ValueError(f"unknown criterion: {self.criterion!r}")
-        if self.max_depth is not None and not isinstance(self.max_depth, (int, float)):
-            raise ValueError(f"max_depth must be a number or None: {self.max_depth!r}")
-        if self.min_samples_leaf < 1 or self.min_samples_split < 2:
-            raise ValueError("min_samples_leaf >= 1 and min_samples_split >= 2 required")
-        if self.n_estimators < 1:
-            raise ValueError(f"n_estimators must be >= 1: {self.n_estimators}")
-        if self.num_leaves < 2:
-            raise ValueError(f"num_leaves must be >= 2: {self.num_leaves}")
-        if not (2 <= self.max_bins <= 255):
-            raise ValueError(f"max_bins must be in [2, 255]: {self.max_bins}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive: {self.learning_rate}")
+        check_fields(
+            self,
+            criterion=one_of("gini", "entropy"),
+            max_depth=one_of(None, otherwise=whole()),
+            min_samples_split=whole(at_least=2),
+            min_samples_leaf=whole(at_least=1),
+            class_weight=weight_mode,
+            n_estimators=whole(at_least=1),
+            # more than the feature count means all features
+            max_features=one_of(None, "sqrt", otherwise=whole(at_least=1)),
+            bootstrap=one_of(True, False),
+            learning_rate=real(above=0.0),
+            num_leaves=whole(at_least=2),
+            min_child_samples=whole(),
+            max_bins=whole(at_least=2, at_most=255),
+        )
 
     @property
     def depth_limit(self) -> float:
@@ -113,10 +115,8 @@ def impurity(class_counts, criterion: str, class_weight_vec=None) -> float:
     probs = counts / total
     if criterion == "gini":
         return float(1.0 - np.sum(probs * probs))
-    if criterion == "entropy":
-        logs = np.where(probs > 0, np.log(np.where(probs > 0, probs, 1.0)), 0.0)
-        return float(-np.sum(probs * logs))
-    raise ValueError(f"unknown criterion: {criterion!r}")
+    logs = np.where(probs > 0, np.log(np.where(probs > 0, probs, 1.0)), 0.0)
+    return float(-np.sum(probs * logs))
 
 
 def _impurity_rows(weighted: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
@@ -321,9 +321,7 @@ class ForestModel:
 def _resolve_max_features(setting, n_features: int) -> int:
     if setting is None or setting == "sqrt":
         return min(n_features, math.ceil(math.sqrt(n_features)))
-    if not isinstance(setting, (int, float)):
-        raise ValueError(f"unknown max_features policy: {setting!r}")
-    return max(1, min(int(setting), n_features))
+    return max(1, min(setting, n_features))
 
 
 def fit_forest(X, y, config: TreeConfig = TreeConfig(), seed: int = 0) -> ForestModel:
@@ -648,7 +646,7 @@ def cart_from_dict(data: dict) -> CartModel:
     return CartModel(
         # scores read the counts of any leaf, not just the one the load probe reaches
         root=node_from_dict(data["root"], need_counts=True),
-        config=TreeConfig(**data["config"]),
+        config=stored(TreeConfig, data["config"]),
         n_classes=int(data["n_classes"]),
         weight_per_class=np.asarray(data["weight_per_class"], dtype=np.float64),
     )
@@ -672,7 +670,7 @@ def forest_from_dict(data: dict) -> ForestModel:
         raise DataError("unsupported forest model payload")
     return ForestModel(
         roots=[node_from_dict(t) for t in data["trees"]],
-        config=TreeConfig(**data["config"]),
+        config=stored(TreeConfig, data["config"]),
         n_classes=int(data["n_classes"]),
         n_features=int(data["n_features"]),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
@@ -700,7 +698,7 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
         base_score=np.array(data["base_score"], dtype=np.float64),
         rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
         n_classes=int(data["n_classes"]),
-        config=TreeConfig(**data["config"]),
+        config=stored(TreeConfig, data["config"]),
         bin_upper_bounds=[np.array(b, dtype=np.float64) for b in data["bin_upper_bounds"]],
         train_loss=[float(v) for v in data.get("train_loss", [])],
     )

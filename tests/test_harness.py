@@ -14,15 +14,16 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from mhtext import cli, metrics, presets, report, search
+from mhtext import cli, families, gru, linear, metrics, presets, report, search, svm, trees
 from mhtext.config import FAMILIES, ExperimentConfig, PreparedDataset
 from mhtext.errors import DataError, SearchFailedError, UsageError
 
@@ -140,6 +141,7 @@ class TestExperimentConfig:
             {"kind": "uniform", "low": 1.0, "high": 1.0},
             {"kind": "log_uniform", "low": 0.0, "high": 1.0},
             {"kind": "uniform", "low": "a", "high": 1.0},
+            {"kind": "uniform", "low": "0.1", "high": 1.0},
             {"kind": "choice", "options": []},
             {"low": 0.0, "high": 1.0},
         ],
@@ -164,7 +166,8 @@ class TestExperimentConfig:
         with pytest.raises(UsageError):
             ExperimentConfig.load(str(path))
 
-    @pytest.mark.parametrize("key, value", [("seed", "x"), ("fixed", "x"), ("grid", 3)])
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("fixed", "x"), ("grid", 3),
+                                            ("seed", 2.9), ("seed", True), ("n_samples", 2.5)])
     def test_load_bad_field_is_usage_error(self, tmp_path, key, value):
         payload = make_config().to_dict()
         payload[key] = value
@@ -704,11 +707,20 @@ class TestCli:
         ("forest", {"max_features": 2.9}),
         ("svm", {"kernel": "rbf", "gamma": True}),
         ("svm", {"kernel": "rbf", "gamma": -2}),
+        ("logistic", {"C": float("nan")}),  # json reads NaN, Infinity and 1e999
+        ("gbdt", {"learning_rate": float("nan")}),
+        ("svm", {"kernel": "sigmoid", "alpha": float("nan")}),
+        ("logistic", {"tol": float("inf")}),
+        ("svm", {"max_epochs": 0}),
+        ("svm", {"max_epochs": -3}),
+        ("svm", {"C": 1e308}),  # C times the row count overflows
     ], ids=["unknown-key", "out-of-range", "out-of-range-svm", "wrong-type",
             "wrong-type-cart", "not-an-object", "bool-as-string", "fractional-int",
             "fractional-epochs", "bool-as-int", "int-as-string", "float-as-bool",
             "float-as-string", "fractional-max-depth", "max-features-as-bool",
-            "fractional-max-features", "gamma-as-bool", "negative-gamma"])
+            "fractional-max-features", "gamma-as-bool", "negative-gamma", "nan-c",
+            "nan-learning-rate", "nan-alpha", "infinite-tol", "zero-max-epochs",
+            "negative-max-epochs", "overflowing-c"])
     def test_bad_params_exit_one(self, cli_prepared, tmp_path, family, params):
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps(params), encoding="utf-8")
@@ -766,6 +778,78 @@ class TestCli:
         ])
         assert code == 2
         assert "different" in capsys.readouterr().err
+
+
+# JSON values of every type, with the edges the rules draw lines at; each
+# rule is run on every edge and on random draws of every type
+_EDGE_VALUES = (
+    None, True, False, 0, 1, 2, -1, 255, 256, 10**30, 0.5, 2.9, 100.0, -0.0, 1e300, 1e308,
+    float("nan"), float("inf"), float("-inf"), "gini", "balanced", "sqrt", "scale",
+    "polynomial", "1e-3", "", [], [float("nan")], {"balanced": float("nan")},
+)
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=5),
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.floats()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.integers(), st.floats()), max_size=2),
+)
+
+
+def _with_edge_values(test):
+    for value in _EDGE_VALUES:
+        test = example(value=value)(test)
+    return test
+
+
+def _json_copy(payload):
+    return json.loads(json.dumps(payload))
+
+
+def _built_and_read_back(family: str, params: dict):
+    """What `family` builds from `params`, and the same read back from
+    the JSON its bundle stores it in."""
+    if family == "logistic":
+        config = linear.LogisticConfig(**params)
+        model = linear.LinearModelParams.zeros(1, 2, config)
+        return config, linear.from_dict(_json_copy(linear.to_dict(model))).config
+    if family == "svm":
+        # C, class_weight, max_epochs and tol are fit_svm's own checks;
+        # on all-zero rows the fit stops at once unless tol is negative
+        model, _ = families.get("svm").fit(np.zeros((4, 2)), np.array([0, 0, 1, 1]),
+                                           params, 0, None)
+        again = svm.from_dict(_json_copy(svm.to_dict(model)))
+        return ((model.kernel, model.c_value, model.class_weight),
+                (again.kernel, again.c_value, again.class_weight))
+    if family == "gru":  # a GRU bundle stores weights, not its config
+        config = gru.GruConfig(**params)
+        return config, gru.GruConfig(**_json_copy(asdict(config)))
+    config = trees.TreeConfig(**params)
+    leaf = trees.TreeNode(1, counts=np.array([1, 0]))
+    model = trees.CartModel(leaf, config, 2, np.ones(2))
+    return config, trees.cart_from_dict(_json_copy(trees.cart_to_dict(model))).config
+
+
+class TestHyperparameterRules:
+    @pytest.mark.parametrize("family, name", [
+        (family, name) for family in sorted(families.REGISTRY)
+        for name in families.get(family).params
+    ])
+    @settings(max_examples=20, deadline=None)
+    @given(value=_JSON_VALUES)
+    @_with_edge_values
+    def test_every_value_builds_or_raises_value_error(self, family, name, value):
+        """One rule per hyperparameter: any JSON value either builds the
+        family's config, which then survives its bundle's JSON round
+        trip unchanged, or raises ValueError (the CLI's exit 1 for a
+        params file, exit 2 for a bundle); any other exception fails."""
+        try:
+            built, read_back = _built_and_read_back(family, {name: value})
+        except ValueError:
+            return
+        assert read_back == built
 
 
 @pytest.fixture(scope="module")
@@ -848,6 +932,15 @@ class TestMalformedArtifacts:
         best = {"schema_version": 1, "params": {}, "seed": 0, "trial_index": 0}
         assert self._train_best(cli_prepared, tmp_path, best) == 2
 
+    @pytest.mark.parametrize("key, value", [("seed", 2.9), ("seed", True),
+                                            ("trial_index", "0")])
+    def test_best_config_seed_path_not_a_whole_number_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, key, value
+    ):
+        """Truncating it would retrain another trial's model."""
+        best = dict(cli_artifacts["logistic"]["best"], **{key: value})
+        assert self._train_best(cli_prepared, tmp_path, best) == 2
+
     @pytest.mark.parametrize("bundle", [
         {"schema_version": 1},
         {"schema_version": 1, "family": "logistic"},
@@ -871,6 +964,41 @@ class TestMalformedArtifacts:
             with open(stem + ".model.json", "w", encoding="utf-8") as handle:
                 json.dump(bundle, handle)
             assert self._evaluate(cli_prepared, stem) == 2, key
+
+    @pytest.mark.parametrize("family, key, changes", [
+        ("svm", "kernel", {"gamma": -2}),
+        ("svm", "kernel", {"gamma": True}),
+        ("svm", "kernel", {"gamma": float("nan")}),
+        ("svm", "kernel", {"kind": "polynomial", "degree": 2.9}),
+        ("cart", "config", {"max_depth": 2.9}),
+    ], ids=["negative-gamma", "gamma-as-bool", "nan-gamma", "fractional-degree",
+            "fractional-max-depth"])
+    def test_bundle_hyperparameter_breaking_its_rule_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, family, key, changes
+    ):
+        """A stored config or kernel decodes through the rules a params
+        file is checked by."""
+        bundle = json.loads(json.dumps(cli_artifacts[family]["bundle"]))
+        bundle["model"][key].update(changes)
+        stem = str(tmp_path / family)
+        with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+            json.dump(bundle, handle)
+        assert self._evaluate(cli_prepared, stem) == 2
+
+    @pytest.mark.parametrize("family, key, field", [
+        ("logistic", "config", "tol"), ("svm", "kernel", "degree"),
+        ("cart", "config", "max_depth"), ("gbdt", "config", "learning_rate"),
+    ])
+    def test_bundle_config_missing_a_field_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, family, key, field
+    ):
+        """A missing field would otherwise take today's default."""
+        bundle = json.loads(json.dumps(cli_artifacts[family]["bundle"]))
+        del bundle["model"][key][field]
+        stem = str(tmp_path / family)
+        with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+            json.dump(bundle, handle)
+        assert self._evaluate(cli_prepared, stem) == 2
 
     def test_cart_leaf_without_counts_exits_two(self, cli_prepared, cli_artifacts, tmp_path):
         """The load probe scores one all-zero row, which reaches only the

@@ -295,7 +295,7 @@ class TestSerialization:
 
     def test_kernel_spec_round_trip(self):
         spec = svm.KernelSpec("polynomial", gamma=0.5, degree=4, coef0=1.5)
-        assert svm.KernelSpec.from_dict(asdict(spec)) == spec
+        assert svm.KernelSpec(**asdict(spec)) == spec
 
     def test_bad_schema_rejected(self):
         with pytest.raises(DataError):

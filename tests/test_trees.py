@@ -437,7 +437,7 @@ class TestForest:
         assert trees._resolve_max_features(2, 10) == 2
         assert trees._resolve_max_features(99, 10) == 10
         with pytest.raises(ValueError):
-            trees._resolve_max_features("log2", 10)
+            trees.TreeConfig(max_features="log2")
 
 
 class TestGbdt:
