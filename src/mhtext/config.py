@@ -192,10 +192,12 @@ def _check_axis_spec(name: str, spec: dict) -> None:
         if not isinstance(options, list) or not options:
             raise UsageError(f"axis {name!r} needs a non-empty 'options' list")
         return
+    # int_range draws whole numbers from low to high inclusive
+    bound, what = (whole(), "whole-number") if kind == "int_range" else (real(), "finite numeric")
     try:
-        low, high = real()(spec["low"]), real()(spec["high"])
+        low, high = bound(spec["low"]), bound(spec["high"])
     except (KeyError, TypeError, ValueError):
-        raise UsageError(f"axis {name!r} needs finite numeric 'low' and 'high'") from None
+        raise UsageError(f"axis {name!r} needs {what} 'low' and 'high'") from None
     if not low < high:
         raise UsageError(f"axis {name!r} needs low < high")
     if kind == "log_uniform" and low <= 0:

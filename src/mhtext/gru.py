@@ -124,7 +124,6 @@ class GruConfig:
     batch_size: int = 32
     dropout: float = 0.3
     class_weight: str | None = "balanced"
-    seed: int = 0
 
     def __post_init__(self):
         check_fields(self, embedding_dim=whole(at_least=1), hidden_dim=whole(at_least=1),
@@ -176,11 +175,12 @@ class GruParams:
 
 
 def init_params(
-    vocab_size: int, n_classes: int, config: GruConfig, rng=None
+    vocab_size: int, n_classes: int, config: GruConfig, seed: int = 0, rng=None
 ) -> GruParams:
-    """All tensors drawn uniform(-0.08, 0.08) in the documented order."""
+    """All tensors drawn uniform(-0.08, 0.08) in the documented order,
+    from `rng` or else from a generator seeded off `seed`."""
     if rng is None:
-        rng = np.random.default_rng(derive_seed(config.seed, MODEL_INIT))
+        rng = np.random.default_rng(derive_seed(seed, MODEL_INIT))
     emb, hid = config.embedding_dim, config.hidden_dim
 
     def draw(*shape):
@@ -358,19 +358,21 @@ class _Adam:
             tensor -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
 
 
-def train(data: GruData, config: GruConfig, history: dict | None = None) -> GruParams:
+def train(
+    data: GruData, config: GruConfig, seed: int = 0, history: dict | None = None
+) -> GruParams:
     """Adam training with per-epoch validation checkpointing.
 
     Returns the parameters from the epoch with the highest validation
     weighted F1; ties keep the earliest epoch. Seeds for init, shuffling,
-    and dropout derive from config.seed by fixed offsets.
+    and dropout derive from `seed` by fixed offsets.
     """
     if data.train_y.size == 0:
         raise DataError("cannot train on an empty training split")
     weight_per_class = class_weights(data.train_y, config.class_weight, data.n_classes)
-    params = init_params(data.vocab_size, data.n_classes, config)
-    shuffle_rng = np.random.default_rng(derive_seed(config.seed, MODEL_SHUFFLE))
-    dropout_rng = np.random.default_rng(derive_seed(config.seed, MODEL_DROPOUT))
+    params = init_params(data.vocab_size, data.n_classes, config, seed)
+    shuffle_rng = np.random.default_rng(derive_seed(seed, MODEL_SHUFFLE))
+    dropout_rng = np.random.default_rng(derive_seed(seed, MODEL_DROPOUT))
     optimizer = _Adam(params, config.learning_rate)
     best_params = params.copy()
     best_f1 = -np.inf

@@ -150,7 +150,7 @@ def train_family(
     payload, extra = spec.fit(
         spec.rows(dataset, "train"),
         dataset.labels_for("train"),
-        spec.check_names(params),
+        spec.config(**spec.check_names(params)),
         model_seed,
         dataset,
     )

@@ -30,28 +30,32 @@ from .linear import class_weights, weight_mode
 
 SCHEMA_VERSION = 1
 
-_POSITIVE_C = real(above=0.0)  # fit_svm's C, and a bundle's
-
 
 @dataclass(frozen=True)
-class KernelSpec:
-    kind: str = "linear"
+class SvmConfig:
+    C: float = 1.0
+    kernel: str = "linear"
     gamma: float | str = "scale"  # rbf only: "scale" | "auto" | value
     degree: int = 3  # polynomial only
     coef0: float = 0.0  # polynomial and sigmoid offset c
     alpha: float = 1.0  # sigmoid slope
+    class_weight: str | None = None
+    max_epochs: int = 1000
+    tol: float = 1e-6
 
     def __post_init__(self):
         check_fields(
             self,
-            kind=one_of("linear", "polynomial", "rbf", "sigmoid"),
+            C=real(above=0.0),
+            kernel=one_of("linear", "polynomial", "rbf", "sigmoid"),
             # a negative rbf gamma is no kernel
             gamma=one_of("scale", "auto", otherwise=real(at_least=0.0)),
-            degree=whole(at_least=1 if self.kind == "polynomial" else None),
-            coef0=real(), alpha=real(),
+            degree=whole(at_least=1 if self.kernel == "polynomial" else None),
+            coef0=real(), alpha=real(), class_weight=weight_mode,
+            max_epochs=whole(at_least=1), tol=real(),
         )
 
-    def resolve(self, X) -> "KernelSpec":
+    def resolve(self, X) -> "SvmConfig":
         """Fix symbolic gamma against the training matrix."""
         if not isinstance(self.gamma, str):
             return self
@@ -65,7 +69,7 @@ class KernelSpec:
         return replace(self, gamma=value)
 
 
-def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
+def kernel_matrix(config: SvmConfig, A, B) -> np.ndarray:
     """Pairwise kernel values, shape (len(A), len(B))."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
@@ -74,24 +78,19 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
             f"dimension mismatch: {A.shape[1]} vs {B.shape[1]} features"
         )
     inner = A @ B.T
-    if spec.kind == "linear":
+    if config.kernel == "linear":
         return inner
-    if spec.kind == "polynomial":
-        return (inner + spec.coef0) ** spec.degree
-    if spec.kind == "sigmoid":
-        return np.tanh(spec.alpha * inner + spec.coef0)
-    if not isinstance(spec.gamma, (int, float)):
+    if config.kernel == "polynomial":
+        return (inner + config.coef0) ** config.degree
+    if config.kernel == "sigmoid":
+        return np.tanh(config.alpha * inner + config.coef0)
+    if not isinstance(config.gamma, (int, float)):
         raise ValueError("rbf kernel requires a resolved numeric gamma")
     sq_a = np.sum(A * A, axis=1)[:, None]
     sq_b = np.sum(B * B, axis=1)[None, :]
     # rounding can push tiny distances negative; clamp before exp
     dist_sq = np.maximum(sq_a + sq_b - 2.0 * inner, 0.0)
-    return np.exp(-spec.gamma * dist_sq)
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Kernel value for a single pair of vectors."""
-    return float(kernel_matrix(spec, np.atleast_2d(x), np.atleast_2d(z))[0, 0])
+    return np.exp(-config.gamma * dist_sq)
 
 
 def hinge_objective(w, b, X, y_signed, effective_c) -> float:
@@ -111,9 +110,9 @@ def hinge_subgradient(w, b, X, y_signed, effective_c):
     return grad_w, grad_b
 
 
-def _fit_primal_linear(X, y_signed, effective_c, c_value, max_epochs, tol):
+def _fit_primal_linear(X, y_signed, effective_c, C, max_epochs, tol):
     n = X.shape[0]
-    lam = 1.0 / check("C * rows", c_value * n, real())  # an infinite product leaves no step
+    lam = 1.0 / check("C * rows", C * n, real())  # an infinite product leaves no step
     w = np.zeros(X.shape[1])
     b = 0.0
     obj = hinge_objective(w, b, X, y_signed, effective_c)
@@ -194,23 +193,21 @@ class PairModel:
     dual_coef: np.ndarray | None = None  # alpha_i * y_i at the supports
     objective_trace: list[float] = field(default_factory=list, repr=False)
 
-    def margins(self, spec: KernelSpec, X) -> np.ndarray:
+    def margins(self, config: SvmConfig, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if self.w is not None:
             return X @ self.w + self.b
         if self.support_vectors is None or self.support_vectors.size == 0:
             return np.full(X.shape[0], self.b)
-        gram = kernel_matrix(spec, X, self.support_vectors)
+        gram = kernel_matrix(config, X, self.support_vectors)
         return gram @ self.dual_coef + self.b
 
 
 @dataclass
 class SvmModel:
-    kernel: KernelSpec
+    config: SvmConfig  # with gamma resolved against the training matrix
     classes: tuple[int, ...]
     pairs: list[PairModel]
-    c_value: float
-    class_weight: str | None
     weight_per_class: np.ndarray
 
     @property
@@ -220,30 +217,17 @@ class SvmModel:
         return max(self.classes) + 1
 
 
-def fit_svm(
-    X,
-    y,
-    c_value: float = 1.0,
-    kernel: KernelSpec = KernelSpec(),
-    class_weight: str | None = None,
-    *,
-    max_epochs: int = 1000,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> SvmModel:
-    """Train a one-vs-one SVM. Class weights scale each sample's C."""
-    c_value = check("C", c_value, _POSITIVE_C)
-    class_weight = check("class_weight", class_weight, weight_mode)
-    max_epochs = check("max_epochs", max_epochs, whole(at_least=1))
-    tol = check("tol", tol, real())
+def fit_svm(X, y, config: SvmConfig = SvmConfig(), seed: int = 0) -> SvmModel:
+    """Train a one-vs-one SVM. Class weights scale each sample's C; the
+    seed orders the dual solver's coordinate sweeps."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes = np.unique(y)
     if classes.size < 2:
         raise DataError("SVM training needs at least two classes")
     n_classes = int(classes.max()) + 1
-    weights = class_weights(y, class_weight, n_classes)
-    spec = kernel.resolve(X)
+    weights = class_weights(y, config.class_weight, n_classes)
+    config = config.resolve(X)
     pairs: list[PairModel] = []
     for ai in range(classes.size):
         for bi in range(ai + 1, classes.size):
@@ -251,27 +235,25 @@ def fit_svm(
             mask = (y == neg) | (y == pos)
             X_pair = X[mask]
             y_signed = np.where(y[mask] == pos, 1.0, -1.0)
-            effective_c = c_value * weights[y[mask]]
+            effective_c = config.C * weights[y[mask]]
             pair = PairModel(class_neg=neg, class_pos=pos)
-            if spec.kind == "linear":
+            if config.kernel == "linear":
                 pair.w, pair.b, pair.objective_trace = _fit_primal_linear(
-                    X_pair, y_signed, effective_c, c_value, max_epochs, tol
+                    X_pair, y_signed, effective_c, config.C, config.max_epochs, config.tol
                 )
             else:
-                gram = kernel_matrix(spec, X_pair, X_pair)
+                gram = kernel_matrix(config, X_pair, X_pair)
                 alpha, pair.b = _fit_dual_kernel(
-                    gram, y_signed, effective_c, max_epochs, tol, seed
+                    gram, y_signed, effective_c, config.max_epochs, config.tol, seed
                 )
                 keep = alpha > 1e-12
                 pair.support_vectors = X_pair[keep]
                 pair.dual_coef = alpha[keep] * y_signed[keep]
             pairs.append(pair)
     return SvmModel(
-        kernel=spec,
+        config=config,
         classes=tuple(int(c) for c in classes),
         pairs=pairs,
-        c_value=c_value,
-        class_weight=class_weight,
         weight_per_class=weights,
     )
 
@@ -282,7 +264,7 @@ def _votes_and_margin_sums(model: SvmModel, X):
     votes = np.zeros((X.shape[0], n_classes))
     sums = np.zeros((X.shape[0], n_classes))
     for pair in model.pairs:
-        margin = pair.margins(model.kernel, X)
+        margin = pair.margins(model.config, X)
         pos_wins = margin >= 0.0  # boundary points count for the positive class
         votes[pos_wins, pair.class_pos] += 1.0
         votes[~pos_wins, pair.class_neg] += 1.0
@@ -321,11 +303,9 @@ def to_dict(model: SvmModel) -> dict:
         pairs.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,
-        "kernel": asdict(model.kernel),
+        "config": asdict(model.config),
         "classes": list(model.classes),
         "pairs": pairs,
-        "C": model.c_value,
-        "class_weight": model.class_weight,
         "weight_per_class": model.weight_per_class.tolist(),
     }
 
@@ -347,11 +327,9 @@ def from_dict(data: dict) -> SvmModel:
             pair.dual_coef = np.array(entry["dual_coef"], dtype=np.float64)
         pairs.append(pair)
     return SvmModel(
-        kernel=stored(KernelSpec, data["kernel"]),
+        config=stored(SvmConfig, data["config"]),
         classes=tuple(int(c) for c in data["classes"]),
         pairs=pairs,
-        c_value=check("C", data["C"], _POSITIVE_C),
-        class_weight=check("class_weight", data["class_weight"], weight_mode),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
     )
 

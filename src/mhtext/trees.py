@@ -41,44 +41,80 @@ SCHEMA_VERSION = 1
 GBDT_REG = 1e-3  # leaf-value and gain regularizer
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    criterion: str = "gini"  # "gini" | "entropy"
-    max_depth: int | None = None  # None or -1 means unbounded
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
-    class_weight: str | None = None
-    n_estimators: int = 100
-    max_features: int | str | None = "sqrt"  # forest: per-split feature draw
-    bootstrap: bool = True
-    learning_rate: float = 0.1  # boosting only
-    num_leaves: int = 31  # boosting only
-    min_child_samples: int = 20  # boosting only
-    max_bins: int = 255  # boosting only
+# rules shared by the tree configs
+_MAX_DEPTH = one_of(None, otherwise=whole())  # None or negative means unbounded
+_N_ESTIMATORS = whole(at_least=1)
 
-    def __post_init__(self):
-        check_fields(
-            self,
-            criterion=one_of("gini", "entropy"),
-            max_depth=one_of(None, otherwise=whole()),
-            min_samples_split=whole(at_least=2),
-            min_samples_leaf=whole(at_least=1),
-            class_weight=weight_mode,
-            n_estimators=whole(at_least=1),
-            # more than the feature count means all features
-            max_features=one_of(None, "sqrt", otherwise=whole(at_least=1)),
-            bootstrap=one_of(True, False),
-            learning_rate=real(above=0.0),
-            num_leaves=whole(at_least=2),
-            min_child_samples=whole(),
-            max_bins=whole(at_least=2, at_most=255),
-        )
+
+class _DepthLimited:
+    """What a config's max_depth means to the tree growers."""
 
     @property
     def depth_limit(self) -> float:
         if self.max_depth is None or self.max_depth < 0:
             return math.inf
         return self.max_depth
+
+
+@dataclass(frozen=True)
+class TreeConfig(_DepthLimited):
+    """A CART tree's hyperparameters; a forest grows its trees by them."""
+
+    criterion: str = "gini"  # "gini" | "entropy"
+    max_depth: int | None = None
+    min_samples_split: int = 2
+    min_samples_leaf: int = 1
+    class_weight: str | None = None
+
+    def __post_init__(self):
+        check_fields(
+            self,
+            criterion=one_of("gini", "entropy"),
+            max_depth=_MAX_DEPTH,
+            min_samples_split=whole(at_least=2),
+            min_samples_leaf=whole(at_least=1),
+            class_weight=weight_mode,
+        )
+
+
+@dataclass(frozen=True)
+class ForestConfig(TreeConfig):
+    n_estimators: int = 100
+    max_features: int | str | None = "sqrt"  # per-split feature draw
+    bootstrap: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_fields(
+            self,
+            n_estimators=_N_ESTIMATORS,
+            # more than the feature count means all features
+            max_features=one_of(None, "sqrt", otherwise=whole(at_least=1)),
+            bootstrap=one_of(True, False),
+        )
+
+
+@dataclass(frozen=True)
+class GbdtConfig(_DepthLimited):
+    n_estimators: int = 100
+    learning_rate: float = 0.1
+    num_leaves: int = 31
+    min_child_samples: int = 20
+    max_bins: int = 255
+    max_depth: int | None = None
+    class_weight: str | None = None
+
+    def __post_init__(self):
+        check_fields(
+            self,
+            n_estimators=_N_ESTIMATORS,
+            learning_rate=real(above=0.0),
+            num_leaves=whole(at_least=2),
+            min_child_samples=whole(),
+            max_bins=whole(at_least=2, at_most=255),
+            max_depth=_MAX_DEPTH,
+            class_weight=weight_mode,
+        )
 
 
 @dataclass
@@ -241,7 +277,17 @@ def _grow(X, y, idx, config, weights, n_classes, depth, rng, n_candidates):
     return node
 
 
-def fit_cart(X, y, config: TreeConfig = TreeConfig()) -> TreeNode:
+@dataclass
+class CartModel:
+    """A single tree plus the class weights its leaf distributions use."""
+
+    root: TreeNode
+    config: TreeConfig
+    n_classes: int
+    weight_per_class: np.ndarray
+
+
+def fit_cart(X, y, config: TreeConfig = TreeConfig()) -> CartModel:
     """Grow a single deterministic CART tree over all features."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -249,9 +295,8 @@ def fit_cart(X, y, config: TreeConfig = TreeConfig()) -> TreeNode:
         raise DataError("cannot fit a tree on an empty dataset")
     n_classes = int(y.max()) + 1
     weights = class_weights(y, config.class_weight, n_classes)
-    return _grow(
-        X, y, np.arange(y.size), config, weights, n_classes, 0, None, X.shape[1]
-    )
+    root = _grow(X, y, np.arange(y.size), config, weights, n_classes, 0, None, X.shape[1])
+    return CartModel(root, config, n_classes, weights)
 
 
 def _leaves(root: TreeNode, X):
@@ -299,19 +344,9 @@ def _tree_values(root: TreeNode, X) -> np.ndarray:
 
 
 @dataclass
-class CartModel:
-    """A single tree plus the class weights its leaf distributions use."""
-
-    root: TreeNode
-    config: TreeConfig
-    n_classes: int
-    weight_per_class: np.ndarray
-
-
-@dataclass
 class ForestModel:
     roots: list[TreeNode]
-    config: TreeConfig
+    config: ForestConfig
     n_classes: int
     n_features: int
     weight_per_class: np.ndarray
@@ -324,7 +359,7 @@ def _resolve_max_features(setting, n_features: int) -> int:
     return max(1, min(setting, n_features))
 
 
-def fit_forest(X, y, config: TreeConfig = TreeConfig(), seed: int = 0) -> ForestModel:
+def fit_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> ForestModel:
     """Bagged trees: per-tree bootstrap of n rows (seeded from the run
     seed by tree index) and ceil(sqrt(D)) candidate features per split."""
     X = np.asarray(X, dtype=np.float64)
@@ -496,7 +531,7 @@ class GbdtModel:
     base_score: np.ndarray  # (1,) binary logit or (K,) log priors
     rounds: list[list[TreeNode]]  # one tree per round (binary) or per class
     n_classes: int
-    config: TreeConfig
+    config: GbdtConfig
     bin_upper_bounds: list[np.ndarray]
     train_loss: list[float] = field(default_factory=list, repr=False)
 
@@ -507,7 +542,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def fit_gbdt(X, y, config: TreeConfig = TreeConfig(), seed: int = 0) -> GbdtModel:
+def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig(), seed: int = 0) -> GbdtModel:
     """Boosted histogram trees on sigmoid/softmax gradients.
 
     Deterministic given the data (no row or feature sampling); the seed
@@ -670,7 +705,7 @@ def forest_from_dict(data: dict) -> ForestModel:
         raise DataError("unsupported forest model payload")
     return ForestModel(
         roots=[node_from_dict(t) for t in data["trees"]],
-        config=stored(TreeConfig, data["config"]),
+        config=stored(ForestConfig, data["config"]),
         n_classes=int(data["n_classes"]),
         n_features=int(data["n_features"]),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
@@ -698,7 +733,7 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
         base_score=np.array(data["base_score"], dtype=np.float64),
         rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
         n_classes=int(data["n_classes"]),
-        config=stored(TreeConfig, data["config"]),
+        config=stored(GbdtConfig, data["config"]),
         bin_upper_bounds=[np.array(b, dtype=np.float64) for b in data["bin_upper_bounds"]],
         train_loss=[float(v) for v in data.get("train_loss", [])],
     )

@@ -161,7 +161,7 @@ def test_acceptance_3_gradients_match_central_differences():
     # dropout mask frozen across all evaluations of each instance
     checked_entries = 0
     for instance in range(20):
-        config = gru.GruConfig(embedding_dim=4, hidden_dim=5, dropout=0.3, seed=instance)
+        config = gru.GruConfig(embedding_dim=4, hidden_dim=5, dropout=0.3)
         params = gru.init_params(10, 3, config, rng=rng)
         batch_x = rng.integers(0, 10, (3, 6)).astype(np.int32)
         batch_y = rng.integers(0, 3, 3)
@@ -306,7 +306,7 @@ def test_acceptance_4_split_search_and_cart_match_oracles():
         )
         n_classes = int(y.max()) + 1
         weights = np.ones(n_classes)
-        root = trees.fit_cart(X, y, cart_config)
+        root = trees.fit_cart(X, y, cart_config).root
         reference = grow_reference_tree(X, y, cart_config, weights, n_classes, 0)
         probes = np.vstack([X, rng.integers(0, 6, (20, d)).astype(np.float64)])
         got = trees.predict_tree(root, probes)
@@ -325,11 +325,11 @@ def test_acceptance_5_single_tree_forest_degenerates_to_cart():
         X = rng.normal(size=(n, d))
         y = rng.integers(0, int(rng.choice([2, 3])), n)
         y[:2] = [0, 1]
-        config = trees.TreeConfig(
+        config = trees.ForestConfig(
             n_estimators=1, bootstrap=False, max_features=d
         )
         forest = trees.fit_forest(X, y, config, seed=int(rng.integers(1 << 30)))
-        cart = trees.fit_cart(X, y, config)
+        cart = trees.fit_cart(X, y, config).root
         probes = np.vstack([X, rng.normal(size=(15, d))])
         assert np.array_equal(
             trees.predict_forest(forest, probes), trees.predict_tree(cart, probes)
@@ -339,7 +339,7 @@ def test_acceptance_5_single_tree_forest_degenerates_to_cart():
 
 def test_acceptance_6_boosting_loss_is_monotone(synthetic_run):
     dataset = synthetic_run["dataset"]
-    config = trees.TreeConfig(n_estimators=50, learning_rate=0.1, num_leaves=15)
+    config = trees.GbdtConfig(n_estimators=50, learning_rate=0.1, num_leaves=15)
     model = trees.fit_gbdt(
         dataset.matrix_for("train"), dataset.labels_for("train"), config
     )

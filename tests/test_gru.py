@@ -14,7 +14,7 @@ from mhtext.errors import DataError
 
 def tiny_params(rng, vocab=10, emb=4, hid=5, n_classes=3, dropout=0.0):
     config = gru.GruConfig(
-        embedding_dim=emb, hidden_dim=hid, dropout=dropout, seed=0
+        embedding_dim=emb, hidden_dim=hid, dropout=dropout
     )
     params = gru.init_params(vocab, n_classes, config, rng=rng)
     return params
@@ -393,21 +393,21 @@ class TestTraining:
         batch_size=8,
         dropout=0.0,
         class_weight=None,
-        seed=7,
     )
+    SEED = 7
 
     def test_learns_separable_sequences(self, rng):
         data = self.make_data(rng)
         history: dict = {}
-        params = gru.train(data, self.CONFIG, history)
+        params = gru.train(data, self.CONFIG, self.SEED, history)
         assert history["best_val_weighted_f1"] >= 0.95
         assert len(history["train_loss"]) == 4
         assert history["train_loss"][-1] < history["train_loss"][0]
 
     def test_training_is_deterministic(self, rng):
         data = self.make_data(rng)
-        a = gru.train(data, self.CONFIG)
-        b = gru.train(data, self.CONFIG)
+        a = gru.train(data, self.CONFIG, self.SEED)
+        b = gru.train(data, self.CONFIG, self.SEED)
         for (name, ta), (_, tb) in zip(a.tensors(), b.tensors()):
             assert np.array_equal(ta, tb), name
 
@@ -415,17 +415,17 @@ class TestTraining:
         data = self.make_data(rng)
         config = gru.GruConfig(
             embedding_dim=8, hidden_dim=8, learning_rate=0.0,
-            epochs=2, batch_size=16, dropout=0.0, class_weight=None, seed=7,
+            epochs=2, batch_size=16, dropout=0.0, class_weight=None,
         )
-        params = gru.train(data, config)
-        init = gru.init_params(10, 2, config)
+        params = gru.train(data, config, self.SEED)
+        init = gru.init_params(10, 2, config, self.SEED)
         for (name, got), (_, want) in zip(params.tensors(), init.tensors()):
             assert np.array_equal(got, want), name
 
     def test_returned_params_hit_the_best_epoch_score(self, rng):
         data = self.make_data(rng)
         history: dict = {}
-        params = gru.train(data, self.CONFIG, history)
+        params = gru.train(data, self.CONFIG, self.SEED, history)
         assert history["best_val_weighted_f1"] == max(
             history["val_weighted_f1"]
         )
@@ -448,8 +448,8 @@ class TestTraining:
         config = dataclasses.replace(self.CONFIG, dropout=0.25)
         history: dict = {}
         history_wide: dict = {}
-        a = gru.train(data, config, history)
-        b = gru.train(wide, config, history_wide)
+        a = gru.train(data, config, self.SEED, history)
+        b = gru.train(wide, config, self.SEED, history_wide)
         assert history == history_wide
         for (name, ta), (_, tb) in zip(a.tensors(), b.tensors()):
             assert ta.tobytes() == tb.tobytes(), name
@@ -464,7 +464,7 @@ class TestTraining:
             n_classes=2,
         )
         with pytest.raises(DataError):
-            gru.train(data, self.CONFIG)
+            gru.train(data, self.CONFIG, self.SEED)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ handling, and failure capture on the shared synthetic corpus. The CLI
 is driven end to end through temp directories using its return codes.
 """
 
+import functools
 import json
 import os
 import re
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from mhtext import cli, families, gru, linear, metrics, presets, report, search, svm, trees
+from mhtext import cli, families, metrics, presets, report, search
 from mhtext.config import FAMILIES, ExperimentConfig, PreparedDataset
 from mhtext.errors import DataError, SearchFailedError, UsageError
 
@@ -144,11 +145,18 @@ class TestExperimentConfig:
             {"kind": "uniform", "low": "0.1", "high": 1.0},
             {"kind": "choice", "options": []},
             {"low": 0.0, "high": 1.0},
+            {"kind": "int_range", "low": 1.5, "high": 3.9},
         ],
     )
     def test_bad_random_axis_rejected(self, axis):
         with pytest.raises(UsageError):
             make_config(mode="random", grid={}, random={"C": axis})
+
+    @pytest.mark.parametrize("low, high", [(1, 3), (1.0, 3.0)])
+    def test_int_range_draws_every_whole_number_in_its_bounds(self, low, high):
+        config = make_config(family="cart", mode="random", n_samples=40, fixed={}, grid={},
+                             random={"max_depth": {"kind": "int_range", "low": low, "high": high}})
+        assert {c["max_depth"] for c in search.candidate_list(config)} == {1, 2, 3}
 
     def test_save_load_round_trip(self, tmp_path):
         config = make_config(seed=7, grid={"C": [1.0, 10.0]})
@@ -629,6 +637,17 @@ class TestCli:
         ])
         assert code == 1
 
+    def test_fractional_int_range_bound_exits_one(self, cli_prepared, tmp_path):
+        payload = make_config(family="cart", mode="random", fixed={}, grid={}, random={
+            "max_depth": {"kind": "int_range", "low": 1, "high": 3}}).to_dict()
+        payload["random"]["max_depth"].update(low=1.5, high=3.9)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.run([
+            "tune", "--prepared", cli_prepared["prep"],
+            "--config", str(config_path), "--outdir", str(tmp_path / "tune"),
+        ]) == 1
+
     def test_params_alongside_best_exits_one(self, cli_prepared, tmp_path):
         params_path = tmp_path / "params.json"
         params_path.write_text("{}", encoding="utf-8")
@@ -714,14 +733,15 @@ class TestCli:
         ("svm", {"max_epochs": 0}),
         ("svm", {"max_epochs": -3}),
         ("svm", {"C": 1e308}),  # C times the row count overflows
+        ("svm", {"kernel": "poly"}),
     ], ids=["unknown-key", "out-of-range", "out-of-range-svm", "wrong-type",
             "wrong-type-cart", "not-an-object", "bool-as-string", "fractional-int",
             "fractional-epochs", "bool-as-int", "int-as-string", "float-as-bool",
             "float-as-string", "fractional-max-depth", "max-features-as-bool",
             "fractional-max-features", "gamma-as-bool", "negative-gamma", "nan-c",
             "nan-learning-rate", "nan-alpha", "infinite-tol", "zero-max-epochs",
-            "negative-max-epochs", "overflowing-c"])
-    def test_bad_params_exit_one(self, cli_prepared, tmp_path, family, params):
+            "negative-max-epochs", "overflowing-c", "unknown-kernel"])
+    def test_bad_params_exit_one(self, cli_prepared, tmp_path, capsys, family, params):
         params_path = tmp_path / "params.json"
         params_path.write_text(json.dumps(params), encoding="utf-8")
         code = cli.run([
@@ -730,6 +750,8 @@ class TestCli:
         ])
         assert code == 1
         assert not (tmp_path / "model.model.json").exists()
+        if isinstance(params, dict) and len(params) == 1:  # the refusal names the key
+            assert next(iter(params)) in capsys.readouterr().err
 
     def test_integral_float_param_trains_like_an_int(self, cli_prepared, tmp_path):
         bundles = []
@@ -808,28 +830,25 @@ def _json_copy(payload):
     return json.loads(json.dumps(payload))
 
 
+@functools.cache
+def _bundle_model(family: str) -> dict:
+    """The model block of a `family` bundle, fit by its default config
+    on four rows."""
+    spec = families.get(family)
+    X, y = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), np.array([0, 0, 1, 1])
+    payload, _ = spec.fit(X, y, spec.config(), 0, None)
+    return spec.to_dict(payload)
+
+
 def _built_and_read_back(family: str, params: dict):
     """What `family` builds from `params`, and the same read back from
     the JSON its bundle stores it in."""
-    if family == "logistic":
-        config = linear.LogisticConfig(**params)
-        model = linear.LinearModelParams.zeros(1, 2, config)
-        return config, linear.from_dict(_json_copy(linear.to_dict(model))).config
-    if family == "svm":
-        # C, class_weight, max_epochs and tol are fit_svm's own checks;
-        # on all-zero rows the fit stops at once unless tol is negative
-        model, _ = families.get("svm").fit(np.zeros((4, 2)), np.array([0, 0, 1, 1]),
-                                           params, 0, None)
-        again = svm.from_dict(_json_copy(svm.to_dict(model)))
-        return ((model.kernel, model.c_value, model.class_weight),
-                (again.kernel, again.c_value, again.class_weight))
+    spec = families.get(family)
+    config = spec.config(**params)
     if family == "gru":  # a GRU bundle stores weights, not its config
-        config = gru.GruConfig(**params)
-        return config, gru.GruConfig(**_json_copy(asdict(config)))
-    config = trees.TreeConfig(**params)
-    leaf = trees.TreeNode(1, counts=np.array([1, 0]))
-    model = trees.CartModel(leaf, config, 2, np.ones(2))
-    return config, trees.cart_from_dict(_json_copy(trees.cart_to_dict(model))).config
+        return config, spec.config(**_json_copy(asdict(config)))
+    model = dict(_bundle_model(family), config=asdict(config))
+    return config, spec.from_dict(_json_copy(model)).config
 
 
 class TestHyperparameterRules:
@@ -850,6 +869,22 @@ class TestHyperparameterRules:
         except ValueError:
             return
         assert read_back == built
+
+    def test_readme_table_matches_the_configs(self):
+        """Each row of the README's Hyperparameters table names its
+        family's config fields in order, each with the field's default."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, flags=re.MULTILINE)
+        assert [family for family, _ in rows] == list(families.REGISTRY)
+        words = {"none": None, "true": True, "false": False}
+        for family, cell in rows:
+            listed = re.findall(r"`(\w+)` \((`?)([^`;)]+)", cell)
+            config = families.get(family).config()
+            assert tuple(name for name, _, _ in listed) == families.get(family).params, family
+            for name, quoted, default in listed:
+                if not quoted:
+                    default = words[default] if default in words else float(default)
+                assert getattr(config, name) == default, (family, name)
 
 
 @pytest.fixture(scope="module")
@@ -966,18 +1001,18 @@ class TestMalformedArtifacts:
             assert self._evaluate(cli_prepared, stem) == 2, key
 
     @pytest.mark.parametrize("family, key, changes", [
-        ("svm", "kernel", {"gamma": -2}),
-        ("svm", "kernel", {"gamma": True}),
-        ("svm", "kernel", {"gamma": float("nan")}),
-        ("svm", "kernel", {"kind": "polynomial", "degree": 2.9}),
+        ("svm", "config", {"gamma": -2}),
+        ("svm", "config", {"gamma": True}),
+        ("svm", "config", {"gamma": float("nan")}),
+        ("svm", "config", {"kernel": "polynomial", "degree": 2.9}),
         ("cart", "config", {"max_depth": 2.9}),
     ], ids=["negative-gamma", "gamma-as-bool", "nan-gamma", "fractional-degree",
             "fractional-max-depth"])
     def test_bundle_hyperparameter_breaking_its_rule_exits_two(
         self, cli_prepared, cli_artifacts, tmp_path, family, key, changes
     ):
-        """A stored config or kernel decodes through the rules a params
-        file is checked by."""
+        """A stored config decodes through the rules a params file is
+        checked by."""
         bundle = json.loads(json.dumps(cli_artifacts[family]["bundle"]))
         bundle["model"][key].update(changes)
         stem = str(tmp_path / family)
@@ -986,7 +1021,7 @@ class TestMalformedArtifacts:
         assert self._evaluate(cli_prepared, stem) == 2
 
     @pytest.mark.parametrize("family, key, field", [
-        ("logistic", "config", "tol"), ("svm", "kernel", "degree"),
+        ("logistic", "config", "tol"), ("svm", "config", "degree"),
         ("cart", "config", "max_depth"), ("gbdt", "config", "learning_rate"),
     ])
     def test_bundle_config_missing_a_field_exits_two(
@@ -996,6 +1031,18 @@ class TestMalformedArtifacts:
         bundle = json.loads(json.dumps(cli_artifacts[family]["bundle"]))
         del bundle["model"][key][field]
         stem = str(tmp_path / family)
+        with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+            json.dump(bundle, handle)
+        assert self._evaluate(cli_prepared, stem) == 2
+
+    def test_bundle_config_with_a_field_its_config_lacks_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path
+    ):
+        """As in a cart bundle written when cart stored the forest and
+        boosting fields too."""
+        bundle = json.loads(json.dumps(cli_artifacts["cart"]["bundle"]))
+        bundle["model"]["config"]["n_estimators"] = 100
+        stem = str(tmp_path / "cart")
         with open(stem + ".model.json", "w", encoding="utf-8") as handle:
             json.dump(bundle, handle)
         assert self._evaluate(cli_prepared, stem) == 2

@@ -307,7 +307,7 @@ class TestBestSplit:
 
 class TestCart:
     def test_single_class_is_a_leaf(self):
-        root = trees.fit_cart(np.arange(6.0)[:, None], np.zeros(6, dtype=int))
+        root = trees.fit_cart(np.arange(6.0)[:, None], np.zeros(6, dtype=int)).root
         assert root.is_leaf
         assert root.label == 0
 
@@ -315,14 +315,14 @@ class TestCart:
         X = rng.normal(0, 1, (30, 3))
         y = (X[:, 0] > 0).astype(int)
         y[:2] = [0, 1]
-        root = trees.fit_cart(X, y, trees.TreeConfig(max_depth=1))
+        root = trees.fit_cart(X, y, trees.TreeConfig(max_depth=1)).root
         if not root.is_leaf:
             assert root.left.is_leaf and root.right.is_leaf
 
     def test_separable_data_fits_exactly(self):
         X = np.array([[0.0], [0.2], [0.9], [1.0]])
         y = np.array([0, 0, 1, 1])
-        root = trees.fit_cart(X, y)
+        root = trees.fit_cart(X, y).root
         assert trees.predict_tree(root, X).tolist() == y.tolist()
 
     def test_every_fitted_split_is_exactly_optimal(self, rng):
@@ -332,7 +332,7 @@ class TestCart:
             X = rng.integers(0, 5, (n, 3)).astype(np.float64)
             y = rng.integers(0, 3, n)
             y[:2] = [0, 1]
-            root = trees.fit_cart(X, y, config)
+            root = trees.fit_cart(X, y, config).root
             verify_tree_against_oracle(X, y, root, config)
             probes = rng.integers(0, 5, (40, 3)).astype(np.float64)
             got = trees.predict_tree(root, probes)
@@ -343,8 +343,8 @@ class TestCart:
         X = rng.integers(0, 4, (25, 3)).astype(np.float64)
         y = rng.integers(0, 2, 25)
         y[:2] = [0, 1]
-        a = trees.fit_cart(X, y)
-        b = trees.fit_cart(X, y)
+        a = trees.fit_cart(X, y).root
+        b = trees.fit_cart(X, y).root
         assert trees.node_to_dict(a) == trees.node_to_dict(b)
 
     def test_empty_dataset_rejected(self):
@@ -354,7 +354,7 @@ class TestCart:
     def test_class_scores_are_leaf_distributions(self):
         X = np.array([[0.0], [0.0], [0.0], [1.0]])
         y = np.array([0, 0, 1, 1])
-        root = trees.fit_cart(X, y)
+        root = trees.fit_cart(X, y).root
         scores = trees.tree_class_scores(root, X, 2)
         assert np.allclose(scores.sum(axis=1), 1.0)
         assert scores[0].tolist() == [2 / 3, 1 / 3]
@@ -372,15 +372,15 @@ class TestConfigValidation:
 
     def test_bad_num_leaves(self):
         with pytest.raises(ValueError):
-            trees.TreeConfig(num_leaves=1)
+            trees.GbdtConfig(num_leaves=1)
 
     def test_bad_max_bins(self):
         with pytest.raises(ValueError):
-            trees.TreeConfig(max_bins=1)
+            trees.GbdtConfig(max_bins=1)
 
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
-            trees.TreeConfig(learning_rate=0.0)
+            trees.GbdtConfig(learning_rate=0.0)
 
 
 class TestForest:
@@ -397,11 +397,11 @@ class TestForest:
         X = rng.integers(0, 5, (40, 3)).astype(np.float64)
         y = rng.integers(0, 2, 40)
         y[:2] = [0, 1]
-        config = trees.TreeConfig(
+        config = trees.ForestConfig(
             n_estimators=1, bootstrap=False, max_features=3
         )
         forest = trees.fit_forest(X, y, config, seed=7)
-        cart = trees.fit_cart(X, y, config)
+        cart = trees.fit_cart(X, y, config).root
         assert trees.node_to_dict(forest.roots[0]) == trees.node_to_dict(cart)
         assert np.array_equal(
             trees.predict_forest(forest, X), trees.predict_tree(cart, X)
@@ -409,7 +409,7 @@ class TestForest:
 
     def test_unanimous_votes_on_separable_blobs(self, rng):
         X, y = self.blobs(rng)
-        config = trees.TreeConfig(n_estimators=25)
+        config = trees.ForestConfig(n_estimators=25)
         forest = trees.fit_forest(X, y, config, seed=3)
         scores = trees.forest_scores(forest, X)
         assert np.all(scores[np.arange(y.size), y] == 1.0)
@@ -417,7 +417,7 @@ class TestForest:
 
     def test_same_seed_reproduces_the_forest(self, rng):
         X, y = self.blobs(rng, n_per=15)
-        config = trees.TreeConfig(n_estimators=10)
+        config = trees.ForestConfig(n_estimators=10)
         a = trees.fit_forest(X, y, config, seed=11)
         b = trees.fit_forest(X, y, config, seed=11)
         assert a.tree_seeds == b.tree_seeds
@@ -426,7 +426,7 @@ class TestForest:
 
     def test_different_seeds_differ(self, rng):
         X, y = self.blobs(rng, n_per=15)
-        config = trees.TreeConfig(n_estimators=5)
+        config = trees.ForestConfig(n_estimators=5)
         a = trees.fit_forest(X, y, config, seed=1)
         b = trees.fit_forest(X, y, config, seed=2)
         assert a.tree_seeds != b.tree_seeds
@@ -437,7 +437,7 @@ class TestForest:
         assert trees._resolve_max_features(2, 10) == 2
         assert trees._resolve_max_features(99, 10) == 10
         with pytest.raises(ValueError):
-            trees.TreeConfig(max_features="log2")
+            trees.ForestConfig(max_features="log2")
 
 
 class TestGbdt:
@@ -449,7 +449,7 @@ class TestGbdt:
 
     def test_train_loss_never_increases(self, rng):
         X, y = self.separable(rng)
-        config = trees.TreeConfig(
+        config = trees.GbdtConfig(
             n_estimators=50, learning_rate=0.1, min_child_samples=5
         )
         model = trees.fit_gbdt(X, y, config)
@@ -461,7 +461,7 @@ class TestGbdt:
     def test_constant_features_learn_only_the_base_rate(self):
         X = np.ones((50, 3))
         y = np.array([1] * 30 + [0] * 20)
-        config = trees.TreeConfig(n_estimators=5, min_child_samples=5)
+        config = trees.GbdtConfig(n_estimators=5, min_child_samples=5)
         model = trees.fit_gbdt(X, y, config)
         assert model.base_score[0] == pytest.approx(
             math.log(0.6 / 0.4), abs=1e-12
@@ -474,7 +474,7 @@ class TestGbdt:
 
     def test_num_leaves_two_grows_stumps(self, rng):
         X, y = self.separable(rng)
-        config = trees.TreeConfig(
+        config = trees.GbdtConfig(
             n_estimators=10, num_leaves=2, min_child_samples=5
         )
         model = trees.fit_gbdt(X, y, config)
@@ -490,7 +490,7 @@ class TestGbdt:
             rng.normal((0, 8), 0.4, (40, 2)),
         ])
         y = np.repeat([0, 1, 2], 40)
-        config = trees.TreeConfig(n_estimators=20, min_child_samples=5)
+        config = trees.GbdtConfig(n_estimators=20, min_child_samples=5)
         model = trees.fit_gbdt(X, y, config)
         proba = trees.predict_gbdt_proba(model, X)
         assert proba.shape == (120, 3)
@@ -509,7 +509,7 @@ class TestSerialization:
         y = rng.integers(0, 3, 40)
         y[:3] = [0, 1, 2]
         model = trees.fit_forest(
-            X, y, trees.TreeConfig(n_estimators=8), seed=2
+            X, y, trees.ForestConfig(n_estimators=8), seed=2
         )
         again = trees.forest_from_dict(json.loads(json.dumps(trees.forest_to_dict(model))))
         assert np.array_equal(
@@ -523,7 +523,7 @@ class TestSerialization:
         X = rng.normal(0, 1, (60, 3))
         y = (X[:, 0] > 0).astype(int)
         y[:2] = [0, 1]
-        config = trees.TreeConfig(n_estimators=10, min_child_samples=5)
+        config = trees.GbdtConfig(n_estimators=10, min_child_samples=5)
         model = trees.fit_gbdt(X, y, config)
         again = trees.gbdt_from_dict(json.loads(json.dumps(trees.gbdt_to_dict(model))))
         assert np.array_equal(
