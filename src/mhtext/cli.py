@@ -90,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_prepare(args) -> int:
-    if args.ngram_min < 1 or args.ngram_max < args.ngram_min:
-        raise UsageError("ngram range must satisfy 1 <= min <= max")
     dataset = prepare_dataset(
         args.corpus,
         scheme_kind=args.scheme,

@@ -54,8 +54,7 @@ class PreparedDataset:
     vocab: SeqVocabulary
     seed: int
     n_dropped: int = 0
-    _matrix_cache: dict = field(default_factory=dict, repr=False)
-    _sequence_cache: dict = field(default_factory=dict, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_docs(self) -> int:
@@ -69,18 +68,14 @@ class PreparedDataset:
     def labels_for(self, split_name: str) -> np.ndarray:
         return self.labels[list(self.indices(split_name))]
 
-    def matrix_for(self, split_name: str) -> np.ndarray:
-        """Dense TF-IDF rows for one split, cached after first build."""
-        if split_name not in self._matrix_cache:
+    def rows(self, name: str, split_name: str) -> np.ndarray:
+        """The rows the featurizer `name` ("tfidf" or "vocab") gives one
+        split, cached after first build."""
+        key = (name, split_name)
+        if key not in self._rows:
             docs = [self.tokens[i] for i in self.indices(split_name)]
-            self._matrix_cache[split_name] = features.matrix(self.tfidf, docs)
-        return self._matrix_cache[split_name]
-
-    def sequences_for(self, split_name: str) -> np.ndarray:
-        if split_name not in self._sequence_cache:
-            docs = [self.tokens[i] for i in self.indices(split_name)]
-            self._sequence_cache[split_name] = self.vocab.encode_many(docs)
-        return self._sequence_cache[split_name]
+            self._rows[key] = getattr(self, name).rows(docs)
+        return self._rows[key]
 
     def to_dict(self) -> dict:
         return {
@@ -90,7 +85,7 @@ class PreparedDataset:
             "labels": [int(v) for v in self.labels],
             "scheme": self.scheme.to_dict(),
             "split": self.split.to_dict(),
-            "tfidf": features.to_dict(self.tfidf),
+            "tfidf": self.tfidf.to_dict(),
             "vocab": self.vocab.to_dict(),
             "seed": self.seed,
             "n_dropped": self.n_dropped,
@@ -106,7 +101,7 @@ class PreparedDataset:
             labels=np.asarray(data["labels"], dtype=np.int64),
             scheme=LabelScheme.from_dict(data["scheme"]),
             split=DatasetSplit.from_dict(data["split"]),
-            tfidf=features.from_dict(data["tfidf"]),
+            tfidf=features.TfIdfModel.from_dict(data["tfidf"]),
             vocab=SeqVocabulary.from_dict(data["vocab"]),
             seed=int(data["seed"]),
             n_dropped=int(data.get("n_dropped", 0)),
@@ -166,8 +161,11 @@ def prepare_dataset(
         stratify_labels=labels if stratify else None,
     )
     train_tokens = [docs[i].tokens for i in split.train]
-    tfidf = features.fit(train_tokens, max_features=max_features, ngram_range=ngram_range)
-    vocab = SeqVocabulary.build(train_tokens, min_freq=vocab_min_freq, max_len=max_len)
+    try:
+        tfidf = features.fit(train_tokens, max_features=max_features, ngram_range=ngram_range)
+        vocab = SeqVocabulary.build(train_tokens, min_freq=vocab_min_freq, max_len=max_len)
+    except ValueError as exc:  # a setting that breaks its featurizer's rule
+        raise UsageError(f"bad feature settings: {exc}") from exc
     return PreparedDataset(
         ids=tuple(doc.id for doc in docs),
         tokens=tuple(doc.tokens for doc in docs),
@@ -222,7 +220,7 @@ class ExperimentConfig:
         if self.mode not in ("grid", "random"):
             raise UsageError(f"unknown search mode {self.mode!r}; use grid or random")
         if self.mode == "random" and self.n_samples < 1:
-            raise UsageError("n_samples must be positive for random search")
+            raise UsageError("n_samples must be at least 1 for random search")
         # a hyperparameter typo fails here instead of burning a search run
         allowed = set(REGISTRY[self.family].params)
         space = self.grid if self.mode == "grid" else self.random

@@ -61,11 +61,22 @@ class LoadResult:
     dropped_empty: int
 
 
+def _rows(reader, path: str):
+    """The reader's rows; an oversized field or non-UTF-8 bytes raise DataError."""
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(
+            f"cannot read corpus file {path!r} near line {reader.line_num}: {exc}"
+        ) from exc
+
+
 def load_csv(path: str) -> LoadResult:
     """Read a corpus CSV, dropping (and counting) empty-statement rows.
 
-    Raises DataError for a missing file, missing required columns,
-    rows with the wrong field count, or duplicate ids.
+    Raises DataError for a missing file, text that is not UTF-8 CSV or
+    holds a field over the csv module's size limit, missing required
+    columns, rows with the wrong field count, or duplicate ids.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -73,8 +84,9 @@ def load_csv(path: str) -> LoadResult:
         raise DataError(f"cannot open corpus file {path!r}: {exc}") from exc
     with handle:
         reader = csv.reader(handle)
+        rows = _rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise DataError(f"corpus file {path!r} is empty") from None
         columns = {name.strip(): i for i, name in enumerate(header)}
@@ -89,7 +101,7 @@ def load_csv(path: str) -> LoadResult:
         records: list[RawRecord] = []
         seen: set[str] = set()
         dropped = 0
-        for row in reader:
+        for row in rows:
             if len(row) != len(header):
                 raise DataError(
                     f"malformed row at line {reader.line_num}: expected "
@@ -254,6 +266,21 @@ def _stratified_counts(labels: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
+def _draw(pool: np.ndarray, labels, take: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """`take` members of `pool` drawn at random, and the rest; with the
+    pool's `labels`, each class gives its proportional share."""
+    if labels is None:
+        mixed = pool[rng.permutation(pool.size)]
+        return mixed[:take], mixed[take:]
+    drawn, rest = [], []
+    for cls, count in zip(np.unique(labels), _stratified_counts(labels, take)):
+        members = pool[labels == cls]
+        members = members[rng.permutation(members.size)]
+        drawn.append(members[:count])
+        rest.append(members[count:])
+    return np.concatenate(drawn), np.concatenate(rest)
+
+
 def split_dataset(
     n: int,
     seed: int,
@@ -272,37 +299,14 @@ def split_dataset(
     n_train, n_val, n_test = _split_sizes(n)
     if min(n_train, n_val, n_test) < 1:
         raise DataError(f"corpus too small to populate all three splits: n={n}")
-    rng = np.random.default_rng(seed)
-    if stratify_labels is None:
-        perm = rng.permutation(n)
-        test = perm[:n_test]
-        rest = perm[n_test:]
-        perm2 = rest[rng.permutation(rest.size)]
-        validation = perm2[:n_val]
-        train = perm2[n_val:]
-    else:
+    labels = None
+    if stratify_labels is not None:
         labels = np.asarray(stratify_labels)
         if labels.shape != (n,):
             raise DataError("stratify_labels length must match corpus size")
-        test_parts, rest_parts = [], []
-        per_class_test = _stratified_counts(labels, n_test)
-        for cls, take in zip(np.unique(labels), per_class_test):
-            members = np.flatnonzero(labels == cls)
-            members = members[rng.permutation(members.size)]
-            test_parts.append(members[:take])
-            rest_parts.append(members[take:])
-        test = np.concatenate(test_parts)
-        rest = np.concatenate(rest_parts)
-        rest_labels = labels[rest]
-        val_parts, train_parts = [], []
-        per_class_val = _stratified_counts(rest_labels, n_val)
-        for cls, take in zip(np.unique(rest_labels), per_class_val):
-            members = rest[rest_labels == cls]
-            members = members[rng.permutation(members.size)]
-            val_parts.append(members[:take])
-            train_parts.append(members[take:])
-        validation = np.concatenate(val_parts)
-        train = np.concatenate(train_parts)
+    rng = np.random.default_rng(seed)
+    test, rest = _draw(np.arange(n), labels, n_test, rng)
+    validation, train = _draw(rest, None if labels is None else labels[rest], n_val, rng)
     return DatasetSplit(
         train=tuple(int(i) for i in np.sort(train)),
         validation=tuple(int(i) for i in np.sort(validation)),

@@ -1,7 +1,7 @@
 """The model families, each declared once.
 
 An entry says everything the harness needs to know about one family:
-its config, the feature space it reads, how to fit it, how to score
+its config, the featurizer it reads, how to fit it, how to score
 rows, and how its fitted payload turns into JSON and back. The config
 is a frozen dataclass whose fields are the hyperparameters the family
 accepts, with their defaults; it applies each value rule when it is
@@ -18,20 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable
 
-import numpy as np
-
 from . import gru, linear, svm, trees
 from .errors import DataError, UsageError
-
-TFIDF = "tfidf"  # dense TF-IDF rows
-SEQUENCES = "sequences"  # fixed-length token id sequences
 
 
 @dataclass(frozen=True)
 class Family:
     name: str
     config: type  # frozen dataclass; its fields are the accepted hyperparameters
-    inputs: str  # TFIDF or SEQUENCES
+    features: str  # the PreparedDataset featurizer it reads: "tfidf" or "vocab"
     fit: Callable  # (X, y, config, seed, dataset) -> (payload, extra)
     scores: Callable  # (payload, rows) -> (n, k) class scores
     to_dict: Callable  # payload -> serializable mapping
@@ -53,17 +48,12 @@ class Family:
             raise UsageError(f"unknown {self.name} hyperparameters: {unknown}")
         return params
 
-    def rows(self, dataset, split_name: str) -> np.ndarray:
-        if self.inputs == SEQUENCES:
-            return dataset.sequences_for(split_name)
-        return dataset.matrix_for(split_name)
-
 
 def _fit_gru(X, y, config, seed, dataset):
     data = gru.GruData(
         train_x=X,
         train_y=y,
-        val_x=dataset.sequences_for("validation"),
+        val_x=dataset.rows("vocab", "validation"),
         val_y=dataset.labels_for("validation"),
         vocab_size=dataset.vocab.vocab_size,
         n_classes=dataset.scheme.n_classes,
@@ -79,7 +69,7 @@ REGISTRY: dict[str, Family] = {
         Family(
             "logistic",
             linear.LogisticConfig,
-            TFIDF,
+            "tfidf",
             fit=lambda X, y, config, seed, dataset: (linear.fit_logistic(X, y, config), {}),
             scores=lambda p, rows: linear.predict_proba(p, rows),
             to_dict=linear.to_dict,
@@ -88,7 +78,7 @@ REGISTRY: dict[str, Family] = {
         Family(
             "svm",
             svm.SvmConfig,
-            TFIDF,
+            "tfidf",
             fit=lambda X, y, config, seed, dataset: (svm.fit_svm(X, y, config, seed), {}),
             scores=lambda p, rows: svm.class_scores(p, rows),
             to_dict=svm.to_dict,
@@ -99,7 +89,7 @@ REGISTRY: dict[str, Family] = {
         Family(
             "cart",
             trees.TreeConfig,
-            TFIDF,
+            "tfidf",
             fit=lambda X, y, config, seed, dataset: (trees.fit_cart(X, y, config), {}),
             scores=lambda p, rows: trees.tree_class_scores(
                 p.root, rows, p.n_classes, p.weight_per_class
@@ -112,7 +102,7 @@ REGISTRY: dict[str, Family] = {
         Family(
             "forest",
             trees.ForestConfig,
-            TFIDF,
+            "tfidf",
             fit=lambda X, y, config, seed, dataset: (trees.fit_forest(X, y, config, seed), {}),
             scores=lambda p, rows: trees.forest_scores(p, rows),
             to_dict=trees.forest_to_dict,
@@ -121,8 +111,8 @@ REGISTRY: dict[str, Family] = {
         Family(
             "gbdt",
             trees.GbdtConfig,
-            TFIDF,
-            fit=lambda X, y, config, seed, dataset: (trees.fit_gbdt(X, y, config, seed), {}),
+            "tfidf",
+            fit=lambda X, y, config, seed, dataset: (trees.fit_gbdt(X, y, config), {}),
             scores=lambda p, rows: trees.predict_gbdt_proba(p, rows),
             to_dict=trees.gbdt_to_dict,
             from_dict=trees.gbdt_from_dict,
@@ -130,7 +120,7 @@ REGISTRY: dict[str, Family] = {
         Family(
             "gru",
             gru.GruConfig,
-            SEQUENCES,
+            "vocab",
             fit=_fit_gru,
             scores=lambda p, rows: gru.predict_scores(p, rows),
             to_dict=gru.to_dict,

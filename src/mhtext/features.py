@@ -27,18 +27,40 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_fields, whole
 
 SCHEMA_VERSION = 1
 
 
+def _ngram_range(value) -> tuple[int, int]:
+    lo, hi = map(whole(at_least=1), value)
+    if lo > hi:
+        raise ValueError("expected 1 <= lo <= hi")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TfIdfModel:
+    """The TF-IDF featurizer: `rows(docs)` gives one dense row per document.
+
+    Built, fit or read back, it checks that `max_features` and `n_docs`
+    are whole numbers >= 1, `ngram_range` is two with 1 <= lo <= hi, the
+    terms are distinct strings and there is one idf value per term."""
+
     terms: tuple[str, ...]
     idf: np.ndarray
     n_docs: int
     ngram_range: tuple[int, int]
     max_features: int
+
+    def __post_init__(self):
+        check_fields(self, n_docs=whole(at_least=1), ngram_range=_ngram_range,
+                     max_features=whole(at_least=1))
+        terms = self.terms
+        if not all(isinstance(term, str) for term in terms) or len(set(terms)) < len(terms):
+            raise ValueError("terms: expected distinct strings")
+        if np.shape(self.idf) != (len(terms),):
+            raise ValueError(f"idf: expected {len(terms)} values, one per term")
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -47,6 +69,33 @@ class TfIdfModel:
     @property
     def dim(self) -> int:
         return len(self.terms)
+
+    def rows(self, docs) -> np.ndarray:
+        return matrix(self, docs)
+
+    def to_dict(self) -> dict:
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "terms": list(self.terms),
+            "idf": self.idf.tolist(),
+            "n_docs": self.n_docs,
+            "ngram_range": list(self.ngram_range),
+            "max_features": self.max_features,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TfIdfModel":
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise DataError(
+                f"unsupported TF-IDF model schema: {data.get('schema_version')!r}"
+            )
+        return cls(
+            tuple(data["terms"]),
+            np.array(data["idf"], dtype=np.float64),
+            data["n_docs"],
+            data["ngram_range"],
+            data["max_features"],
+        )
 
 
 def ngrams(tokens, lo: int, hi: int):
@@ -60,10 +109,6 @@ def ngrams(tokens, lo: int, hi: int):
 def fit(documents, max_features: int = 1000, ngram_range=(1, 2)) -> TfIdfModel:
     """Build a TF-IDF model from tokenized documents (training split only)."""
     lo, hi = ngram_range
-    if not (1 <= lo <= hi):
-        raise ValueError(f"bad ngram_range: {ngram_range!r}")
-    if max_features < 1:
-        raise ValueError(f"max_features must be positive: {max_features}")
     docs = [list(doc) for doc in documents]
     if not docs:
         raise DataError("cannot fit a TF-IDF model on an empty corpus")
@@ -79,7 +124,7 @@ def fit(documents, max_features: int = 1000, ngram_range=(1, 2)) -> TfIdfModel:
     idf = np.array(
         [math.log((1 + n_docs) / (1 + doc_freq[t])) + 1.0 for t in terms]
     )
-    return TfIdfModel(terms, idf, n_docs, (lo, hi), max_features)
+    return TfIdfModel(terms, idf, n_docs, ngram_range, max_features)
 
 
 def matrix(model: TfIdfModel, documents) -> np.ndarray:
@@ -107,34 +152,3 @@ def matrix(model: TfIdfModel, documents) -> np.ndarray:
     out = np.zeros((len(documents), dim))
     out.ravel()[flat] = values
     return out
-
-
-def to_dict(model: TfIdfModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "terms": list(model.terms),
-        "idf": model.idf.tolist(),
-        "n_docs": model.n_docs,
-        "ngram_range": list(model.ngram_range),
-        "max_features": model.max_features,
-    }
-
-
-def from_dict(data: dict) -> TfIdfModel:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported TF-IDF model schema: {data.get('schema_version')!r}"
-        )
-    terms = tuple(data["terms"])
-    idf = np.array(data["idf"], dtype=np.float64)
-    if idf.shape != (len(terms),):
-        raise DataError("TF-IDF model needs one idf value per term")
-    lo, hi = data["ngram_range"]
-    return TfIdfModel(
-        terms,
-        idf,
-        int(data["n_docs"]),
-        (int(lo), int(hi)),
-        int(data["max_features"]),
-    )
-

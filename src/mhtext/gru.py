@@ -53,11 +53,20 @@ _DROPOUT = real(at_least=0.0, below=1.0)  # GruConfig's, and a weights file's
 
 @dataclass(frozen=True)
 class SeqVocabulary:
-    """Token-to-id mapping built on the training split only."""
+    """The sequence featurizer: `rows(docs)` gives one fixed-length id
+    sequence per document. Built (on the training split only) or read
+    back, it checks that `max_len` and `min_freq` are whole numbers >= 1
+    and that `index` gives each token its own id, 2 .. vocab_size - 1."""
 
     index: dict[str, int] = field(hash=False)
     max_len: int
     min_freq: int
+
+    def __post_init__(self):
+        check_fields(self, max_len=whole(at_least=1), min_freq=whole(at_least=1))
+        ids = sorted(check("index", i, whole()) for i in self.index.values())
+        if ids != list(range(2, self.vocab_size)):
+            raise ValueError("index: expected one id per token, 2 .. vocab_size - 1")
 
     @property
     def vocab_size(self) -> int:
@@ -65,8 +74,6 @@ class SeqVocabulary:
 
     @classmethod
     def build(cls, documents, min_freq: int = 2, max_len: int = 64) -> "SeqVocabulary":
-        if max_len < 1 or min_freq < 1:
-            raise ValueError("max_len and min_freq must be positive")
         counts: Counter = Counter()
         for tokens in documents:
             counts.update(tokens)
@@ -94,6 +101,9 @@ class SeqVocabulary:
             row[: len(ids)] = ids
         return out
 
+    def rows(self, docs) -> np.ndarray:
+        return self.encode_many(docs)
+
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -108,11 +118,7 @@ class SeqVocabulary:
     def from_dict(cls, data: dict) -> "SeqVocabulary":
         if data.get("schema_version") != SCHEMA_VERSION:
             raise DataError("unsupported vocabulary payload")
-        return cls(
-            {str(k): int(v) for k, v in data["index"].items()},
-            int(data["max_len"]),
-            int(data["min_freq"]),
-        )
+        return cls(dict(data["index"]), data["max_len"], data["min_freq"])
 
 
 @dataclass(frozen=True)
@@ -227,18 +233,10 @@ def _run_forward(params: GruParams, batch: np.ndarray, keep_cache: bool):
     return batch, hidden, cache
 
 
-def forward(params: GruParams, batch, train: bool = False, dropout_mask=None) -> np.ndarray:
-    """Class logits for a batch of encoded sequences.
-
-    In training mode with a positive dropout rate, dropout_mask must be
-    a binary (batch, hidden) array; inverted scaling keeps the
-    expectation unchanged. Evaluation mode applies no dropout.
-    """
+def forward(params: GruParams, batch) -> np.ndarray:
+    """Class logits for a batch of encoded sequences, in evaluation mode
+    (no dropout; training applies it in loss_and_gradients)."""
     _, hidden, _ = _run_forward(params, batch, keep_cache=False)
-    if train and params.dropout > 0.0:
-        if dropout_mask is None:
-            raise ValueError("training forward with dropout needs a dropout mask")
-        hidden = hidden * dropout_mask / (1.0 - params.dropout)
     return hidden @ params.w_out + params.b_out
 
 

@@ -85,13 +85,12 @@ def candidate_list(config: ExperimentConfig) -> list[dict]:
 
 @dataclass
 class FittedModel:
-    """A trained model plus the hooks the harness needs to use it."""
+    """A trained model, the featurizer it reads, and the hooks to use it."""
 
     family: str
     payload: object
     scheme: LabelScheme
-    tfidf: features_mod.TfIdfModel | None = None
-    vocab: gru_mod.SeqVocabulary | None = None
+    featurizer: features_mod.TfIdfModel | gru_mod.SeqVocabulary
     extra: dict = field(default_factory=dict)
     spec: families.Family = field(init=False, repr=False)
 
@@ -100,18 +99,15 @@ class FittedModel:
 
     def _inputs(self, dataset: PreparedDataset, split_name: str):
         """Rows of one split, refusing a dataset whose label scheme or
-        feature model is not the one this model was trained on."""
+        featurizer is not the one this model was trained on."""
         if self.scheme.to_dict() != dataset.scheme.to_dict():
             raise DataError("model bundle and prepared dataset use different label schemes")
-        if self.spec.inputs == families.SEQUENCES:
-            ours, theirs, what = self.vocab, dataset.vocab, "sequence vocabularies"
-            same = ours == theirs
-        else:
-            ours, theirs, what = self.tfidf, dataset.tfidf, "TF-IDF models"
-            same = ours is theirs or features_mod.to_dict(ours) == features_mod.to_dict(theirs)
-        if not same:
-            raise DataError(f"model bundle and prepared dataset use different {what}")
-        return self.spec.rows(dataset, split_name)
+        name = self.spec.features
+        theirs = getattr(dataset, name)
+        if self.featurizer is not theirs and self.featurizer.to_dict() != theirs.to_dict():
+            raise DataError(f"model bundle and prepared dataset use different {name!r} "
+                            "featurizers")
+        return dataset.rows(name, split_name)
 
     def predict(self, dataset: PreparedDataset, split_name: str) -> np.ndarray:
         return self.predict_rows(self._inputs(dataset, split_name))
@@ -148,15 +144,13 @@ def train_family(
     """Train one model of the given family on the training split."""
     spec = families.get(family)
     payload, extra = spec.fit(
-        spec.rows(dataset, "train"),
+        dataset.rows(spec.features, "train"),
         dataset.labels_for("train"),
         spec.config(**spec.check_names(params)),
         model_seed,
         dataset,
     )
-    if spec.inputs == families.SEQUENCES:
-        return FittedModel(family, payload, dataset.scheme, vocab=dataset.vocab, extra=extra)
-    return FittedModel(family, payload, dataset.scheme, tfidf=dataset.tfidf, extra=extra)
+    return FittedModel(family, payload, dataset.scheme, getattr(dataset, spec.features), extra)
 
 
 @dataclass(frozen=True)
@@ -298,9 +292,9 @@ def evaluation_record(family: str, dataset: PreparedDataset, split_name: str,
 def save_model(fitted: FittedModel, stem: str) -> str:
     """Write a self-contained model bundle at <stem>.model.json.
 
-    GRU weights live in sidecar files (<stem>.npz, <stem>.vocab.json)
-    referenced from the bundle; classical models embed their payload and
-    the TF-IDF model directly.
+    GRU weights and vocabulary live in sidecar files (<stem>.npz,
+    <stem>.vocab.json) referenced from the bundle; the models that read
+    TF-IDF rows embed their payload and the TF-IDF model directly.
     """
     bundle: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -308,11 +302,11 @@ def save_model(fitted: FittedModel, stem: str) -> str:
         "scheme": fitted.scheme.to_dict(),
         "extra": fitted.extra,
     }
-    if fitted.spec.inputs == families.SEQUENCES:
-        gru_mod.save(fitted.payload, fitted.vocab, stem)
+    if fitted.spec.features == "vocab":
+        gru_mod.save(fitted.payload, fitted.featurizer, stem)
         bundle["weights"] = "sidecar"
     else:
-        bundle["tfidf"] = features_mod.to_dict(fitted.tfidf)
+        bundle["tfidf"] = fitted.featurizer.to_dict()
         bundle["model"] = fitted.spec.to_dict(fitted.payload)
     path = stem + ".model.json"
     with open(path, "w", encoding="utf-8") as handle:
@@ -330,18 +324,13 @@ def _decode_bundle(bundle: dict, stem: str) -> FittedModel:
         raise DataError("unsupported model bundle payload")
     spec = families.get(bundle["family"])
     scheme = LabelScheme.from_dict(bundle["scheme"])
-    extra = bundle.get("extra", {})
-    if spec.inputs == families.SEQUENCES:
-        params, vocab = gru_mod.load(stem)
-        fitted = FittedModel(spec.name, params, scheme, vocab=vocab, extra=extra)
-        probe = np.zeros((1, 1), dtype=np.int32)  # one PAD step
+    if spec.features == "vocab":
+        payload, featurizer = gru_mod.load(stem)
     else:
-        tfidf = features_mod.from_dict(bundle["tfidf"])
-        fitted = FittedModel(
-            spec.name, spec.from_dict(bundle["model"]), scheme, tfidf=tfidf, extra=extra
-        )
-        probe = np.zeros((1, tfidf.dim))
+        featurizer = features_mod.TfIdfModel.from_dict(bundle["tfidf"])
+        payload = spec.from_dict(bundle["model"])
+    fitted = FittedModel(spec.name, payload, scheme, featurizer, bundle.get("extra", {}))
     # a payload can decode and still be unusable, e.g. a scalar where
-    # an array belongs; scoring one row of its feature space shows it
-    fitted.score_rows(probe)
+    # an array belongs; scoring the rows of one empty document shows it
+    fitted.score_rows(featurizer.rows([()]))
     return fitted

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DataError, check, check_fields, one_of, real, stored, whole
 from .linear import class_weights, weight_mode
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: one config block, with the kernel fields in it
 
 
 @dataclass(frozen=True)
@@ -312,7 +312,8 @@ def to_dict(model: SvmModel) -> dict:
 
 def from_dict(data: dict) -> SvmModel:
     if data.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"unsupported SVM schema: {data.get('schema_version')!r}")
+        raise DataError(f"unsupported SVM model schema: found schema_version "
+                        f"{data.get('schema_version')!r}; this version reads {SCHEMA_VERSION}")
     pairs = []
     for entry in data["pairs"]:
         pair = PairModel(

@@ -80,7 +80,7 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_docs < 1:
-            raise ValueError("n_docs must be positive")
+            raise ValueError("n_docs must be at least 1")
         unknown = [s for s in self.statuses if s not in MARKER_POOLS]
         if unknown:
             raise ValueError(f"no marker pool for statuses: {unknown}")

@@ -36,7 +36,7 @@ from .errors import DataError, check_fields, one_of, real, stored, whole
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .seeds import derive_seed
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: each config block holds only its config's fields
 
 GBDT_REG = 1e-3  # leaf-value and gain regularizer
 
@@ -542,14 +542,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig(), seed: int = 0) -> GbdtModel:
+def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     """Boosted histogram trees on sigmoid/softmax gradients.
 
-    Deterministic given the data (no row or feature sampling); the seed
-    parameter exists for interface symmetry. train_loss[r] records the
-    weighted mean log-loss after r rounds, starting at the base score.
+    Deterministic given the data (no row or feature sampling), so it
+    takes no seed. train_loss[r] records the weighted mean log-loss
+    after r rounds, starting at the base score.
     """
-    del seed
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.size == 0:
@@ -668,8 +667,17 @@ def node_from_dict(data: dict, need_counts: bool = False) -> TreeNode:
     return node
 
 
+def _check_header(data: dict, kind: str) -> None:
+    version, found = data.get("schema_version"), data.get("kind")
+    if (version, found) != (SCHEMA_VERSION, kind):
+        raise DataError(f"unsupported {kind} model schema: found schema_version {version!r} "
+                        f"and kind {found!r}; this version reads {SCHEMA_VERSION} and {kind!r}")
+
+
 def cart_to_dict(model: CartModel) -> dict:
     return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "cart",
         "root": node_to_dict(model.root),
         "config": asdict(model.config),
         "n_classes": model.n_classes,
@@ -678,6 +686,7 @@ def cart_to_dict(model: CartModel) -> dict:
 
 
 def cart_from_dict(data: dict) -> CartModel:
+    _check_header(data, "cart")
     return CartModel(
         # scores read the counts of any leaf, not just the one the load probe reaches
         root=node_from_dict(data["root"], need_counts=True),
@@ -701,8 +710,7 @@ def forest_to_dict(model: ForestModel) -> dict:
 
 
 def forest_from_dict(data: dict) -> ForestModel:
-    if data.get("schema_version") != SCHEMA_VERSION or data.get("kind") != "forest":
-        raise DataError("unsupported forest model payload")
+    _check_header(data, "forest")
     return ForestModel(
         roots=[node_from_dict(t) for t in data["trees"]],
         config=stored(ForestConfig, data["config"]),
@@ -727,8 +735,7 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
 
 
 def gbdt_from_dict(data: dict) -> GbdtModel:
-    if data.get("schema_version") != SCHEMA_VERSION or data.get("kind") != "gbdt":
-        raise DataError("unsupported boosted model payload")
+    _check_header(data, "gbdt")
     return GbdtModel(
         base_score=np.array(data["base_score"], dtype=np.float64),
         rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],

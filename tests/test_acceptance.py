@@ -341,7 +341,7 @@ def test_acceptance_6_boosting_loss_is_monotone(synthetic_run):
     dataset = synthetic_run["dataset"]
     config = trees.GbdtConfig(n_estimators=50, learning_rate=0.1, num_leaves=15)
     model = trees.fit_gbdt(
-        dataset.matrix_for("train"), dataset.labels_for("train"), config
+        dataset.rows("tfidf", "train"), dataset.labels_for("train"), config
     )
     losses = np.asarray(model.train_loss)
     assert losses.size == 51  # round-0 baseline plus one entry per round

@@ -218,6 +218,47 @@ class TestLabelScheme:
         assert again == scheme
 
 
+def reference_split_dataset(n, seed, stratify_labels=None) -> corpus.DatasetSplit:
+    """split_dataset with each draw step written out in full: test first,
+    then validation from the rest, per class when stratified."""
+    n_train, n_val, n_test = corpus._split_sizes(n)
+    rng = np.random.default_rng(seed)
+    if stratify_labels is None:
+        perm = rng.permutation(n)
+        test = perm[:n_test]
+        rest = perm[n_test:]
+        perm2 = rest[rng.permutation(rest.size)]
+        validation = perm2[:n_val]
+        train = perm2[n_val:]
+    else:
+        labels = np.asarray(stratify_labels)
+        test_parts, rest_parts = [], []
+        per_class_test = corpus._stratified_counts(labels, n_test)
+        for cls, take in zip(np.unique(labels), per_class_test):
+            members = np.flatnonzero(labels == cls)
+            members = members[rng.permutation(members.size)]
+            test_parts.append(members[:take])
+            rest_parts.append(members[take:])
+        test = np.concatenate(test_parts)
+        rest = np.concatenate(rest_parts)
+        rest_labels = labels[rest]
+        val_parts, train_parts = [], []
+        per_class_val = corpus._stratified_counts(rest_labels, n_val)
+        for cls, take in zip(np.unique(rest_labels), per_class_val):
+            members = rest[rest_labels == cls]
+            members = members[rng.permutation(members.size)]
+            val_parts.append(members[:take])
+            train_parts.append(members[take:])
+        validation = np.concatenate(val_parts)
+        train = np.concatenate(train_parts)
+    return corpus.DatasetSplit(
+        train=tuple(int(i) for i in np.sort(train)),
+        validation=tuple(int(i) for i in np.sort(validation)),
+        test=tuple(int(i) for i in np.sort(test)),
+        seed=seed,
+    )
+
+
 class TestSplitDataset:
     def test_sizes_for_100(self):
         split = corpus.split_dataset(100, seed=4)
@@ -269,6 +310,16 @@ class TestSplitDataset:
         split = corpus.split_dataset(n, seed=seed, stratify_labels=labels)
         merged = sorted(split.train + split.validation + split.test)
         assert merged == list(range(n))
+
+    @given(n=st.integers(min_value=5, max_value=300), seed=st.integers(0, 2**32),
+           stratify=st.booleans(), data=st.data())
+    @settings(max_examples=200)
+    def test_matches_the_step_by_step_draw(self, n, seed, stratify, data):
+        labels = None
+        if stratify:
+            labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        assert corpus.split_dataset(n, seed, stratify_labels=labels) == \
+            reference_split_dataset(n, seed, stratify_labels=labels)
 
     def test_split_round_trip(self):
         split = corpus.split_dataset(33, seed=2)

@@ -224,7 +224,7 @@ class TestSerialization:
     def test_round_trip_preserves_transforms_exactly(self):
         docs = [["sad", "tired"], ["happy", "sad"], ["calm"]]
         model = features.fit(docs, max_features=8)
-        again = features.from_dict(json.loads(json.dumps(features.to_dict(model))))
+        again = features.TfIdfModel.from_dict(json.loads(json.dumps(model.to_dict())))
         assert again.terms == model.terms
         assert np.array_equal(again.idf, model.idf)
         a = features.matrix(model, docs)
@@ -233,7 +233,7 @@ class TestSerialization:
 
     def test_payload_is_plain_json(self):
         model = features.fit([["a"]], max_features=4)
-        payload = json.loads(json.dumps(features.to_dict(model)))
+        payload = json.loads(json.dumps(model.to_dict()))
         assert payload["schema_version"] == 1
 
     def test_fit_is_deterministic(self):

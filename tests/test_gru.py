@@ -265,11 +265,6 @@ class TestForward:
         scores = gru.predict_scores(params, rng.integers(0, 10, (5, 4)))
         assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_train_mode_with_dropout_needs_a_mask(self, rng):
-        params = tiny_params(rng, dropout=0.3)
-        with pytest.raises(ValueError):
-            gru.forward(params, np.array([[2, 3]]), train=True)
-
 
 class TestLossAndGradients:
     def test_zero_parameters_lose_ln_k(self):

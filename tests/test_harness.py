@@ -269,12 +269,12 @@ class TestTrainFamily:
         )
         assert np.array_equal(
             logistic.predict(dataset, "validation"),
-            logistic.predict_rows(dataset.matrix_for("validation")),
+            logistic.predict_rows(dataset.rows("tfidf", "validation")),
         )
         gru = search.train_family("gru", dict(FAMILY_PARAMS["gru"]), dataset)
         assert np.array_equal(
             gru.predict(dataset, "validation"),
-            gru.predict_rows(dataset.sequences_for("validation")),
+            gru.predict_rows(dataset.rows("vocab", "validation")),
         )
 
     def test_unknown_family_rejected(self, prepared_binary):
@@ -393,12 +393,12 @@ class TestPreparedDatasetIO:
         for split_name in ("train", "validation", "test"):
             assert loaded.indices(split_name) == dataset.indices(split_name)
             assert np.array_equal(
-                loaded.matrix_for(split_name), dataset.matrix_for(split_name)
+                loaded.rows("tfidf", split_name), dataset.rows("tfidf", split_name)
             )
             assert np.array_equal(
-                loaded.sequences_for(split_name), dataset.sequences_for(split_name)
+                loaded.rows("vocab", split_name), dataset.rows("vocab", split_name)
             )
-        assert loaded.sequences_for("train").dtype == np.int32
+        assert loaded.rows("vocab", "train").dtype == np.int32
 
     def test_load_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
@@ -417,8 +417,15 @@ class TestPreparedDatasetIO:
         lambda d: d["split"].update(train=-1),
         lambda d: d["labels"].__setitem__(0, len(d["scheme"]["names"])),
         lambda d: d["tfidf"].update(ngram_range="x"),
+        lambda d: d["vocab"].update(max_len=0),
+        lambda d: d["tfidf"].update(max_features=2.9),
+        lambda d: d["tfidf"].update(ngram_range=[2, 1]),
+        lambda d: d["tfidf"]["terms"].__setitem__(0, []),
+        lambda d: d["vocab"]["index"].update(extra=10**6),
     ], ids=["labels-short", "tokens-short", "split-index-past-end", "split-not-a-list",
-            "label-outside-scheme", "bad-ngram-range"])
+            "label-outside-scheme", "bad-ngram-range", "zero-max-len",
+            "fractional-max-features", "ngram-range-reversed", "term-not-a-string",
+            "token-id-past-vocabulary"])
     def test_inconsistent_payload_is_data_error(self, prepared_binary, tmp_path, mutate):
         payload = prepared_binary.to_dict()
         mutate(payload)
@@ -617,6 +624,39 @@ class TestCli:
             "--out", str(tmp_path / "prep.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("content", [
+        "id,statement,status\n1,fine,Normal\n2," + "x" * 200_000 + ",Normal\n",
+        "id,statement,status\n1,caf\u00e9,Normal\n".encode("latin-1"),
+    ], ids=["field-over-the-csv-limit", "not-utf8"])
+    def test_undecodable_corpus_exits_two(self, tmp_path, capsys, content):
+        corpus = tmp_path / "corpus.csv"
+        if isinstance(content, str):
+            corpus.write_text(content, encoding="utf-8")
+        else:
+            corpus.write_bytes(content)
+        code = cli.run(["prepare", "--corpus", str(corpus), "--out", str(tmp_path / "p.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(corpus) in err and "Traceback" not in err
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("flags, setting", [
+        (["--max-len", "0"], "max_len"),
+        (["--vocab-min-freq", "0"], "min_freq"),
+        (["--max-features", "0"], "max_features"),
+        (["--max-features", "-3"], "max_features"),
+        (["--ngram-min", "2", "--ngram-max", "1"], "ngram_range"),
+    ], ids=["zero-max-len", "zero-vocab-min-freq", "zero-max-features",
+            "negative-max-features", "ngram-range-reversed"])
+    def test_prepare_setting_breaking_its_rule_exits_one(
+        self, cli_prepared, tmp_path, capsys, flags, setting
+    ):
+        code = cli.run(["prepare", "--corpus", cli_prepared["corpus"],
+                        "--out", str(tmp_path / "p.json"), *flags])
+        assert code == 1
+        assert setting in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
 
     def test_unknown_flag_exits_one(self, cli_prepared, tmp_path):
         code = cli.run([
@@ -1047,6 +1087,27 @@ class TestMalformedArtifacts:
             json.dump(bundle, handle)
         assert self._evaluate(cli_prepared, stem) == 2
 
+    @pytest.mark.parametrize("family, drop", [
+        ("svm", False), ("cart", False), ("forest", False), ("gbdt", False), ("cart", True),
+    ], ids=["svm-version-1", "cart-version-1", "forest-version-1", "gbdt-version-1",
+            "cart-without-header"])
+    def test_bundle_of_an_older_payload_schema_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, family, drop
+    ):
+        """As a bundle written before each config block held only its
+        config's fields, with the payload header of that time."""
+        bundle = json.loads(json.dumps(cli_artifacts[family]["bundle"]))
+        if drop:
+            del bundle["model"]["schema_version"], bundle["model"]["kind"]
+        else:
+            bundle["model"]["schema_version"] = 1
+        stem = str(tmp_path / family)
+        with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+            json.dump(bundle, handle)
+        capsys.readouterr()
+        assert self._evaluate(cli_prepared, stem) == 2
+        assert "schema" in capsys.readouterr().err
+
     def test_cart_leaf_without_counts_exits_two(self, cli_prepared, cli_artifacts, tmp_path):
         """The load probe scores one all-zero row, which reaches only the
         leftmost leaf; the rightmost leaf lies four or more keys deep."""
@@ -1229,3 +1290,23 @@ class TestBenchTracing:
         finally:
             tracer.restore()
         assert not hasattr(mhtext.search.train_family, "__wrapped__")
+
+
+class TestDependencies:
+    def test_no_module_loads_scipy_or_sklearn(self):
+        """numpy is the one numeric dependency; scipy being installed must
+        not let an import of it slip in."""
+        code = (
+            "import importlib, pkgutil, sys, mhtext\n"
+            "names = [m.name for m in pkgutil.iter_modules(mhtext.__path__)]\n"
+            "for name in names: importlib.import_module('mhtext.' + name)\n"
+            "print(len(names), sorted(m for m in sys.modules\n"
+            "                         if m.split('.')[0] in ('scipy', 'sklearn')))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        ran = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert ran.returncode == 0, ran.stderr
+        count, loaded = ran.stdout.split(" ", 1)
+        assert int(count) == len(list(Path(src, "mhtext").glob("*.py"))) - 1  # all but __init__
+        assert loaded.strip() == "[]"
