@@ -61,6 +61,15 @@ class LoadResult:
     dropped_empty: int
 
 
+def _lines(handle, path: str):
+    """The handle's lines; one holding a NUL byte raises DataError (the
+    csv module of Python 3.10 refuses NUL and that of 3.11 reads it)."""
+    for number, line in enumerate(handle, start=1):
+        if "\0" in line:
+            raise DataError(f"corpus file {path!r} holds a NUL byte at line {number}")
+        yield line
+
+
 def _rows(reader, path: str):
     """The reader's rows; an oversized field or non-UTF-8 bytes raise DataError."""
     try:
@@ -75,15 +84,15 @@ def load_csv(path: str) -> LoadResult:
     """Read a corpus CSV, dropping (and counting) empty-statement rows.
 
     Raises DataError for a missing file, text that is not UTF-8 CSV or
-    holds a field over the csv module's size limit, missing required
-    columns, rows with the wrong field count, or duplicate ids.
+    holds a NUL byte or a field over the csv module's size limit, missing
+    required columns, rows with the wrong field count, or duplicate ids.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open corpus file {path!r}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_lines(handle, path))
         rows = _rows(reader, path)
         try:
             header = next(rows)

@@ -54,7 +54,9 @@ _DECODE_ERRORS = (AttributeError, IndexError, KeyError, OverflowError, TypeError
 
 def read_json(path: str, what: str, decode, error=DataError):
     """Parse the JSON file at `path` and return `decode(payload)`; a file
-    that cannot be opened or decoded raises `error` naming `what`."""
+    that cannot be opened or decoded raises `error` naming `what` and the
+    path, and a DataError or UsageError of the decoder's own is raised
+    again with them prefixed."""
     try:
         with open(path, encoding="utf-8") as handle:
             return decode(json.load(handle))
@@ -62,6 +64,8 @@ def read_json(path: str, what: str, decode, error=DataError):
         raise error(f"cannot open {what} {path!r}: {exc}") from exc
     except _DECODE_ERRORS as exc:
         raise error(f"invalid {what} {path!r}: {exc}") from exc
+    except (DataError, UsageError) as exc:  # the decoder's own refusal keeps its type
+        raise type(exc)(f"invalid {what} {path!r}: {exc}") from exc
 
 
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}

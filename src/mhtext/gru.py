@@ -210,12 +210,6 @@ def _step(x, h_prev, params: GruParams):
     return (1.0 - update) * h_prev + update * cand, update, reset, cand
 
 
-def gru_cell(x, h_prev, params: GruParams):
-    """One recurrence step for embedded inputs x (E,) or (B, E); the step
-    forward and training run on every non-PAD position."""
-    return _step(x, h_prev, params)[0]
-
-
 def _run_forward(params: GruParams, batch: np.ndarray, keep_cache: bool):
     batch = np.atleast_2d(np.asarray(batch, dtype=np.int64))
     hidden = np.zeros((batch.shape[0], params.hidden_dim))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
 from .seeds import STAGE_SYNTH, derive_seed
 
 DEFAULT_STATUSES = (
@@ -165,9 +164,3 @@ def make_corpus_file(path, n_docs: int, seed: int, **kwargs) -> list[tuple[str, 
     write_csv(rows, path)
     return rows
 
-
-def labels_from_rows(rows, mapping: dict[str, int]) -> np.ndarray:
-    try:
-        return np.array([mapping[status] for _, _, status in rows], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"unknown status in synthetic rows: {exc}") from exc

@@ -13,6 +13,20 @@ ties broken by (lower feature id, lower threshold). A node is not split
 when the best gain is <= 0 or a child would fall under
 min_samples_leaf (raw counts).
 
+The search reads a presorted index of X's nonzero cells (SortedNonzeros:
+SLIQ's attribute lists, Mehta, Agrawal and Rissanen 1996, kept to the
+nonzeros), built once per fit. A node keeps the entries of its rows in
+index order, each weighted by how often the row occurs in the node (a
+bootstrap repeats rows). A feature's zero block is one entry in its
+sorted place, after the negatives and before the positives, holding the
+node counts less the feature's nonzero counts; its cuts sit at
+(v + 0.0)/2.0. Class counts are whole numbers in float64, so every
+count, and with it every gain, is bit-identical to sorting all of the
+node's values. Candidates are scanned in blocks of whole features of
+about _BLOCK_ENTRIES entries, which bounds the scan's memory. A block's
+first argmax replaces the best so far only when its gain is strictly
+greater, which keeps the tie rule.
+
 The booster bins features into at most max_bins quantile bins, grows
 each tree leaf-wise by largest Newton gain
 
@@ -32,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check_fields, one_of, real, stored, whole
+from .errors import DataError, check, check_fields, one_of, real, stored, whole
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .seeds import derive_seed
 
@@ -170,19 +184,66 @@ class Split:
     gain: float
 
 
-def _scan_feature(x_col, y_col, n_classes, weights, criterion, min_leaf, parent_imp):
-    order = np.argsort(x_col, kind="mergesort")
-    xs = x_col[order]
-    cut_positions = np.flatnonzero(xs[:-1] < xs[1:])
-    if cut_positions.size == 0:
+_BLOCK_ENTRIES = 1 << 14  # node entries scanned at once, in blocks of whole features
+
+
+class SortedNonzeros:
+    """The nonzero cells of X as (feature, row, value) entries ordered by
+    (feature, value): SLIQ's presorted attribute lists, kept to the
+    nonzeros. A fit builds one and every node of every tree reads it."""
+
+    def __init__(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        self.n_rows, self.n_features = X.shape
+        cells = np.flatnonzero(X)
+        rows, features = np.divmod(cells, self.n_features)
+        values = X.ravel()[cells]
+        # by value, then stably by feature; the order of equal values is free,
+        # as a scan cuts only between distinct ones
+        order = np.argsort(values)
+        order = order[np.argsort(features[order], kind="stable")]
+        self.feature = features[order]
+        self.row = rows[order]
+        self.value = values[order]
+        # the entries of feature f are [starts[f], starts[f + 1])
+        self.starts = np.searchsorted(self.feature, np.arange(self.n_features + 1))
+
+    def positions(self, feature_ids: np.ndarray) -> np.ndarray:
+        """The positions of the entries of the given ascending features."""
+        lo = self.starts[feature_ids]
+        sizes = self.starts[feature_ids + 1] - lo
+        return np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def _scan_block(feature, value, label, mult, counts, weights, criterion, min_leaf, parent_imp):
+    """The best candidate among a block of whole features' node entries,
+    as a Split, or None when none is admissible.
+
+    A feature's zero block becomes one entry in its sorted place, holding
+    the node counts less the feature's nonzero counts, so each feature's
+    entries hold every node sample once."""
+    n_node = int(counts.sum())
+    starts = np.flatnonzero(np.diff(feature, prepend=-1))
+    hot = np.zeros((feature.size, weights.size))
+    hot[np.arange(feature.size), label] = mult
+    zero_n = n_node - np.add.reduceat(mult, starts)
+    has_zero = zero_n > 0
+    at = (starts + np.add.reduceat((value < 0).astype(np.int64), starts))[has_zero]
+    hot = np.insert(hot, at, (counts - np.add.reduceat(hot, starts, axis=0))[has_zero], axis=0)
+    mult = np.insert(mult, at, zero_n[has_zero])
+    value = np.insert(value, at, 0.0)
+    feature = np.insert(feature, at, feature[starts][has_zero])
+    cut = np.flatnonzero((feature[:-1] == feature[1:]) & (value[:-1] < value[1:]))
+    if cut.size == 0:
         return None
-    one_hot = np.zeros((xs.size, n_classes))
-    one_hot[np.arange(xs.size), y_col[order]] = 1.0
-    cum = np.cumsum(one_hot, axis=0)
-    left_counts = cum[cut_positions]
-    right_counts = cum[-1] - left_counts
-    left_n = cut_positions + 1
-    right_n = xs.size - left_n
+    # each feature's entries sum to the node counts, so a running sum less
+    # (features before the cut's) * counts is the cut's left side; all are
+    # whole numbers in float64, so this is exact
+    features_before = np.cumsum(np.diff(feature, prepend=feature[0]) != 0)[cut]
+    left_counts = np.cumsum(hot, axis=0)[cut] - features_before[:, None] * counts
+    left_n = np.cumsum(mult)[cut] - features_before * n_node
+    right_counts = counts - left_counts
+    right_n = n_node - left_n
     valid = (left_n >= min_leaf) & (right_n >= min_leaf)
     if not valid.any():
         return None
@@ -196,22 +257,27 @@ def _scan_feature(x_col, y_col, n_classes, weights, criterion, min_leaf, parent_
         left_tot + right_tot
     )
     gains[~valid] = -np.inf
-    best = int(np.argmax(gains))  # first max = lowest threshold
-    threshold = (xs[cut_positions[best]] + xs[cut_positions[best] + 1]) / 2.0
-    return float(gains[best]), float(threshold)
+    best = int(np.argmax(gains))  # first max = lowest feature, then threshold
+    at = cut[best]
+    return Split(int(feature[at]), float((value[at] + value[at + 1]) / 2.0), float(gains[best]))
 
 
 def best_split(
-    X, y, config: TreeConfig, *, class_weight_vec=None, feature_ids=None
+    X, y, config: TreeConfig, *, class_weight_vec=None, feature_ids=None, rows=None
 ) -> Split | None:
-    """Best (feature, threshold) over the given node samples, or None.
+    """Best (feature, threshold) over the node's samples, or None.
 
+    X is a matrix or its SortedNonzeros and y labels its rows; `rows`
+    (default all) are the node's rows, a repeated row counting once per
+    repeat, and `feature_ids` (default all) the candidate features.
     Returns None when no candidate improves impurity (gain <= 0) or all
     candidates violate min_samples_leaf.
     """
-    X = np.asarray(X, dtype=np.float64)
+    index = X if isinstance(X, SortedNonzeros) else SortedNonzeros(X)
     y = np.asarray(y, dtype=np.int64)
-    n_classes = int(y.max()) + 1 if y.size else 0
+    rows = np.arange(index.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    node_y = y[rows]
+    n_classes = int(node_y.max()) + 1 if node_y.size else 0
     weights = (
         np.ones(n_classes)
         if class_weight_vec is None
@@ -219,32 +285,34 @@ def best_split(
     )
     if weights.size < n_classes:
         raise ValueError("class weight vector shorter than the class count")
-    counts = np.bincount(y, minlength=weights.size).astype(np.float64)
+    counts = np.bincount(node_y, minlength=weights.size).astype(np.float64)
     parent_imp = impurity(counts, config.criterion, weights)
-    if feature_ids is None:
-        feature_ids = range(X.shape[1])
+    mult = np.bincount(rows, minlength=index.n_rows)
+    entries = slice(None) if feature_ids is None else index.positions(np.unique(feature_ids))
+    row = index.row[entries]
+    in_node = mult[row] > 0  # the node's entries, in index order
+    row = row[in_node]
+    feature, value = index.feature[entries][in_node], index.value[entries][in_node]
+    label, mult = y[row], mult[row]
     best: Split | None = None
-    for feat in feature_ids:
-        scanned = _scan_feature(
-            X[:, feat],
-            y,
-            weights.size,
-            weights,
-            config.criterion,
-            config.min_samples_leaf,
-            parent_imp,
+    lo = 0
+    while lo < row.size:
+        # a block ends where the feature of its _BLOCK_ENTRIES-th entry does
+        last = feature[min(lo + _BLOCK_ENTRIES, row.size) - 1]
+        hi = int(np.searchsorted(feature, last, side="right"))
+        found = _scan_block(
+            feature[lo:hi], value[lo:hi], label[lo:hi], mult[lo:hi], counts,
+            weights, config.criterion, config.min_samples_leaf, parent_imp,
         )
-        if scanned is None:
-            continue
-        gain, threshold = scanned
-        if best is None or gain > best.gain:  # ties keep the lower feature id
-            best = Split(int(feat), threshold, gain)
+        if found is not None and (best is None or found.gain > best.gain):
+            best = found  # ties keep the earlier block's lower feature id
+        lo = hi
     if best is None or best.gain <= 0.0:
         return None
     return best
 
 
-def _grow(X, y, idx, config, weights, n_classes, depth, rng, n_candidates):
+def _grow(X, index, y, idx, config, weights, n_classes, depth, rng, n_candidates):
     counts = np.bincount(y[idx], minlength=n_classes)
     node = TreeNode(
         n_samples=int(idx.size),
@@ -258,13 +326,11 @@ def _grow(X, y, idx, config, weights, n_classes, depth, rng, n_candidates):
         or np.count_nonzero(counts) <= 1
     ):
         return node
-    n_features = X.shape[1]
-    if rng is not None and n_candidates < n_features:
-        feature_ids = np.sort(rng.choice(n_features, n_candidates, replace=False))
-    else:
-        feature_ids = np.arange(n_features)
+    feature_ids = None
+    if rng is not None and n_candidates < X.shape[1]:
+        feature_ids = np.sort(rng.choice(X.shape[1], n_candidates, replace=False))
     split = best_split(
-        X[idx], y[idx], config, class_weight_vec=weights, feature_ids=feature_ids
+        index, y, config, class_weight_vec=weights, feature_ids=feature_ids, rows=idx
     )
     if split is None:
         return node
@@ -272,8 +338,10 @@ def _grow(X, y, idx, config, weights, n_classes, depth, rng, n_candidates):
     node.threshold = split.threshold
     node.gain = split.gain
     goes_left = X[idx, split.feature] <= split.threshold
-    node.left = _grow(X, y, idx[goes_left], config, weights, n_classes, depth + 1, rng, n_candidates)
-    node.right = _grow(X, y, idx[~goes_left], config, weights, n_classes, depth + 1, rng, n_candidates)
+    node.left = _grow(X, index, y, idx[goes_left], config, weights, n_classes,
+                      depth + 1, rng, n_candidates)
+    node.right = _grow(X, index, y, idx[~goes_left], config, weights, n_classes,
+                       depth + 1, rng, n_candidates)
     return node
 
 
@@ -295,7 +363,8 @@ def fit_cart(X, y, config: TreeConfig = TreeConfig()) -> CartModel:
         raise DataError("cannot fit a tree on an empty dataset")
     n_classes = int(y.max()) + 1
     weights = class_weights(y, config.class_weight, n_classes)
-    root = _grow(X, y, np.arange(y.size), config, weights, n_classes, 0, None, X.shape[1])
+    root = _grow(X, SortedNonzeros(X), y, np.arange(y.size), config, weights, n_classes,
+                 0, None, X.shape[1])
     return CartModel(root, config, n_classes, weights)
 
 
@@ -369,6 +438,7 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> Fo
     n_classes = int(y.max()) + 1
     weights = class_weights(y, config.class_weight, n_classes)
     n_candidates = _resolve_max_features(config.max_features, X.shape[1])
+    index = SortedNonzeros(X)
     roots = []
     tree_seeds = tuple(derive_seed(seed, t) for t in range(config.n_estimators))
     for tree_seed in tree_seeds:
@@ -379,7 +449,7 @@ def fit_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> Fo
             idx = np.arange(y.size)
         sampler = rng if n_candidates < X.shape[1] else None
         roots.append(
-            _grow(X, y, idx, config, weights, n_classes, 0, sampler, n_candidates)
+            _grow(X, index, y, idx, config, weights, n_classes, 0, sampler, n_candidates)
         )
     return ForestModel(roots, config, n_classes, X.shape[1], weights, tree_seeds)
 
@@ -649,19 +719,25 @@ def node_to_dict(node: TreeNode) -> dict:
     return data
 
 
+_NONNEGATIVE = whole(at_least=0)  # a node's ids and counts
+_REAL = real()
+_POSITIVE = whole(at_least=1)  # a tree header's class and feature counts
+
+
 def node_from_dict(data: dict, need_counts: bool = False) -> TreeNode:
     node = TreeNode(
-        n_samples=int(data["n_samples"]),
-        impurity=float(data["impurity"]),
-        label=int(data["label"]),
-        value=float(data["value"]),
-        gain=float(data["gain"]),
+        n_samples=check("n_samples", data["n_samples"], _NONNEGATIVE),
+        impurity=check("impurity", data["impurity"], _REAL),
+        label=check("label", data["label"], _NONNEGATIVE),
+        value=check("value", data["value"], _REAL),
+        gain=check("gain", data["gain"], _REAL),
     )
     if need_counts or "counts" in data:
-        node.counts = np.array(data["counts"], dtype=np.int64)
+        node.counts = np.array([check("counts", c, _NONNEGATIVE) for c in data["counts"]],
+                               dtype=np.int64)
     if "feature" in data:
-        node.feature = int(data["feature"])
-        node.threshold = float(data["threshold"])
+        node.feature = check("feature", data["feature"], _NONNEGATIVE)
+        node.threshold = check("threshold", data["threshold"], _REAL)
         node.left = node_from_dict(data["left"], need_counts)
         node.right = node_from_dict(data["right"], need_counts)
     return node
@@ -691,7 +767,7 @@ def cart_from_dict(data: dict) -> CartModel:
         # scores read the counts of any leaf, not just the one the load probe reaches
         root=node_from_dict(data["root"], need_counts=True),
         config=stored(TreeConfig, data["config"]),
-        n_classes=int(data["n_classes"]),
+        n_classes=check("n_classes", data["n_classes"], _POSITIVE),
         weight_per_class=np.asarray(data["weight_per_class"], dtype=np.float64),
     )
 
@@ -714,8 +790,8 @@ def forest_from_dict(data: dict) -> ForestModel:
     return ForestModel(
         roots=[node_from_dict(t) for t in data["trees"]],
         config=stored(ForestConfig, data["config"]),
-        n_classes=int(data["n_classes"]),
-        n_features=int(data["n_features"]),
+        n_classes=check("n_classes", data["n_classes"], _POSITIVE),
+        n_features=check("n_features", data["n_features"], _POSITIVE),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
         tree_seeds=tuple(data["tree_seeds"]),
     )
@@ -739,7 +815,7 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
     return GbdtModel(
         base_score=np.array(data["base_score"], dtype=np.float64),
         rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
-        n_classes=int(data["n_classes"]),
+        n_classes=check("n_classes", data["n_classes"], _POSITIVE),
         config=stored(GbdtConfig, data["config"]),
         bin_upper_bounds=[np.array(b, dtype=np.float64) for b in data["bin_upper_bounds"]],
         train_loss=[float(v) for v in data.get("train_loss", [])],

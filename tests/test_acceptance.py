@@ -404,7 +404,7 @@ def test_acceptance_8_split_sizes_and_distribution_report(tmp_path):
     spec = synth.SynthSpec(n_docs=1500, seed=99)
     rows = synth.generate(spec)
     mapping = {status: i for i, status in enumerate(spec.statuses)}
-    labels = synth.labels_from_rows(rows, mapping)
+    labels = np.array([mapping[status] for _, _, status in rows], dtype=np.int64)
     cm = metrics.confusion_matrix(labels, labels, len(spec.statuses))
     report.emit_report(
         {"class_names": list(spec.statuses), "metrics": {"confusion_matrix": cm.tolist()}},

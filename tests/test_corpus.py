@@ -55,6 +55,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             corpus.load_csv(path)
 
+    @pytest.mark.parametrize("content, line", [
+        ("id,statement,status\n1,ok,Normal\n2,n\0pe,Normal\n", 3),
+        ('id,statement,status\n1,"two\nlines\0",Normal\n', 3),
+        ("id,state\0ment,status\n1,ok,Normal\n", 1),
+    ], ids=["in-a-statement", "in-a-quoted-field-over-two-lines", "in-the-header"])
+    def test_nul_byte_is_refused_naming_file_and_line(self, tmp_path, content, line):
+        """One rule on every Python: 3.10's csv refuses NUL, 3.11's reads it."""
+        path = write_csv(tmp_path / "c.csv", content)
+        with pytest.raises(DataError, match=f"NUL byte at line {line}$") as info:
+            corpus.load_csv(path)
+        assert repr(path) in str(info.value)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write_csv(
             tmp_path / "c.csv", "id,statement,status\n1,a,Normal\n1,b,Normal\n"

@@ -122,6 +122,12 @@ class TestVocabulary:
             gru.SeqVocabulary.build(self.DOCS, max_len=0)
 
 
+def gru_cell(x, h_prev, params):
+    """One recurrence step for embedded inputs x (E,) or (B, E): the step
+    forward and training take on every non-PAD position."""
+    return gru._step(x, h_prev, params)[0]
+
+
 class TestCell:
     def test_scalar_hand_recomputation(self):
         params = zero_params(vocab=3, emb=1, hid=1, n_classes=2)
@@ -137,7 +143,7 @@ class TestCell:
         params.b_cand[0] = 0.05
         x = params.embedding[np.array([2])]
         h_prev = np.array([[0.3]])
-        got = gru.gru_cell(x, h_prev, params)
+        got = gru_cell(x, h_prev, params)
 
         def sigmoid(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -158,7 +164,7 @@ class TestCell:
         params.b_update[:] = -np.inf  # update gate exactly 0
         h_prev = np.array([[0.4, -0.2, 0.9]])
         x = params.embedding[np.array([2])]
-        got = gru.gru_cell(x, h_prev, params)
+        got = gru_cell(x, h_prev, params)
         assert np.array_equal(got, h_prev)
 
     def test_large_negative_update_bias_nearly_freezes(self, rng):
@@ -166,7 +172,7 @@ class TestCell:
         params.b_update[:] = -40.0
         h_prev = rng.normal(0, 1, (2, 3))
         x = params.embedding[np.array([2, 3])]
-        got = gru.gru_cell(x, h_prev, params)
+        got = gru_cell(x, h_prev, params)
         assert np.allclose(got, h_prev, atol=1e-12)
 
     def test_forward_advances_by_the_cell(self, rng):
@@ -176,7 +182,7 @@ class TestCell:
         batch = np.array([[2, 3, 0], [4, 0, 0], [5, 6, 7]])
         hidden = np.zeros((3, 3))
         for t in range(batch.shape[1]):
-            stepped = gru.gru_cell(params.embedding[batch[:, t]], hidden, params)
+            stepped = gru_cell(params.embedding[batch[:, t]], hidden, params)
             hidden = np.where((batch[:, t] != gru.PAD_ID)[:, None], stepped, hidden)
         expect = hidden @ params.w_out + params.b_out
         assert np.array_equal(gru.forward(params, batch), expect)

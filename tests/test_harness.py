@@ -190,6 +190,15 @@ class TestExperimentConfig:
         with pytest.raises(UsageError):
             ExperimentConfig.from_dict(payload)
 
+    def test_load_names_the_file_on_the_decoders_own_refusal(self, tmp_path):
+        payload = make_config().to_dict()
+        payload["schema_version"] = 999
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(UsageError, match="unsupported") as info:
+            ExperimentConfig.load(str(path))
+        assert repr(str(path)) in str(info.value)
+
 
 class TestCandidateList:
     def test_grid_candidates_carry_fixed_params(self):
@@ -639,6 +648,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert str(corpus) in err and "Traceback" not in err
+        assert not (tmp_path / "p.json").exists()
+
+    def test_corpus_with_a_nul_byte_exits_two(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("id,statement,status\n1,fine,Normal\n2,ba\0d,Normal\n",
+                          encoding="utf-8")
+        code = cli.run(["prepare", "--corpus", str(corpus), "--out", str(tmp_path / "p.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(corpus) in err and "line 3" in err and "Traceback" not in err
         assert not (tmp_path / "p.json").exists()
 
     @pytest.mark.parametrize("flags, setting", [
@@ -1107,6 +1126,71 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert self._evaluate(cli_prepared, stem) == 2
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, path, value", [
+        ("cart", ["root", "feature"], 7.9),
+        ("cart", ["root", "feature"], -1),
+        ("cart", ["root", "label"], 0.5),
+        ("cart", ["root", "n_samples"], -3),
+        ("cart", ["root", "left", "counts", 0], 1.5),
+        ("cart", ["root", "threshold"], float("nan")),
+        ("cart", ["root", "gain"], "0.1"),
+        ("cart", ["root", "impurity"], True),
+        ("cart", ["n_classes"], 0),
+        ("forest", ["trees", 0, "feature"], 2.5),
+        ("forest", ["n_classes"], 2.5),
+        ("forest", ["n_features"], 0),
+        ("gbdt", ["rounds", 0, 0, "value"], float("inf")),
+        ("gbdt", ["n_classes"], 1.5),
+    ], ids=["cart-fractional-feature", "cart-negative-feature", "cart-fractional-label",
+            "cart-negative-n-samples", "cart-fractional-count", "cart-nan-threshold",
+            "cart-gain-as-string", "cart-impurity-as-bool", "cart-zero-classes",
+            "forest-fractional-feature", "forest-fractional-classes", "forest-zero-features",
+            "gbdt-infinite-value", "gbdt-fractional-classes"])
+    def test_tree_number_breaking_its_rule_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, family, path, value
+    ):
+        """A fractional feature id split on its floor and -1 on the last
+        column; each tree number is now read through its rule."""
+        bundle = json.loads(json.dumps(cli_artifacts[family]["bundle"]))
+        node = bundle["model"]
+        for key in path[:-1]:
+            node = node[key]
+        assert path[-1] in (node if isinstance(node, dict) else range(len(node)))
+        node[path[-1]] = value
+        stem = str(tmp_path / family)
+        with open(stem + ".model.json", "w", encoding="utf-8") as handle:
+            json.dump(bundle, handle)
+        capsys.readouterr()
+        assert self._evaluate(cli_prepared, stem) == 2
+        err = capsys.readouterr().err
+        field = next(key for key in reversed(path) if isinstance(key, str))
+        assert f"{field}=" in err and f"{stem}.model.json" in err
+
+    @pytest.mark.parametrize("artifact", ["svm-bundle", "prepared-dataset"])
+    def test_payload_of_another_schema_names_the_file(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, artifact
+    ):
+        """The decoder's own refusal reaches the user with the path."""
+        prepared = cli_prepared["prep"]
+        stem = cli_artifacts["svm"]["stem"]
+        if artifact == "svm-bundle":
+            bundle = json.loads(json.dumps(cli_artifacts["svm"]["bundle"]))
+            bundle["model"]["schema_version"] = 1
+            stem = str(tmp_path / "svm")
+            bad = stem + ".model.json"
+            Path(bad).write_text(json.dumps(bundle), encoding="utf-8")
+        else:
+            payload = json.loads(Path(prepared).read_text(encoding="utf-8"))
+            payload["schema_version"] = -1
+            prepared = bad = str(tmp_path / "prepared.json")
+            Path(bad).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run(["evaluate", "--prepared", prepared, "--model", stem,
+                        "--out", str(tmp_path / "evaluation.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unsupported" in err and repr(bad) in err
 
     def test_cart_leaf_without_counts_exits_two(self, cli_prepared, cli_artifacts, tmp_path):
         """The load probe scores one all-zero row, which reaches only the

@@ -3,7 +3,6 @@
 import collections
 import re
 
-import numpy as np
 import pytest
 
 from mhtext import corpus, synth
@@ -92,12 +91,3 @@ class TestCsv:
         assert result.dropped_empty == 0
         statuses = {r.status for r in result.records}
         assert statuses <= set(synth.DEFAULT_STATUSES)
-
-    def test_labels_from_rows_follows_the_mapping(self):
-        rows = synth.generate(synth.SynthSpec(n_docs=20, seed=8))
-        mapping = {s: i for i, s in enumerate(sorted(synth.DEFAULT_STATUSES))}
-        labels = synth.labels_from_rows(rows, mapping)
-        assert labels.shape == (20,)
-        assert labels.dtype == np.int64
-        for (_, _, status), label in zip(rows, labels):
-            assert label == mapping[status]

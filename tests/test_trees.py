@@ -1,11 +1,14 @@
 """CART, random forest, and histogram boosting against enumeration oracles."""
 
+import contextlib
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhtext import trees
 from mhtext.errors import DataError
@@ -140,6 +143,116 @@ def verify_tree_against_oracle(X, y, node, config, depth=0):
     mask = X[:, node.feature] <= node.threshold
     verify_tree_against_oracle(X[mask], y[mask], node.left, config, depth + 1)
     verify_tree_against_oracle(X[~mask], y[~mask], node.right, config, depth + 1)
+
+
+def dense_scan_feature(x_col, y_col, n_classes, weights, criterion, min_leaf, parent_imp):
+    """One feature's best cut by sorting all of the node's values: the
+    split search before the presorted nonzero index, kept as its bitwise
+    oracle."""
+    order = np.argsort(x_col, kind="mergesort")
+    xs = x_col[order]
+    cut_positions = np.flatnonzero(xs[:-1] < xs[1:])
+    if cut_positions.size == 0:
+        return None
+    one_hot = np.zeros((xs.size, n_classes))
+    one_hot[np.arange(xs.size), y_col[order]] = 1.0
+    cum = np.cumsum(one_hot, axis=0)
+    left_counts = cum[cut_positions]
+    right_counts = cum[-1] - left_counts
+    left_n = cut_positions + 1
+    right_n = xs.size - left_n
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+    if not valid.any():
+        return None
+    left_w = left_counts * weights
+    right_w = right_counts * weights
+    left_tot = left_w.sum(axis=1)
+    right_tot = right_w.sum(axis=1)
+    left_imp = trees._impurity_rows(left_w, left_tot, criterion)
+    right_imp = trees._impurity_rows(right_w, right_tot, criterion)
+    gains = parent_imp - (left_tot * left_imp + right_tot * right_imp) / (
+        left_tot + right_tot
+    )
+    gains[~valid] = -np.inf
+    best = int(np.argmax(gains))  # first max = lowest threshold
+    threshold = (xs[cut_positions[best]] + xs[cut_positions[best] + 1]) / 2.0
+    return float(gains[best]), float(threshold)
+
+
+def dense_best_split(X, y, config, *, class_weight_vec=None, feature_ids=None):
+    """The dense split search over the node's rows X[idx], y[idx]."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1 if y.size else 0
+    weights = (
+        np.ones(n_classes)
+        if class_weight_vec is None
+        else np.asarray(class_weight_vec, dtype=np.float64)
+    )
+    if weights.size < n_classes:
+        raise ValueError("class weight vector shorter than the class count")
+    counts = np.bincount(y, minlength=weights.size).astype(np.float64)
+    parent_imp = trees.impurity(counts, config.criterion, weights)
+    if feature_ids is None:
+        feature_ids = range(X.shape[1])
+    best = None
+    for feat in feature_ids:
+        scanned = dense_scan_feature(
+            X[:, feat], y, weights.size, weights, config.criterion,
+            config.min_samples_leaf, parent_imp,
+        )
+        if scanned is None:
+            continue
+        gain, threshold = scanned
+        if best is None or gain > best.gain:  # ties keep the lower feature id
+            best = trees.Split(int(feat), threshold, gain)
+    if best is None or best.gain <= 0.0:
+        return None
+    return best
+
+
+@contextlib.contextmanager
+def dense_split_search(X):
+    """Fits grow their nodes by the dense oracle, handed X[idx] and y[idx]
+    as the growers did before the presorted index."""
+    def dense(index, y, config, *, class_weight_vec=None, feature_ids=None, rows=None):
+        return dense_best_split(X[rows], y[rows], config, class_weight_vec=class_weight_vec,
+                                feature_ids=feature_ids)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "best_split", dense)
+        yield
+
+
+def exact(split):
+    """A split with its floats as hex, so -0.0 and 0.0 differ."""
+    return None if split is None else (split.feature, split.threshold.hex(), split.gain.hex())
+
+
+# values that put a column's zero block first, last or between negatives
+# and positives, with repeats, and a -0.0 that must count as zero
+CELL_VALUES = (0.0, 0.0, 0.0, -0.0, 0.125, 0.25, 0.5, 0.5, 1.0, 3.0, -0.25, -1.0, -2.0)
+
+
+@st.composite
+def sparse_problems(draw, max_rows=24, max_features=6):
+    """(X, y): cells from CELL_VALUES or any float in [-4, 4], with some
+    columns all zero and some with no zero; every class in y present."""
+    n = draw(st.integers(2, max_rows))
+    d = draw(st.integers(1, max_features))
+    cell = st.one_of(st.sampled_from(CELL_VALUES), st.floats(-4.0, 4.0, width=32))
+    X = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)), dtype=np.float64)
+    X = X.reshape(n, d)
+    for f, kind in enumerate(draw(st.lists(st.sampled_from(["mixed", "mixed", "zero", "full"]),
+                                           min_size=d, max_size=d))):
+        if kind == "zero":
+            X[:, f] = 0.0
+        elif kind == "full":
+            X[X[:, f] == 0.0, f] = 0.75
+    n_classes = draw(st.integers(2, min(4, n)))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    y[:n_classes] = np.arange(n_classes)
+    return X, y
 
 
 def route_recursively(node, x):
@@ -303,6 +416,122 @@ class TestBestSplit:
                 assert got is None
             else:
                 assert got.gain == pytest.approx(expect[2], abs=1e-12)
+
+
+class TestSparseSplitSearch:
+    """The presorted nonzero scan against the dense oracle, bit for bit."""
+
+    @given(
+        problem=sparse_problems(),
+        criterion=st.sampled_from(["gini", "entropy"]),
+        min_leaf=st.integers(1, 4),
+        weighting=st.sampled_from(["none", "balanced", "uneven"]),
+        draw_rows=st.sampled_from(["all", "subset", "bootstrap"]),
+        block=st.sampled_from([1, 2, 3, 7, trees._BLOCK_ENTRIES]),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_best_split_matches_the_dense_scan(
+        self, problem, criterion, min_leaf, weighting, draw_rows, block, data
+    ):
+        X, y = problem
+        n, d = X.shape
+        k = int(y.max()) + 1
+        weights = {"none": None,
+                   "balanced": n / (k * np.bincount(y, minlength=k)),
+                   "uneven": np.array([1.0, 2.5, 1 / 3, 0.75])[:k]}[weighting]
+        rows = None
+        if draw_rows != "all":
+            rows = np.sort(np.array(data.draw(st.lists(
+                st.integers(0, n - 1), min_size=1, max_size=2 * n,
+                unique=draw_rows == "subset"))))
+        feature_ids = data.draw(st.one_of(st.none(), st.lists(
+            st.integers(0, d - 1), min_size=1, max_size=d, unique=True).map(sorted)))
+        config = trees.TreeConfig(criterion=criterion, min_samples_leaf=min_leaf)
+        node = np.arange(n) if rows is None else rows
+        expect = dense_best_split(X[node], y[node], config, class_weight_vec=weights,
+                                  feature_ids=feature_ids)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_BLOCK_ENTRIES", block)  # many blocks, ties across them
+            got = trees.best_split(X, y, config, class_weight_vec=weights,
+                                   feature_ids=feature_ids, rows=rows)
+        assert exact(got) == exact(expect)
+
+    @given(
+        problem=sparse_problems(),
+        criterion=st.sampled_from(["gini", "entropy"]),
+        max_depth=st.sampled_from([3, 12, None]),
+        min_leaf=st.integers(1, 3),
+        class_weight=st.sampled_from([None, "balanced"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_cart_matches_the_dense_oracle(
+        self, problem, criterion, max_depth, min_leaf, class_weight
+    ):
+        X, y = problem
+        config = trees.TreeConfig(criterion=criterion, max_depth=max_depth,
+                                  min_samples_leaf=min_leaf, class_weight=class_weight)
+        got = json.dumps(trees.cart_to_dict(trees.fit_cart(X, y, config)))
+        with dense_split_search(X):
+            expect = json.dumps(trees.cart_to_dict(trees.fit_cart(X, y, config)))
+        assert got == expect
+
+    @given(
+        problem=sparse_problems(),
+        criterion=st.sampled_from(["gini", "entropy"]),
+        max_depth=st.sampled_from([3, 12, None]),
+        max_features=st.sampled_from(["sqrt", 1, 2, None]),
+        bootstrap=st.booleans(),
+        class_weight=st.sampled_from([None, "balanced"]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_forest_matches_the_dense_oracle(
+        self, problem, criterion, max_depth, max_features, bootstrap, class_weight, seed
+    ):
+        X, y = problem
+        config = trees.ForestConfig(
+            n_estimators=3, criterion=criterion, max_depth=max_depth,
+            max_features=max_features, bootstrap=bootstrap, class_weight=class_weight,
+        )
+        got = json.dumps(trees.forest_to_dict(trees.fit_forest(X, y, config, seed=seed)))
+        with dense_split_search(X):
+            expect = json.dumps(trees.forest_to_dict(trees.fit_forest(X, y, config, seed=seed)))
+        assert got == expect
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tfidf_like_matrix_over_many_blocks(self, seed):
+        """Rows of a few L2-normalised positive cells, as TF-IDF gives,
+        scanned in blocks of about 50 entries, at full depth."""
+        rng = np.random.default_rng(seed)
+        n, d = 240, 80
+        X = np.where(rng.random((n, d)) < 0.06, rng.random((n, d)), 0.0)
+        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+        y = (X[:, :5].sum(axis=1) > X[:, 5:10].sum(axis=1)).astype(int) + 2 * (rng.random(n) < 0.2)
+        cart = trees.TreeConfig(class_weight="balanced", min_samples_leaf=2)
+        forest = trees.ForestConfig(n_estimators=4, criterion="entropy")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_BLOCK_ENTRIES", 50)
+            got = [json.dumps(trees.cart_to_dict(trees.fit_cart(X, y, cart))),
+                   json.dumps(trees.forest_to_dict(trees.fit_forest(X, y, forest, seed=seed)))]
+        with dense_split_search(X):
+            expect = [json.dumps(trees.cart_to_dict(trees.fit_cart(X, y, cart))),
+                      json.dumps(trees.forest_to_dict(trees.fit_forest(X, y, forest, seed=seed)))]
+        assert got == expect
+
+    @given(problem=sparse_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_index_holds_each_nonzero_cell_once_in_feature_then_value_order(self, problem):
+        X, _ = problem
+        index = trees.SortedNonzeros(X)
+        cells = sorted((f, X[r, f], r) for r, f in zip(*np.nonzero(X)))
+        got = sorted(zip(index.feature.tolist(), index.value.tolist(), index.row.tolist()))
+        assert got == [(int(f), float(v), int(r)) for f, v, r in cells]
+        keys = list(zip(index.feature.tolist(), index.value.tolist()))
+        assert keys == sorted(keys)
+        for f in range(X.shape[1]):
+            lo, hi = index.starts[f], index.starts[f + 1]
+            assert (index.feature[lo:hi] == f).all() and hi - lo == np.count_nonzero(X[:, f])
 
 
 class TestCart:
