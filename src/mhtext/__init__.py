@@ -5,6 +5,9 @@ split deterministically, featurize (TF-IDF for the classical models, id
 sequences for the recurrent one), train, and evaluate with
 imbalance-aware metrics. A search harness and a CLI tie the stages
 together.
+
+Import names from their submodules (`from mhtext.metrics import
+auroc`); the package itself only makes each submodule an attribute.
 """
 
 from . import (
@@ -23,66 +26,23 @@ from . import (
     synth,
     trees,
 )
-from .config import ExperimentConfig, PreparedDataset, prepare_dataset
-from .corpus import (
-    DatasetSplit,
-    Document,
-    LabelScheme,
-    build_documents,
-    clean_text,
-    load_csv,
-    normalize,
-    split_dataset,
-)
-from .errors import DataError, SearchFailedError, ToolkitError, UsageError
-from .metrics import (
-    auroc,
-    confusion_matrix,
-    evaluate_predictions,
-    precision_recall_f1,
-    roc_curve,
-)
-from .search import FittedModel, run_search, train_family
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DataError",
-    "DatasetSplit",
-    "Document",
-    "ExperimentConfig",
-    "FittedModel",
-    "LabelScheme",
-    "PreparedDataset",
-    "SearchFailedError",
-    "ToolkitError",
-    "UsageError",
-    "auroc",
-    "build_documents",
-    "clean_text",
     "cli",
     "config",
-    "confusion_matrix",
     "corpus",
-    "evaluate_predictions",
     "features",
     "gru",
     "linear",
-    "load_csv",
     "metrics",
-    "normalize",
-    "precision_recall_f1",
-    "prepare_dataset",
     "presets",
     "report",
-    "roc_curve",
-    "run_search",
     "search",
     "seeds",
-    "split_dataset",
     "svm",
     "synth",
-    "train_family",
     "trees",
     "__version__",
 ]

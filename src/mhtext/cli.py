@@ -179,8 +179,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    evaluation = read_json(args.evaluation, "evaluation file", report_mod.check_evaluation)
-    written = report_mod.emit_report(evaluation, _resolve(args.outdir))
+    report = read_json(args.evaluation, "evaluation file", report_mod.check_evaluation)
+    written = report_mod.emit_report(report, _resolve(args.outdir))
     print("wrote " + ", ".join(written))
     return 0
 

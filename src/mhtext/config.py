@@ -103,8 +103,8 @@ class PreparedDataset:
             split=DatasetSplit.from_dict(data["split"]),
             tfidf=features.TfIdfModel.from_dict(data["tfidf"]),
             vocab=SeqVocabulary.from_dict(data["vocab"]),
-            seed=int(data["seed"]),
-            n_dropped=int(data.get("n_dropped", 0)),
+            seed=check("seed", data["seed"], whole()),
+            n_dropped=check("n_dropped", data.get("n_dropped", 0), whole(at_least=0)),
         )
         # cheap shape checks, so a bad file fails here and not mid-fit
         n_docs = dataset.n_docs

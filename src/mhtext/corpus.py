@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check, whole
 from .lexicon import STOPWORDS, lemmatize
 
 BINARY_NORMAL_STATUS = "Normal"
@@ -251,7 +251,7 @@ class DatasetSplit:
             tuple(data["train"]),
             tuple(data["validation"]),
             tuple(data["test"]),
-            int(data["seed"]),
+            check("split.seed", data["seed"], whole()),
         )
 
 

@@ -1,11 +1,12 @@
 """The model families, each declared once.
 
 An entry says everything the harness needs to know about one family:
-its config, the featurizer it reads, how to fit it, how to score
-rows, and how its fitted payload turns into JSON and back. The config
-is a frozen dataclass whose fields are the hyperparameters the family
-accepts, with their defaults; it applies each value rule when it is
-built and raises ValueError for a value that breaks one.
+its config, the featurizer it reads, how to fit it, how to label and
+score rows in one pass, and how its fitted payload turns into JSON and
+back. The config is a frozen dataclass whose fields are the
+hyperparameters the family accepts, with their defaults; it applies
+each value rule when it is built and raises ValueError for a value
+that breaks one.
 
 Entries call solvers through their module attribute at call time
 (``linear.fit_logistic(...)``), never through a function object taken
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Callable
 
+import numpy as np
+
 from . import gru, linear, svm, trees
 from .errors import DataError, UsageError
 
@@ -28,10 +31,9 @@ class Family:
     config: type  # frozen dataclass; its fields are the accepted hyperparameters
     features: str  # the PreparedDataset featurizer it reads: "tfidf" or "vocab"
     fit: Callable  # (X, y, config, seed, dataset) -> (payload, extra)
-    scores: Callable  # (payload, rows) -> (n, k) class scores
+    infer: Callable  # (payload, rows) -> (labels, (n, k) class scores), in one pass
     to_dict: Callable  # payload -> serializable mapping
     from_dict: Callable  # mapping -> payload
-    predict: Callable | None = None  # (payload, rows) -> labels, when not argmax(scores)
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -63,6 +65,15 @@ def _fit_gru(X, y, config, seed, dataset):
     return params, {"history": history}
 
 
+def _argmax_labels(scores: Callable) -> Callable:
+    """The inference hook of a family whose label is its most probable
+    class: `scores(payload, rows)` once, ties going to the lowest id."""
+    def infer(payload, rows):
+        class_scores = scores(payload, rows)
+        return np.argmax(class_scores, axis=1), class_scores
+    return infer
+
+
 REGISTRY: dict[str, Family] = {
     family.name: family
     for family in (
@@ -71,7 +82,7 @@ REGISTRY: dict[str, Family] = {
             linear.LogisticConfig,
             "tfidf",
             fit=lambda X, y, config, seed, dataset: (linear.fit_logistic(X, y, config), {}),
-            scores=lambda p, rows: linear.predict_proba(p, rows),
+            infer=_argmax_labels(lambda p, rows: linear.predict_proba(p, rows)),
             to_dict=linear.to_dict,
             from_dict=linear.from_dict,
         ),
@@ -80,31 +91,32 @@ REGISTRY: dict[str, Family] = {
             svm.SvmConfig,
             "tfidf",
             fit=lambda X, y, config, seed, dataset: (svm.fit_svm(X, y, config, seed), {}),
-            scores=lambda p, rows: svm.class_scores(p, rows),
+            # majority vote, vote ties to the lowest class id, and the
+            # vote-refining scores, from one set of pair margins
+            infer=lambda p, rows: svm.votes_and_scores(p, rows),
             to_dict=svm.to_dict,
             from_dict=svm.from_dict,
-            # majority vote; vote ties go to the lowest class id
-            predict=lambda p, rows: svm.predict(p, rows),
         ),
         Family(
             "cart",
             trees.TreeConfig,
             "tfidf",
             fit=lambda X, y, config, seed, dataset: (trees.fit_cart(X, y, config), {}),
-            scores=lambda p, rows: trees.tree_class_scores(
-                p.root, rows, p.n_classes, p.weight_per_class
+            # the label stored in each leaf at fit time, which balanced
+            # class weights can set apart from the argmax of the scores
+            infer=lambda p, rows: (
+                trees.predict_tree(p.root, rows),
+                trees.tree_class_scores(p.root, rows, p.n_classes, p.weight_per_class),
             ),
             to_dict=trees.cart_to_dict,
             from_dict=trees.cart_from_dict,
-            # the label stored in each leaf at fit time
-            predict=lambda p, rows: trees.predict_tree(p.root, rows),
         ),
         Family(
             "forest",
             trees.ForestConfig,
             "tfidf",
             fit=lambda X, y, config, seed, dataset: (trees.fit_forest(X, y, config, seed), {}),
-            scores=lambda p, rows: trees.forest_scores(p, rows),
+            infer=_argmax_labels(lambda p, rows: trees.forest_scores(p, rows)),
             to_dict=trees.forest_to_dict,
             from_dict=trees.forest_from_dict,
         ),
@@ -113,7 +125,7 @@ REGISTRY: dict[str, Family] = {
             trees.GbdtConfig,
             "tfidf",
             fit=lambda X, y, config, seed, dataset: (trees.fit_gbdt(X, y, config), {}),
-            scores=lambda p, rows: trees.predict_gbdt_proba(p, rows),
+            infer=_argmax_labels(lambda p, rows: trees.predict_gbdt_proba(p, rows)),
             to_dict=trees.gbdt_to_dict,
             from_dict=trees.gbdt_from_dict,
         ),
@@ -122,7 +134,7 @@ REGISTRY: dict[str, Family] = {
             gru.GruConfig,
             "vocab",
             fit=_fit_gru,
-            scores=lambda p, rows: gru.predict_scores(p, rows),
+            infer=_argmax_labels(lambda p, rows: gru.predict_scores(p, rows)),
             to_dict=gru.to_dict,
             from_dict=gru.from_dict,
         ),

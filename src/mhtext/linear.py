@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check_fields, one_of, real, stored, whole
+from .errors import DataError, check, check_fields, one_of, real, stored, whole
 
 SCHEMA_VERSION = 1
 
@@ -213,11 +213,16 @@ def from_dict(data: dict) -> LinearModelParams:
         raise DataError(
             f"unsupported linear model schema: {data.get('schema_version')!r}"
         )
-    return LinearModelParams(
-        np.array(data["weights"], dtype=np.float64),
-        np.array(data["bias"], dtype=np.float64),
-        int(data["n_classes"]),
-        data["kind"],
-        stored(LogisticConfig, data["config"]),
-    )
-
+    kind = check("kind", data["kind"], one_of("sigmoid", "softmax"))
+    n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
+    if kind == "sigmoid" and n_classes != 2:
+        raise DataError(f"kind={kind!r} with n_classes={n_classes}: "
+                        "a sigmoid model has 2 classes")
+    weights = np.array(data["weights"], dtype=np.float64)
+    bias = np.array(data["bias"], dtype=np.float64)
+    rows = 1 if kind == "sigmoid" else n_classes
+    if weights.ndim != 2 or weights.shape[0] != rows or bias.shape != (rows,):
+        raise DataError(f"weights and bias of shapes {weights.shape} and {bias.shape}: a "
+                        f"{kind} model over {n_classes} classes has {rows} of each")
+    return LinearModelParams(weights, bias, n_classes, kind,
+                             stored(LogisticConfig, data["config"]))

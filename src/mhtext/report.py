@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 FIXED_CLOCK_ENV = "MHTEXT_FIXED_CLOCK"
@@ -139,30 +140,38 @@ def _render(evaluation: dict) -> list[tuple[str, str]]:
     return files
 
 
-def check_evaluation(evaluation: dict) -> dict:
+@dataclass(frozen=True)
+class Report:
+    """A checked evaluation and the ROC and class-distribution files
+    drawn from it, as (name, text) pairs."""
+
+    evaluation: dict
+    files: list[tuple[str, str]]
+
+
+def check_evaluation(evaluation: dict) -> Report:
     """Decode an evaluation file read from JSON: its metrics must be an
-    object that every report file can be drawn from."""
+    object that every report file can be drawn from, so a file that
+    cannot be drawn is refused before any is written."""
     if not isinstance(evaluation.get("metrics"), dict):
         raise ValueError("no metrics object")
-    _render(evaluation)
-    return evaluation
+    return Report(evaluation, _render(evaluation))
 
 
-def emit_report(evaluation: dict, outdir: str) -> list[str]:
-    """Write report.json plus ROC and class-distribution files.
+def emit_report(report: Report, outdir: str) -> list[str]:
+    """Write report.json plus the report's ROC and class-distribution
+    files.
 
     Returns the list of paths written. The ROC CSV is only produced when
-    the evaluation carries ROC points. Every file is rendered before the
-    first one is written.
+    the evaluation carries ROC points.
     """
-    files = _render(evaluation)
-    payload = dict(evaluation)
+    payload = dict(report.evaluation)
     payload["generated_at"] = timestamp()
     os.makedirs(outdir, exist_ok=True)
     report_path = os.path.join(outdir, "report.json")
     write_json(payload, report_path)
     written = [report_path]
-    for name, text in files:
+    for name, text in report.files:
         path = os.path.join(outdir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

@@ -109,19 +109,12 @@ class FittedModel:
                             "featurizers")
         return dataset.rows(name, split_name)
 
-    def predict(self, dataset: PreparedDataset, split_name: str) -> np.ndarray:
-        return self.predict_rows(self._inputs(dataset, split_name))
-
-    def scores(self, dataset: PreparedDataset, split_name: str) -> np.ndarray:
-        return self.score_rows(self._inputs(dataset, split_name))
-
-    def predict_rows(self, rows: np.ndarray) -> np.ndarray:
-        if self.spec.predict is None:
-            return np.argmax(self.spec.scores(self.payload, rows), axis=1)
-        return self.spec.predict(self.payload, rows)
-
-    def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        return pad_scores(self.spec.scores(self.payload, rows), self.scheme.n_classes)
+    def infer(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and class scores of `rows` from one pass of the model;
+        the scores are padded to the scheme's classes, after the labels
+        are drawn from the model's own columns."""
+        labels, scores = self.spec.infer(self.payload, rows)
+        return labels, pad_scores(scores, self.scheme.n_classes)
 
 
 def pad_scores(scores: np.ndarray, n_classes: int) -> np.ndarray:
@@ -236,9 +229,8 @@ def run_search(
         try:
             fitted = train_family(config.family, params, dataset,
                                   model_seed=trial_seed(config.seed, i))
-            score = weighted_f1(
-                val_labels, fitted.predict(dataset, "validation"), n_classes
-            )
+            labels, _ = fitted.infer(fitted._inputs(dataset, "validation"))
+            score = weighted_f1(val_labels, labels, n_classes)
         except (ToolkitError, ValueError, FloatingPointError) as exc:
             trials.append(TrialRecord(i, params, None, str(exc), clock() - start))
             continue
@@ -266,13 +258,9 @@ def decode_best_config(data: dict) -> tuple[str, dict, int]:
 def evaluate_model(
     fitted: FittedModel, dataset: PreparedDataset, split_name: str
 ) -> EvaluationReport:
-    y_true = dataset.labels_for(split_name)
-    return evaluate_predictions(
-        y_true,
-        fitted.predict(dataset, split_name),
-        fitted.scores(dataset, split_name),
-        n_classes=dataset.scheme.n_classes,
-    )
+    labels, scores = fitted.infer(fitted._inputs(dataset, split_name))
+    return evaluate_predictions(dataset.labels_for(split_name), labels, scores,
+                                n_classes=dataset.scheme.n_classes)
 
 
 def evaluation_record(family: str, dataset: PreparedDataset, split_name: str,
@@ -329,8 +317,15 @@ def _decode_bundle(bundle: dict, stem: str) -> FittedModel:
     else:
         featurizer = features_mod.TfIdfModel.from_dict(bundle["tfidf"])
         payload = spec.from_dict(bundle["model"])
-    fitted = FittedModel(spec.name, payload, scheme, featurizer, bundle.get("extra", {}))
+    extra = bundle.get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"extra={extra!r}: expected a JSON object")
+    fitted = FittedModel(spec.name, payload, scheme, featurizer, extra)
     # a payload can decode and still be unusable, e.g. a scalar where
-    # an array belongs; scoring the rows of one empty document shows it
-    fitted.score_rows(featurizer.rows([()]))
+    # an array belongs, or score classes its scheme lacks; running it on
+    # one empty document shows it
+    _, scores = fitted.infer(featurizer.rows([()]))
+    if scores.shape[1] != scheme.n_classes:
+        raise DataError(f"the model scores {scores.shape[1]} classes; its scheme has "
+                        f"{scheme.n_classes}")
     return fitted

@@ -273,22 +273,27 @@ def _votes_and_margin_sums(model: SvmModel, X):
     return votes, sums
 
 
+def votes_and_scores(model: SvmModel, X) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and continuous per-class scores from one set of margins.
+
+    The label is the majority vote over pair models, vote ties going to
+    the lowest class id. The score for ROC analysis is the vote count
+    plus a margin-sum term bounded inside (-1/3, 1/3), so ranking by
+    score refines the vote ordering without ever crossing a full-vote
+    gap.
+    """
+    votes, sums = _votes_and_margin_sums(model, X)
+    return np.argmax(votes, axis=1), votes + sums / (3.0 * (np.abs(sums) + 1.0))
+
+
 def predict(model: SvmModel, X) -> np.ndarray:
     """Majority vote over pair models; vote ties go to the lowest class id."""
-    votes, _ = _votes_and_margin_sums(model, X)
-    return np.argmax(votes, axis=1)
+    return votes_and_scores(model, X)[0]
 
 
 def class_scores(model: SvmModel, X) -> np.ndarray:
-    """Continuous per-class scores for ROC analysis.
-
-    Vote counts plus a margin-sum term bounded inside (-1/3, 1/3), so
-    ranking by score refines the vote ordering without ever crossing a
-    full-vote gap. Prediction itself uses predict(), where vote ties
-    break to the lowest class id.
-    """
-    votes, sums = _votes_and_margin_sums(model, X)
-    return votes + sums / (3.0 * (np.abs(sums) + 1.0))
+    """Continuous per-class scores for ROC analysis (see votes_and_scores)."""
+    return votes_and_scores(model, X)[1]
 
 
 def to_dict(model: SvmModel) -> dict:
@@ -310,17 +315,28 @@ def to_dict(model: SvmModel) -> dict:
     }
 
 
+_CLASS_ID = whole(at_least=0)
+
+
 def from_dict(data: dict) -> SvmModel:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported SVM model schema: found schema_version "
                         f"{data.get('schema_version')!r}; this version reads {SCHEMA_VERSION}")
+    classes = tuple(check("classes", c, _CLASS_ID) for c in data["classes"])
+    if len(classes) < 2 or list(classes) != sorted(set(classes)):
+        raise DataError(f"classes={list(classes)!r}: expected two or more class ids "
+                        "in increasing order")
     pairs = []
     for entry in data["pairs"]:
         pair = PairModel(
-            class_neg=int(entry["class_neg"]),
-            class_pos=int(entry["class_pos"]),
-            b=float(entry["b"]),
+            class_neg=check("class_neg", entry["class_neg"], _CLASS_ID),
+            class_pos=check("class_pos", entry["class_pos"], _CLASS_ID),
+            b=check("b", entry["b"], real()),
         )
+        if not (pair.class_neg < pair.class_pos
+                and {pair.class_neg, pair.class_pos} <= set(classes)):
+            raise DataError(f"class_neg={pair.class_neg}, class_pos={pair.class_pos}: expected "
+                            f"two ids of classes {list(classes)}, class_neg < class_pos")
         if "w" in entry:
             pair.w = np.array(entry["w"], dtype=np.float64)
         else:
@@ -329,8 +345,7 @@ def from_dict(data: dict) -> SvmModel:
         pairs.append(pair)
     return SvmModel(
         config=stored(SvmConfig, data["config"]),
-        classes=tuple(int(c) for c in data["classes"]),
+        classes=classes,
         pairs=pairs,
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
     )
-

@@ -793,7 +793,7 @@ def forest_from_dict(data: dict) -> ForestModel:
         n_classes=check("n_classes", data["n_classes"], _POSITIVE),
         n_features=check("n_features", data["n_features"], _POSITIVE),
         weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
-        tree_seeds=tuple(data["tree_seeds"]),
+        tree_seeds=tuple(check("tree_seeds", s, _NONNEGATIVE) for s in data["tree_seeds"]),
     )
 
 
@@ -818,5 +818,5 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
         n_classes=check("n_classes", data["n_classes"], _POSITIVE),
         config=stored(GbdtConfig, data["config"]),
         bin_upper_bounds=[np.array(b, dtype=np.float64) for b in data["bin_upper_bounds"]],
-        train_loss=[float(v) for v in data.get("train_loss", [])],
+        train_loss=[check("train_loss", v, _REAL) for v in data.get("train_loss", [])],
     )

@@ -373,9 +373,8 @@ def test_acceptance_7_every_family_learns_the_synthetic_corpus(synthetic_run):
     for label, params in FAMILY_SETTINGS:
         family = label.split("-")[0]
         fitted = search.train_family(family, dict(params), dataset, model_seed=9)
-        f1 = metrics.weighted_f1(
-            y_test, fitted.predict(dataset, "test"), dataset.scheme.n_classes
-        )
+        labels, _ = fitted.infer(dataset.rows(fitted.spec.features, "test"))
+        f1 = metrics.weighted_f1(y_test, labels, dataset.scheme.n_classes)
         results[label] = f1
     elapsed = time.perf_counter() - start + synthetic_run["seconds"]
     failures = {k: v for k, v in results.items() if v < 0.95}
@@ -406,10 +405,9 @@ def test_acceptance_8_split_sizes_and_distribution_report(tmp_path):
     mapping = {status: i for i, status in enumerate(spec.statuses)}
     labels = np.array([mapping[status] for _, _, status in rows], dtype=np.int64)
     cm = metrics.confusion_matrix(labels, labels, len(spec.statuses))
-    report.emit_report(
-        {"class_names": list(spec.statuses), "metrics": {"confusion_matrix": cm.tolist()}},
-        str(tmp_path),
-    )
+    report.emit_report(report.check_evaluation(
+        {"class_names": list(spec.statuses), "metrics": {"confusion_matrix": cm.tolist()}}
+    ), str(tmp_path))
     lines = (tmp_path / "class_distribution.csv").read_text().splitlines()[1:]
     counts = {line.split(",")[1]: int(line.split(",")[2]) for line in lines}
     assert sum(counts.values()) == spec.n_docs

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from mhtext import cli, families, metrics, presets, report, search
+from mhtext import cli, families, gru, linear, metrics, presets, report, search, svm, trees
 from mhtext.config import FAMILIES, ExperimentConfig, PreparedDataset
 from mhtext.errors import DataError, SearchFailedError, UsageError
 
@@ -256,8 +256,7 @@ class TestTrainFamily:
         )
         assert fitted.family == family
         n_val = dataset.labels_for("validation").size
-        preds = fitted.predict(dataset, "validation")
-        scores = fitted.scores(dataset, "validation")
+        preds, scores = fitted.infer(fitted._inputs(dataset, "validation"))
         assert preds.shape == (n_val,)
         assert scores.shape == (n_val, dataset.scheme.n_classes)
         assert np.all(np.isfinite(scores))
@@ -268,23 +267,18 @@ class TestTrainFamily:
         assert path == stem + ".model.json"
         reloaded = search.load_model(stem)
         assert reloaded.family == family
-        assert np.array_equal(reloaded.predict(dataset, "validation"), preds)
-        assert np.array_equal(reloaded.scores(dataset, "validation"), scores)
+        again, again_scores = reloaded.infer(reloaded._inputs(dataset, "validation"))
+        assert np.array_equal(again, preds)
+        assert np.array_equal(again_scores, scores)
 
     def test_split_predictions_match_row_predictions(self, prepared_binary):
         dataset = prepared_binary
-        logistic = search.train_family(
-            "logistic", dict(FAMILY_PARAMS["logistic"]), dataset
-        )
-        assert np.array_equal(
-            logistic.predict(dataset, "validation"),
-            logistic.predict_rows(dataset.rows("tfidf", "validation")),
-        )
-        gru = search.train_family("gru", dict(FAMILY_PARAMS["gru"]), dataset)
-        assert np.array_equal(
-            gru.predict(dataset, "validation"),
-            gru.predict_rows(dataset.rows("vocab", "validation")),
-        )
+        for family, features in (("logistic", "tfidf"), ("gru", "vocab")):
+            fitted = search.train_family(family, dict(FAMILY_PARAMS[family]), dataset)
+            from_split = fitted.infer(fitted._inputs(dataset, "validation"))
+            from_rows = fitted.infer(dataset.rows(features, "validation"))
+            for ours, theirs in zip(from_split, from_rows):
+                assert np.array_equal(ours, theirs)
 
     def test_unknown_family_rejected(self, prepared_binary):
         with pytest.raises(DataError):
@@ -297,6 +291,105 @@ class TestTrainFamily:
         assert np.array_equal(padded[:, :2], scores)
         assert np.array_equal(padded[:, 2:], np.zeros((2, 2)))
         assert np.array_equal(search.pad_scores(scores, 2), scores)
+
+
+def _old_svm_votes(model, rows):
+    votes, _ = svm._votes_and_margin_sums(model, rows)
+    return np.argmax(votes, axis=1)
+
+
+def _old_svm_scores(model, rows):
+    votes, sums = svm._votes_and_margin_sums(model, rows)
+    return votes + sums / (3.0 * (np.abs(sums) + 1.0))
+
+
+# The two inference hooks each family had before `Family.infer`: its
+# scores, and labels of their argmax unless a `predict` hook said
+# otherwise; the oracle of one-pass inference.
+OLD_SCORES = {
+    "logistic": lambda p, rows: linear.predict_proba(p, rows),
+    "svm": _old_svm_scores,
+    "cart": lambda p, rows: trees.tree_class_scores(
+        p.root, rows, p.n_classes, p.weight_per_class),
+    "forest": lambda p, rows: trees.forest_scores(p, rows),
+    "gbdt": lambda p, rows: trees.predict_gbdt_proba(p, rows),
+    "gru": lambda p, rows: gru.predict_scores(p, rows),
+}
+OLD_PREDICT = {
+    "svm": _old_svm_votes,
+    "cart": lambda p, rows: trees.predict_tree(p.root, rows),
+}
+
+
+def old_predict_rows(fitted: search.FittedModel, rows) -> np.ndarray:
+    predict = OLD_PREDICT.get(fitted.family)
+    if predict is None:
+        return np.argmax(OLD_SCORES[fitted.family](fitted.payload, rows), axis=1)
+    return predict(fitted.payload, rows)
+
+
+def old_score_rows(fitted: search.FittedModel, rows) -> np.ndarray:
+    return search.pad_scores(OLD_SCORES[fitted.family](fitted.payload, rows),
+                             fitted.scheme.n_classes)
+
+
+INFER_CASES = {
+    "logistic": ("logistic", {"C": 1000.0, "max_iter": 100}),
+    "svm-linear": ("svm", {"kernel": "linear", "max_epochs": 100}),
+    "svm-rbf": ("svm", {"kernel": "rbf", "max_epochs": 20}),
+    "cart": ("cart", {"max_depth": 6}),
+    "cart-balanced": ("cart", {"max_depth": 2, "class_weight": "balanced"}),
+    "forest": ("forest", {"n_estimators": 5, "max_depth": 6}),
+    "gbdt": ("gbdt", {"n_estimators": 3, "num_leaves": 4}),
+    "gru": ("gru", dict(FAMILY_PARAMS["gru"], class_weight=None)),
+}
+
+
+class TestOnePassInference:
+    @pytest.mark.parametrize("case", sorted(INFER_CASES))
+    @pytest.mark.parametrize("scheme, lacks_a_class", [
+        ("binary", False), ("multiclass", False), ("multiclass", True),
+    ], ids=["binary", "multiclass", "multiclass-lacking-a-class"])
+    def test_labels_and_scores_match_the_two_hook_oracle(
+        self, prepared_binary, prepared_multiclass, case, scheme, lacks_a_class
+    ):
+        """One call gives the labels and padded scores the separate
+        predict and score paths gave, bit for bit, on every split; a
+        model that never saw the last class gets a zero column for it."""
+        dataset = prepared_binary if scheme == "binary" else prepared_multiclass
+        family, params = INFER_CASES[case]
+        spec = families.get(family)
+        X, y = dataset.rows(spec.features, "train"), dataset.labels_for("train")
+        n_classes = dataset.scheme.n_classes
+        if lacks_a_class:
+            keep = y != n_classes - 1
+            X, y = X[keep], y[keep]
+        payload, _ = spec.fit(X, y, spec.config(**params), 3, dataset)
+        fitted = search.FittedModel(family, payload, dataset.scheme,
+                                    getattr(dataset, spec.features))
+        for split in ("train", "validation", "test"):
+            rows = dataset.rows(spec.features, split)
+            labels, scores = fitted.infer(rows)
+            expected_labels = old_predict_rows(fitted, rows)
+            expected_scores = old_score_rows(fitted, rows)
+            assert labels.dtype == expected_labels.dtype
+            assert labels.tobytes() == expected_labels.tobytes()
+            assert scores.dtype == expected_scores.dtype
+            assert scores.shape == (rows.shape[0], n_classes)
+            assert scores.tobytes() == expected_scores.tobytes()
+        if lacks_a_class and family != "gru":  # the GRU always has a column per class
+            assert OLD_SCORES[family](payload, rows).shape[1] < n_classes
+            assert not scores[:, -1].any()
+
+    def test_evaluate_runs_the_model_once(self, prepared_multiclass, monkeypatch):
+        dataset = prepared_multiclass
+        fitted = search.train_family("gru", dict(FAMILY_PARAMS["gru"]), dataset)
+        calls = []
+        original = gru.predict_scores
+        monkeypatch.setattr(gru, "predict_scores",
+                            lambda *args: calls.append(1) or original(*args))
+        search.evaluate_model(fitted, dataset, "test")
+        assert len(calls) == 1
 
 
 class TestRunSearch:
@@ -352,10 +445,9 @@ class TestRunSearch:
         result = search.run_search(dataset, make_config())
         family, params, model_seed = search.decode_best_config(result.best_config())
         refit = search.train_family(family, params, dataset, model_seed=model_seed)
+        labels, _ = refit.infer(refit._inputs(dataset, "validation"))
         score = metrics.weighted_f1(
-            dataset.labels_for("validation"),
-            refit.predict(dataset, "validation"),
-            dataset.scheme.n_classes,
+            dataset.labels_for("validation"), labels, dataset.scheme.n_classes
         )
         assert score == result.best_trial.val_weighted_f1
 
@@ -483,8 +575,8 @@ class TestReport:
     def test_fixed_clock_makes_outputs_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv(report.FIXED_CLOCK_ENV, "1")
         evaluation = binary_evaluation()
-        first = report.emit_report(evaluation, str(tmp_path / "a"))
-        second = report.emit_report(evaluation, str(tmp_path / "b"))
+        first = report.emit_report(report.check_evaluation(evaluation), str(tmp_path / "a"))
+        second = report.emit_report(report.check_evaluation(evaluation), str(tmp_path / "b"))
         assert [os.path.basename(p) for p in first] == [
             os.path.basename(p) for p in second
         ]
@@ -496,7 +588,7 @@ class TestReport:
         assert payload["generated_at"] == "1970-01-01T00:00:00Z"
 
     def test_report_files_written(self, tmp_path):
-        written = report.emit_report(binary_evaluation(), str(tmp_path))
+        written = report.emit_report(report.check_evaluation(binary_evaluation()), str(tmp_path))
         names = {os.path.basename(p) for p in written}
         assert names == {
             "report.json",
@@ -506,7 +598,7 @@ class TestReport:
         }
 
     def test_roc_csv_header_and_open_threshold(self, tmp_path):
-        report.emit_report(binary_evaluation(), str(tmp_path))
+        report.emit_report(report.check_evaluation(binary_evaluation()), str(tmp_path))
         lines = (tmp_path / "roc_points.csv").read_text().splitlines()
         assert lines[0] == "fpr,tpr,threshold"
         n_points = len(binary_evaluation()["metrics"]["roc_points"])
@@ -519,7 +611,7 @@ class TestReport:
 
     def test_distribution_counts_match_confusion_rows(self, tmp_path):
         evaluation = binary_evaluation()
-        report.emit_report(evaluation, str(tmp_path))
+        report.emit_report(report.check_evaluation(evaluation), str(tmp_path))
         lines = (tmp_path / "class_distribution.csv").read_text().splitlines()
         assert lines[0] == "class_id,class_name,count"
         confusion = evaluation["metrics"]["confusion_matrix"]
@@ -534,14 +626,14 @@ class TestReport:
             "class_names": ["control", "depression"],
             "metrics": {"confusion_matrix": [[5, 0, 1], [1, 3, 0], [0, 2, 4]]},
         }
-        written = report.emit_report(evaluation, str(tmp_path))
+        written = report.emit_report(report.check_evaluation(evaluation), str(tmp_path))
         names = {os.path.basename(p) for p in written}
         assert "roc_points.csv" not in names
         text = (tmp_path / "class_distribution.csv").read_text()
         assert "2,class_2,6" in text
 
     def test_svg_is_well_formed(self, tmp_path):
-        report.emit_report(binary_evaluation(), str(tmp_path))
+        report.emit_report(report.check_evaluation(binary_evaluation()), str(tmp_path))
         text = (tmp_path / "class_distribution.svg").read_text()
         root = ET.fromstring(text)
         assert root.tag.endswith("svg")
@@ -836,6 +928,23 @@ class TestCli:
         ]) == 2
         assert not report_dir.exists()
 
+    def test_report_renders_each_file_once(self, tmp_path, monkeypatch):
+        """Checking the evaluation draws the report files, and `report`
+        writes those same texts instead of drawing them again."""
+        monkeypatch.setenv(report.FIXED_CLOCK_ENV, "1")
+        calls = []
+        render = report._render
+        monkeypatch.setattr(report, "_render",
+                            lambda evaluation: calls.append(1) or render(evaluation))
+        eval_path = tmp_path / "evaluation.json"
+        eval_path.write_text(json.dumps(binary_evaluation()), encoding="utf-8")
+        assert cli.run([
+            "report", "--evaluation", str(eval_path), "--outdir", str(tmp_path / "report"),
+        ]) == 0
+        assert len(calls) == 1
+        for name, text in render(binary_evaluation()):
+            assert (tmp_path / "report" / name).read_text(encoding="utf-8") == text
+
     @pytest.mark.parametrize("family", ["logistic", "gru"])
     def test_evaluate_feature_space_mismatch_exits_two(
         self, cli_prepared, tmp_path, family, capsys
@@ -965,6 +1074,27 @@ def cli_artifacts(cli_prepared) -> dict:
 
 
 @pytest.fixture(scope="module")
+def cli_multiclass(cli_prepared) -> dict:
+    """A multiclass prepared dataset and small logistic, svm and forest
+    bundles trained on it, for the decoders' number and cross-field
+    rules."""
+    base = cli_prepared["base"] / "multiclass"
+    base.mkdir()
+    prep = str(base / "prepared.json")
+    assert cli.run(["prepare", "--corpus", cli_prepared["corpus"], "--out", prep,
+                    "--scheme", "multiclass", "--seed", "0", "--max-features", "300"]) == 0
+    dataset = PreparedDataset.load(prep)
+    out = {"prep": prep}
+    for family, params in (("logistic", {"max_iter": 20}),
+                           ("svm", {"max_epochs": 5}),
+                           ("forest", {"n_estimators": 3, "max_depth": 4})):
+        stem = str(base / family)
+        search.save_model(search.train_family(family, params, dataset), stem)
+        out[family] = stem
+    return out
+
+
+@pytest.fixture(scope="module")
 def cli_inputs(cli_prepared, cli_artifacts) -> dict:
     """A prepared dataset, an experiment config and an evaluation file,
     as parsed JSON, for mutation tests."""
@@ -1005,6 +1135,23 @@ def _json_type(value) -> str:
 # one value of each JSON type; numbers stay small so a swapped count
 # cannot start a long fit
 _SWAP_VALUES = (None, True, 3, "x", [], {})
+
+
+def _renumber_last_svm_class(bundle: dict) -> None:
+    """The last class id becomes 99, in `classes` and in every pair."""
+    model = bundle["model"]
+    last = model["classes"][-1]
+    model["classes"][-1] = 99
+    for pair in model["pairs"]:
+        for key in ("class_neg", "class_pos"):
+            pair[key] = 99 if pair[key] == last else pair[key]
+
+
+def _add_a_logistic_class(bundle: dict) -> None:
+    model = bundle["model"]
+    model["n_classes"] += 1
+    model["weights"].append(list(model["weights"][-1]))
+    model["bias"].append(model["bias"][-1])
 
 
 class TestMalformedArtifacts:
@@ -1166,6 +1313,65 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         field = next(key for key in reversed(path) if isinstance(key, str))
         assert f"{field}=" in err and f"{stem}.model.json" in err
+
+    @pytest.mark.parametrize("artifact, mutate, field", [
+        ("logistic", lambda b: b["model"].update(n_classes=6.7), "n_classes="),
+        ("logistic", lambda b: b["model"].update(kind="sigmoid"), "kind="),
+        ("logistic", lambda b: b["model"].update(kind="tanh"), "kind="),
+        ("logistic", lambda b: b["model"]["weights"].pop(), "weights"),
+        ("logistic", lambda b: b["model"]["bias"].pop(), "bias"),
+        ("svm", lambda b: b["model"]["pairs"][0].update(b=float("nan")), "b="),
+        ("svm", lambda b: b["model"]["classes"].__setitem__(1, 5.5), "classes="),
+        ("svm", lambda b: b["model"]["classes"].reverse(), "classes="),
+        ("svm", lambda b: b["model"]["pairs"][0].update(class_pos=2.5), "class_pos="),
+        ("svm", lambda b: b["model"]["pairs"][0].update(class_neg=1, class_pos=0),
+         "class_neg="),
+        ("svm", lambda b: b["model"]["pairs"][0].update(class_pos=99), "class_neg="),
+        ("svm", _renumber_last_svm_class, "scheme"),
+        ("logistic", _add_a_logistic_class, "scheme"),
+        ("forest", lambda b: b["model"].update(tree_seeds=[0.5, "x", None]), "tree_seeds="),
+        ("forest", lambda b: b.update(extra=[]), "extra="),
+        ("prepared", lambda d: d.update(seed=0.9), "seed="),
+        ("prepared", lambda d: d["split"].update(seed=0.9), "split.seed="),
+        ("prepared", lambda d: d.update(n_dropped=-1), "n_dropped="),
+    ], ids=["logistic-fractional-classes", "logistic-sigmoid-over-many-classes",
+            "logistic-unknown-kind", "logistic-missing-weight-row", "logistic-missing-bias",
+            "svm-nan-bias", "svm-fractional-class", "svm-classes-out-of-order",
+            "svm-fractional-class-pos", "svm-pair-reversed", "svm-pair-class-not-in-classes",
+            "svm-class-beyond-the-scheme", "logistic-class-beyond-the-scheme",
+            "forest-bad-tree-seeds", "bundle-extra-as-list", "prepared-fractional-seed",
+            "prepared-fractional-split-seed", "prepared-negative-n-dropped"])
+    def test_decoded_number_breaking_its_rule_exits_two(
+        self, cli_multiclass, tmp_path, capsys, artifact, mutate, field
+    ):
+        """Each of these once evaluated with exit 0: a fractional class
+        count or id, a sigmoid row read as a six-class model, a NaN bias,
+        a list for `extra`, a fractional seed. The refusal names the
+        file and the field."""
+        prepared, stem = cli_multiclass["prep"], cli_multiclass["logistic"]
+        if artifact == "prepared":
+            source, bad = prepared, str(tmp_path / "prepared.json")
+            prepared = bad
+        else:
+            source, stem = cli_multiclass[artifact] + ".model.json", str(tmp_path / artifact)
+            bad = stem + ".model.json"
+        payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        mutate(payload)
+        Path(bad).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run(["evaluate", "--prepared", prepared, "--model", stem,
+                        "--out", str(tmp_path / "evaluation.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and repr(bad) in err
+        assert not (tmp_path / "evaluation.json").exists()
+
+    def test_multiclass_bundles_evaluate(self, cli_multiclass, tmp_path):
+        """The unmutated artifacts of the rule tests pass every rule."""
+        for family in ("logistic", "svm", "forest"):
+            assert cli.run(["evaluate", "--prepared", cli_multiclass["prep"],
+                            "--model", cli_multiclass[family],
+                            "--out", str(tmp_path / f"{family}.json")]) == 0
 
     @pytest.mark.parametrize("artifact", ["svm-bundle", "prepared-dataset"])
     def test_payload_of_another_schema_names_the_file(
@@ -1354,6 +1560,29 @@ class TestScripts:
         ran = _script("run_synthetic_experiment.py", "--outdir", tmp_path / "bad",
                       "--corpus", corpus, "--preset", "nope", env=env)
         assert ran.returncode == 1
+
+
+    def test_public_corpus_script_runs_on_a_synthetic_corpus(self, tmp_path):
+        """reproduce_public_corpus.py on a corpus from make_synthetic_corpus.py
+        writes the prepared dataset and one evaluation file per family."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        corpus = tmp_path / "corpus.csv"
+        ran = _script("make_synthetic_corpus.py", "--out", corpus, "--n-docs", 300,
+                      "--seed", 2, env=env)
+        assert ran.returncode == 0, ran.stderr
+        assert "wrote 300 documents" in ran.stdout
+        outdir = tmp_path / "public"
+        ran = _script("reproduce_public_corpus.py", "--corpus", corpus, "--outdir", outdir,
+                      "--families", "logistic", env=env)
+        assert ran.returncode == 0, ran.stderr
+        assert "logistic: weighted F1" in ran.stdout
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "evaluation_binary_logistic.json", "prepared_binary.json"]
+        PreparedDataset.load(str(outdir / "prepared_binary.json"))
+        evaluation = json.loads((outdir / "evaluation_binary_logistic.json").read_text())
+        assert (evaluation["family"], evaluation["split"]) == ("logistic", "test")
+        assert report.check_evaluation(evaluation).files
 
 
 class TestBenchTracing:
