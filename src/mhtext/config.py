@@ -95,6 +95,7 @@ class PreparedDataset:
     def from_dict(cls, data: dict) -> "PreparedDataset":
         if data.get("schema_version") != SCHEMA_VERSION:
             raise DataError("unsupported prepared-dataset payload")
+        _check_tokens(data["tokens"])
         dataset = cls(
             ids=tuple(data["ids"]),
             tokens=tuple(tuple(toks) for toks in data["tokens"]),
@@ -124,6 +125,21 @@ class PreparedDataset:
     @classmethod
     def load(cls, path: str) -> "PreparedDataset":
         return read_json(path, "prepared dataset", cls.from_dict)
+
+
+def _check_tokens(documents) -> None:
+    """Every document is a list of non-empty strings without whitespace,
+    so its n-grams join with single spaces and split back one way; each
+    distinct token is checked once."""
+    if not all(isinstance(doc, list) for doc in documents):
+        raise DataError("tokens: expected one list of tokens per document")
+    try:
+        distinct = set().union(*documents)
+    except TypeError:  # a list or object token has no hash
+        distinct = [token for doc in documents for token in doc]
+    for token in distinct:
+        if not (isinstance(token, str) and token.split() == [token]):
+            raise DataError(f"tokens: {token!r} is not a non-empty string without whitespace")
 
 
 def _within(values: np.ndarray, bound: int) -> bool:

@@ -148,20 +148,40 @@ def clean_text(raw: str, drop_hashtags: bool = False) -> str:
     return _WS_RE.sub(" ", text).strip()
 
 
-def normalize(text: str) -> list[str]:
+def normalize(text: str, lemmas: dict | None = None) -> list[str]:
     """Tokenize cleaned text: lowercase, drop stopwords, lemmatize.
 
     Expects input already passed through clean_text. Stopwords are
     filtered before lemmatization, and again afterwards because a suffix
     rule can land on a stopword (e.g. a plural collapsing onto one);
     the output therefore never contains a stopword.
+
+    `lemmas` maps each raw whitespace token to its lemma, or to "" when
+    the token is dropped; a token it lacks is worked out and added.
+    build_documents passes one dict for the whole corpus, so each
+    distinct token is lowercased, checked and lemmatized once; called
+    without one, normalize uses a fresh dict and keeps no state.
     """
-    lemmas = (
-        lemmatize(token)
-        for token in (t.lower() for t in text.split())
-        if token not in STOPWORDS
-    )
-    return [lemma for lemma in lemmas if lemma not in STOPWORDS]
+    if lemmas is None:
+        lemmas = {}
+    out = []
+    for token in text.split():
+        lemma = lemmas.get(token)
+        if lemma is None:
+            lemma = lemmas[token] = _lemma_or_drop(token)
+        if lemma:
+            out.append(lemma)
+    return out
+
+
+def _lemma_or_drop(token: str) -> str:
+    """The lemma of one raw token, or "" when it is a stopword before or
+    after lemmatizing."""
+    token = token.lower()
+    if token in STOPWORDS:
+        return ""
+    lemma = lemmatize(token)
+    return "" if lemma in STOPWORDS else lemma
 
 
 @dataclass(frozen=True)
@@ -216,12 +236,13 @@ def build_documents(
     records, scheme: LabelScheme, drop_hashtags: bool = False
 ) -> list[Document]:
     labels = map_labels(records, scheme)
+    lemmas: dict[str, str] = {}  # raw token -> lemma or "", for this corpus only
     return [
         Document(
             id=rec.id,
             raw=rec.statement,
             status=rec.status,
-            tokens=tuple(normalize(clean_text(rec.statement, drop_hashtags))),
+            tokens=tuple(normalize(clean_text(rec.statement, drop_hashtags), lemmas)),
             label=label,
         )
         for rec, label in zip(records, labels)

@@ -16,6 +16,8 @@ import numbers
 import operator
 from dataclasses import fields
 
+import numpy as np
+
 
 class ToolkitError(Exception):
     """Base class for errors raised deliberately by this package."""
@@ -119,6 +121,16 @@ def one_of(*options, otherwise=None):
         except ValueError as exc:
             raise ValueError(f"{exc}, or one of {options!r}") from None
     return rule
+
+
+def finite(name: str, values) -> np.ndarray:
+    """`values` as a float64 array; a NaN or infinite entry (or a null,
+    which numpy reads as NaN) raises ValueError naming the field."""
+    array = np.array(values, dtype=np.float64)
+    bad = array[~np.isfinite(array)]
+    if bad.size:
+        raise ValueError(f"{name}: expected finite numbers, found {bad[0]}")
+    return array
 
 
 def check(name: str, value, rule):

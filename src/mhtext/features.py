@@ -1,21 +1,36 @@
-"""TF-IDF featurization over unigrams and bigrams.
+"""TF-IDF featurization over word n-grams (unigrams and bigrams by default).
 
-The vocabulary keeps the max_features most frequent n-grams by total
-corpus count (ties broken lexicographically). IDF uses add-one
-smoothing, idf(t) = ln((1 + N) / (1 + df(t))) + 1, and every document
-row is L2-normalized, so rows have norm 1 (or 0 when no token is in the
-vocabulary). Fit on the training split only; featurizing text never
-changes the model.
+The vocabulary keeps the max_features n-grams with the largest total
+count in the training split, ties broken by term string order. IDF
+uses add-one smoothing, idf(t) = ln((1 + N) / (1 + df(t))) + 1, and
+every document row is L2-normalized, so rows have norm 1 (or 0 when no
+token is in the vocabulary). Fit on the training split only;
+featurizing text never changes the model. Fitting counts n-gram
+strings; building rows works on integers.
 
-Rows are built in one sorted pass over all documents: every
-in-vocabulary n-gram becomes a flat key row * dim + slot, and sorting
-the keys gives each row's counts with its slots in ascending order.
-Each row is then normalized by the square root of one dot product of
-its values with themselves, in slot order. That is the same sum over
-the same values in the same order as a build one document at a time,
-so every row has the same bits as that build gives; a reduction that
-sums in another order, such as np.add.reduceat or einsum, could change
-the last bit.
+Rows are built from interned codes. A model interns its vocabulary once
+(`TfIdfModel.grams`): each distinct token of its terms gets a code, and
+the terms' n-token prefixes are ranked level by level, the key of an
+n-token prefix being the rank of its (n-1)-token prefix times the number
+of codes plus the code of its last token. Keys therefore stay below
+len(terms) * codes whatever the n-gram range. `matrix` looks each token
+occurrence of the split up once, then finds its n-grams one length at a
+time with one np.searchsorted against that level's keys, never joining
+an n-gram string. Each in-vocabulary n-gram becomes a flat key
+row * dim + slot.
+
+Why the bits are those of the string lookup: a prepared dataset's
+tokens are non-empty and hold no whitespace, and each term is lo to hi
+such tokens joined by single spaces, so a space-joined n-gram equals a
+term exactly when its token sequence equals the term's, which is when
+the interned lookup finds it. The keys are the same integer multiset,
+and everything after them is unchanged: sorting the keys (np.unique)
+gives each row's counts with its slots in ascending order, and each row
+is normalized by the square root of one dot product of its values with
+themselves, in slot order. That is the same sum over the same values in
+the same order as a build one document at a time; a reduction that sums
+in another order, such as np.add.reduceat or einsum, could change the
+last bit.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, check_fields, whole
+from .errors import DataError, check_fields, finite, whole
 
 SCHEMA_VERSION = 1
 
@@ -45,7 +60,8 @@ class TfIdfModel:
 
     Built, fit or read back, it checks that `max_features` and `n_docs`
     are whole numbers >= 1, `ngram_range` is two with 1 <= lo <= hi, the
-    terms are distinct strings and there is one idf value per term."""
+    terms are distinct strings of lo to hi tokens joined by single
+    spaces, and there is one finite idf value per term."""
 
     terms: tuple[str, ...]
     idf: np.ndarray
@@ -59,12 +75,52 @@ class TfIdfModel:
         terms = self.terms
         if not all(isinstance(term, str) for term in terms) or len(set(terms)) < len(terms):
             raise ValueError("terms: expected distinct strings")
+        lo, hi = self.ngram_range
+        for term in terms:
+            tokens = term.split()
+            if not lo <= len(tokens) <= hi or " ".join(tokens) != term:
+                raise ValueError(f"terms: {term!r} is not {lo} to {hi} tokens joined by "
+                                 "single spaces")
         if np.shape(self.idf) != (len(terms),):
             raise ValueError(f"idf: expected {len(terms)} values, one per term")
+        finite("idf", self.idf)
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {term: i for i, term in enumerate(self.terms)}
+
+    @cached_property
+    def grams(self) -> tuple[dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
+        """The interned vocabulary `matrix` looks n-grams up in: a code
+        per distinct token of the terms, and per n from 1 to hi the
+        sorted keys of the terms' distinct n-token prefixes with each
+        prefix's slot, or -1 where the prefix is no term. A 1-token
+        prefix's key is its code; an n-token prefix's key is
+        rank * n_codes + code, with `rank` the place of its (n-1)-token
+        prefix among that level's keys, so no key reaches
+        len(terms) * n_codes."""
+        tokens = " ".join(self.terms).split(" ") if self.terms else []
+        code_of = {token: code for code, token in enumerate(dict.fromkeys(tokens))}
+        codes = np.fromiter(map(code_of.__getitem__, tokens), dtype=np.int64,
+                            count=len(tokens))
+        n_codes = len(code_of)
+        lengths = np.array([term.count(" ") + 1 for term in self.terms], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        ranks = codes[starts]
+        tables = []
+        for n in range(1, self.ngram_range[1] + 1):
+            longer = np.flatnonzero(lengths >= n)
+            if n > 1:
+                keys = ranks[longer] * n_codes + codes[starts[longer] + n - 1]
+                prefixes = np.unique(keys)
+                ranks[longer] = np.searchsorted(prefixes, keys)
+            else:
+                prefixes = np.arange(n_codes, dtype=np.int64)
+            slot_of = np.full(len(prefixes), -1, dtype=np.int64)
+            exact = np.flatnonzero(lengths == n)
+            slot_of[ranks[exact]] = exact
+            tables.append((prefixes, slot_of))
+        return code_of, tables
 
     @property
     def dim(self) -> int:
@@ -129,17 +185,8 @@ def fit(documents, max_features: int = 1000, ngram_range=(1, 2)) -> TfIdfModel:
 
 def matrix(model: TfIdfModel, documents) -> np.ndarray:
     """TF-IDF rows of tokenized documents as a dense (n_docs, dim) array."""
-    index, dim = model.index, model.dim
-    lo, hi = model.ngram_range
-    keys = np.fromiter(
-        (
-            row * dim + slot
-            for row, tokens in enumerate(documents)
-            for slot in map(index.get, ngrams(tokens, lo, hi))
-            if slot is not None
-        ),
-        dtype=np.int64,
-    )
+    dim = model.dim
+    keys = _keys(model, documents)
     flat, counts = np.unique(keys, return_counts=True)
     del keys  # freed before the dense output is allocated
     values = counts * model.idf[flat % dim]
@@ -152,3 +199,38 @@ def matrix(model: TfIdfModel, documents) -> np.ndarray:
     out = np.zeros((len(documents), dim))
     out.ravel()[flat] = values
     return out
+
+
+def _keys(model: TfIdfModel, documents) -> np.ndarray:
+    """One key row * dim + slot per in-vocabulary n-gram of `documents`,
+    found through the model's interned tables; its temporaries are freed
+    when it returns."""
+    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
+    n_tokens = int(lengths.sum())
+    if n_tokens == 0:
+        return np.zeros(0, dtype=np.int64)
+    code_of, tables = model.grams
+    get = code_of.get
+    codes = np.fromiter((get(tok, -1) for doc in documents for tok in doc),
+                        dtype=np.int64, count=n_tokens)
+    rows = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
+    lo = model.ngram_range[0]
+    n_codes = len(code_of)
+    parts = []
+    ranks = codes  # rank of the n-token prefix starting at each position
+    for n, (prefixes, slot_of) in enumerate(tables, start=1):
+        if n > n_tokens or len(prefixes) == 0:
+            break
+        if n > 1:
+            size = n_tokens - n + 1
+            prev, last = ranks[:size], codes[n - 1:]
+            key = prev * n_codes + last
+            at = np.searchsorted(prefixes, key).clip(max=len(prefixes) - 1)
+            known = ((prev >= 0) & (last >= 0) & (rows[:size] == rows[n - 1:])
+                     & (prefixes[at] == key))
+            ranks = np.where(known, at, -1)
+        if n >= lo:
+            slots = np.where(ranks >= 0, slot_of[ranks], -1)
+            hit = slots >= 0
+            parts.append(rows[:len(slots)][hit] * model.dim + slots[hit])
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check, check_fields, one_of, real, stored, whole
+from .errors import DataError, check, check_fields, finite, one_of, real, stored, whole
 
 SCHEMA_VERSION = 1
 
@@ -218,8 +218,8 @@ def from_dict(data: dict) -> LinearModelParams:
     if kind == "sigmoid" and n_classes != 2:
         raise DataError(f"kind={kind!r} with n_classes={n_classes}: "
                         "a sigmoid model has 2 classes")
-    weights = np.array(data["weights"], dtype=np.float64)
-    bias = np.array(data["bias"], dtype=np.float64)
+    weights = finite("weights", data["weights"])
+    bias = finite("bias", data["bias"])
     rows = 1 if kind == "sigmoid" else n_classes
     if weights.ndim != 2 or weights.shape[0] != rows or bias.shape != (rows,):
         raise DataError(f"weights and bias of shapes {weights.shape} and {bias.shape}: a "

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, check, check_fields, one_of, real, stored, whole
+from .errors import DataError, check, check_fields, finite, one_of, real, stored, whole
 from .linear import class_weights, weight_mode
 
 SCHEMA_VERSION = 2  # 2: one config block, with the kernel fields in it
@@ -338,14 +338,14 @@ def from_dict(data: dict) -> SvmModel:
             raise DataError(f"class_neg={pair.class_neg}, class_pos={pair.class_pos}: expected "
                             f"two ids of classes {list(classes)}, class_neg < class_pos")
         if "w" in entry:
-            pair.w = np.array(entry["w"], dtype=np.float64)
+            pair.w = finite("w", entry["w"])
         else:
-            pair.support_vectors = np.array(entry["support_vectors"], dtype=np.float64)
-            pair.dual_coef = np.array(entry["dual_coef"], dtype=np.float64)
+            pair.support_vectors = finite("support_vectors", entry["support_vectors"])
+            pair.dual_coef = finite("dual_coef", entry["dual_coef"])
         pairs.append(pair)
     return SvmModel(
         config=stored(SvmConfig, data["config"]),
         classes=classes,
         pairs=pairs,
-        weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
+        weight_per_class=finite("weight_per_class", data["weight_per_class"]),
     )

@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check, check_fields, one_of, real, stored, whole
+from .errors import DataError, check, check_fields, finite, one_of, real, stored, whole
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .seeds import derive_seed
 
@@ -768,7 +768,7 @@ def cart_from_dict(data: dict) -> CartModel:
         root=node_from_dict(data["root"], need_counts=True),
         config=stored(TreeConfig, data["config"]),
         n_classes=check("n_classes", data["n_classes"], _POSITIVE),
-        weight_per_class=np.asarray(data["weight_per_class"], dtype=np.float64),
+        weight_per_class=finite("weight_per_class", data["weight_per_class"]),
     )
 
 
@@ -792,7 +792,7 @@ def forest_from_dict(data: dict) -> ForestModel:
         config=stored(ForestConfig, data["config"]),
         n_classes=check("n_classes", data["n_classes"], _POSITIVE),
         n_features=check("n_features", data["n_features"], _POSITIVE),
-        weight_per_class=np.array(data["weight_per_class"], dtype=np.float64),
+        weight_per_class=finite("weight_per_class", data["weight_per_class"]),
         tree_seeds=tuple(check("tree_seeds", s, _NONNEGATIVE) for s in data["tree_seeds"]),
     )
 
@@ -813,7 +813,7 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
 def gbdt_from_dict(data: dict) -> GbdtModel:
     _check_header(data, "gbdt")
     return GbdtModel(
-        base_score=np.array(data["base_score"], dtype=np.float64),
+        base_score=finite("base_score", data["base_score"]),
         rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
         n_classes=check("n_classes", data["n_classes"], _POSITIVE),
         config=stored(GbdtConfig, data["config"]),

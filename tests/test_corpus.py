@@ -7,7 +7,37 @@ from hypothesis import strategies as st
 
 from mhtext import corpus
 from mhtext.errors import DataError
-from mhtext.lexicon import STOPWORDS, lemmatize
+from mhtext.lexicon import LEMMA_EXCEPTIONS, STOPWORDS, SUFFIX_RULES, lemmatize
+
+
+def per_token_normalize(text: str) -> list[str]:
+    """Test-local oracle: the per-occurrence normalize that the memoized
+    one replaced. Lowercases, filters, lemmatizes and filters again for
+    every token occurrence."""
+    lemmas = (
+        lemmatize(token)
+        for token in (t.lower() for t in text.split())
+        if token not in STOPWORDS
+    )
+    return [lemma for lemma in lemmas if lemma not in STOPWORDS]
+
+
+# raw tokens drawn from the lexicon: stopwords, irregular forms, content
+# words with each suffix rule's suffix, and tokens that pass the first
+# stopword filter but lemmatize onto a stopword ("outs" -> "out")
+_SUFFIXES = sorted({rule[0] for rule in SUFFIX_RULES} | {"ing", "ed"})
+_ONTO_STOPWORDS = sorted(
+    word + suffix for word in STOPWORDS for suffix in _SUFFIXES
+    if word + suffix not in STOPWORDS and lemmatize(word + suffix) in STOPWORDS
+)
+_LEXICON_TOKENS = st.one_of(
+    st.sampled_from(sorted(STOPWORDS)),
+    st.sampled_from(sorted(LEMMA_EXCEPTIONS)),
+    st.sampled_from(_ONTO_STOPWORDS),
+    st.builds(lambda stem, suffix: stem + suffix,
+              st.sampled_from(["hop", "run", "cri", "miss", "box", "fall", "sad", "ou"]),
+              st.sampled_from(["", *_SUFFIXES])),
+).flatmap(lambda token: st.sampled_from([token, token.upper(), token.title()]))
 
 
 def write_csv(path, text: str) -> str:
@@ -163,6 +193,19 @@ class TestNormalize:
         for token in corpus.normalize(text):
             assert token not in STOPWORDS
             assert token == token.lower()
+
+
+    def test_tokens_that_lemmatize_onto_a_stopword_exist(self):
+        assert "outs" in _ONTO_STOPWORDS
+
+    @given(texts=st.lists(st.lists(_LEXICON_TOKENS, max_size=12).map(" ".join), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_memo_matches_per_token_normalize(self, texts):
+        lemmas: dict = {}
+        for text in texts:
+            assert corpus.normalize(text, lemmas) == per_token_normalize(text)
+            assert corpus.normalize(text) == per_token_normalize(text)
+        assert set(lemmas) == {token for text in texts for token in text.split()}
 
 
 class TestLemmatizer:
@@ -349,3 +392,22 @@ class TestBuildDocuments:
         assert docs[0].tokens == ("run", "sad")
         assert docs[0].label == 1
         assert docs[1].label == 0
+
+    def test_two_calls_share_no_state(self, monkeypatch):
+        """Each call lemmatizes each of its distinct raw tokens once and
+        keeps nothing for the next call."""
+        calls = []
+        monkeypatch.setattr(corpus, "lemmatize", lambda token: calls.append(token)
+                            or lemmatize(token))
+        records = [
+            corpus.RawRecord("a", "Running running RUNNING the outs feet", "Depression"),
+            corpus.RawRecord("b", "running feet boxes", "Normal"),
+        ]
+        scheme = corpus.LabelScheme.binary(["Depression", "Normal"])
+        distinct = {"Running", "running", "RUNNING", "outs", "feet", "boxes"}
+        for _ in range(2):
+            calls.clear()
+            docs = corpus.build_documents(records, scheme)
+            assert [doc.tokens for doc in docs] == [
+                tuple(per_token_normalize(rec.statement)) for rec in records]
+            assert sorted(calls) == sorted(token.lower() for token in distinct)

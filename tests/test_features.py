@@ -71,6 +71,40 @@ def per_document_matrix(model, documents):
     return out
 
 
+def string_matrix(model, documents):
+    """Test-local oracle: the string build that the interned one
+    replaced. Joins every n-gram, looks it up in `model.index`, and
+    hands the flat keys to the same np.unique, per-row norm and dense
+    fill."""
+    index, dim = model.index, model.dim
+    lo, hi = model.ngram_range
+    keys = np.fromiter(
+        (
+            row * dim + slot
+            for row, tokens in enumerate(documents)
+            for slot in map(index.get, features.ngrams(tokens, lo, hi))
+            if slot is not None
+        ),
+        dtype=np.int64,
+    )
+    flat, counts = np.unique(keys, return_counts=True)
+    values = counts * model.idf[flat % dim]
+    bounds = np.searchsorted(flat, np.arange(len(documents) + 1) * dim).tolist()
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        part = values[start:stop]
+        norm = math.sqrt(float(part @ part))
+        if norm > 0.0:
+            part /= norm
+    out = np.zeros((len(documents), dim))
+    out.ravel()[flat] = values
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestNgrams:
     def test_unigrams_and_bigrams(self):
         assert list(features.ngrams(["a", "b", "c"], 1, 2)) == [
@@ -218,6 +252,89 @@ class TestTransform:
             want = per_document_matrix(model, batch)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+_DOCS = st.lists(
+    st.one_of(
+        st.just([]),
+        st.lists(st.sampled_from(["x", "y", "zz"]), min_size=1, max_size=4),  # out of vocabulary
+        st.lists(st.sampled_from(["a", "b", "c", "d", "x"]), min_size=0, max_size=16),
+        st.lists(st.sampled_from("ab"), min_size=0, max_size=16),
+    ),
+    min_size=0,
+    max_size=10,
+)
+
+
+class TestInternedMatrix:
+    """features.matrix against the string build it replaced, bit for bit."""
+
+    @given(
+        fit_docs=st.lists(st.lists(st.sampled_from("abcd"), min_size=0, max_size=12),
+                          min_size=1, max_size=8),
+        docs=_DOCS,
+        ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 3), (1, 4)]),
+        max_features=st.integers(1, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_string_build(self, fit_docs, docs, ngram_range, max_features):
+        model = features.fit(fit_docs, max_features=max_features, ngram_range=ngram_range)
+        for batch in (docs, fit_docs, fit_docs + docs, [], [[]], [["x", "zz"]]):
+            assert_same_bits(features.matrix(model, batch), string_matrix(model, batch))
+
+    def test_model_without_terms(self):
+        model = features.fit([[], []], max_features=5, ngram_range=(1, 3))
+        assert model.dim == 0
+        for batch in ([], [[]], [["a", "b", "c"]]):
+            assert_same_bits(features.matrix(model, batch), string_matrix(model, batch))
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_keys_stay_small_where_a_radix_key_would_overflow(self, data):
+        """100 distinct tokens and 12-grams: a key over every token
+        position, 100**12, is past int64; ranks of the vocabulary's own
+        prefixes keep every key below len(terms) * 100."""
+        tokens = [f"t{i}" for i in range(100)]
+        hi = 12
+        assert len(tokens) ** hi > np.iinfo(np.int64).max
+        stream = data.draw(st.lists(st.sampled_from(tokens[:6]) | st.sampled_from(tokens),
+                                    min_size=hi, max_size=60))
+        grams = {" ".join(stream[i:i + n]) for n in range(1, hi + 1)
+                 for i in range(len(stream) - n + 1)}
+        terms = tuple(data.draw(st.lists(st.sampled_from(sorted(grams)), min_size=1,
+                                         max_size=40, unique=True)) + ["t99"])
+        terms = tuple(dict.fromkeys(terms))
+        idf = np.array(data.draw(st.lists(st.floats(1.0, 8.0), min_size=len(terms),
+                                          max_size=len(terms))))
+        model = features.TfIdfModel(terms, idf, 10, (1, hi), len(terms))
+        docs = [stream, stream[::-1], stream[hi // 2:], [], ["t99"] * 3]
+        assert_same_bits(features.matrix(model, docs), string_matrix(model, docs))
+        assert features.matrix(model, [stream]).any()
+
+    def test_load_probe_builds_no_tables(self):
+        """One empty document, as the bundle load probe sends, is a zero
+        row without interning the vocabulary."""
+        model = features.fit([["a", "b"]], max_features=5)
+        assert_same_bits(features.matrix(model, [()]), np.zeros((1, model.dim)))
+        assert "grams" not in vars(model)
+
+
+class TestModelRules:
+    @pytest.mark.parametrize("term", ["", " a", "a ", "a  b", "a\tb", "a\nb", "a b c"])
+    def test_term_that_is_not_lo_to_hi_tokens_is_refused(self, term):
+        with pytest.raises(ValueError, match="terms:"):
+            features.TfIdfModel(("a", term), np.ones(2), 3, (1, 2), 10)
+
+    def test_term_shorter_than_lo_is_refused(self):
+        with pytest.raises(ValueError, match="terms:"):
+            features.TfIdfModel(("a b", "c"), np.ones(2), 3, (2, 3), 10)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_idf_is_refused(self, bad):
+        payload = features.fit([["a", "b"], ["b"]], max_features=5).to_dict()
+        payload["idf"][1] = bad
+        with pytest.raises(ValueError, match="idf"):
+            features.TfIdfModel.from_dict(json.loads(json.dumps(payload)))
 
 
 class TestSerialization:

@@ -1154,6 +1154,15 @@ def _add_a_logistic_class(bundle: dict) -> None:
     model["bias"].append(model["bias"][-1])
 
 
+def _as_support_vectors(support_vectors, dual_coef):
+    """A mutation that stores the first svm pair as support vectors."""
+    def mutate(bundle):
+        pair = bundle["model"]["pairs"][0]
+        del pair["w"]
+        pair.update(support_vectors=support_vectors, dual_coef=dual_coef)
+    return mutate
+
+
 class TestMalformedArtifacts:
     def _train_best(self, cli_prepared, tmp_path, best) -> int:
         best_path = tmp_path / "best_config.json"
@@ -1372,6 +1381,106 @@ class TestMalformedArtifacts:
             assert cli.run(["evaluate", "--prepared", cli_multiclass["prep"],
                             "--model", cli_multiclass[family],
                             "--out", str(tmp_path / f"{family}.json")]) == 0
+
+    @pytest.mark.parametrize("artifact, mutate, field", [
+        ("logistic", lambda b: b["model"]["weights"][0].__setitem__(0, float("nan")),
+         "weights:"),
+        ("logistic", lambda b: b["model"]["weights"][1].__setitem__(2, None), "weights:"),
+        ("logistic", lambda b: b["model"]["bias"].__setitem__(0, float("inf")), "bias:"),
+        ("svm", lambda b: b["model"]["pairs"][0]["w"].__setitem__(0, float("nan")), "w:"),
+        ("svm", _as_support_vectors([[float("-inf")]], [1.0]), "support_vectors:"),
+        ("svm", _as_support_vectors([[0.5]], [float("nan")]), "dual_coef:"),
+        ("svm", lambda b: b["model"]["weight_per_class"].__setitem__(0, float("nan")),
+         "weight_per_class:"),
+        ("forest", lambda b: b["model"]["weight_per_class"].__setitem__(1, float("inf")),
+         "weight_per_class:"),
+        ("cart", lambda b: b["model"]["weight_per_class"].__setitem__(0, float("nan")),
+         "weight_per_class:"),
+        ("gbdt", lambda b: b["model"]["base_score"].__setitem__(0, float("nan")),
+         "base_score:"),
+        ("prepared", lambda d: d["tfidf"]["idf"].__setitem__(3, float("nan")), "idf:"),
+    ], ids=["logistic-nan-weight", "logistic-null-weight", "logistic-infinite-bias",
+            "svm-nan-w", "svm-infinite-support-vector", "svm-nan-dual-coef",
+            "svm-nan-class-weight", "forest-infinite-class-weight", "cart-nan-class-weight",
+            "gbdt-nan-base-score", "prepared-nan-idf"])
+    def test_non_finite_array_exits_two(
+        self, cli_prepared, cli_artifacts, cli_multiclass, tmp_path, capsys,
+        artifact, mutate, field
+    ):
+        """A NaN weight once evaluated with exit 0 (a logistic bundle
+        with one NaN weight scored accuracy 0.10 on six classes). Every
+        decoded float array is now refused, naming the file and field."""
+        if artifact in ("cart", "gbdt"):
+            prepared, stem = cli_prepared["prep"], cli_artifacts[artifact]["stem"]
+        else:
+            prepared = cli_multiclass["prep"]
+            stem = cli_multiclass["logistic" if artifact == "prepared" else artifact]
+        if artifact == "prepared":
+            source, bad = prepared, str(tmp_path / "prepared.json")
+            prepared = bad
+        else:
+            source, stem = stem + ".model.json", str(tmp_path / artifact)
+            bad = stem + ".model.json"
+        payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        mutate(payload)
+        Path(bad).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run(["evaluate", "--prepared", prepared, "--model", stem,
+                        "--out", str(tmp_path / "evaluation.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and repr(bad) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["tokens"][0].__setitem__(0, 7),
+        lambda d: d["tokens"][0].__setitem__(0, "feel hopeless"),
+        lambda d: d["tokens"][0].__setitem__(0, ""),
+        lambda d: d["tokens"][0].__setitem__(0, "tab\there"),
+        lambda d: d["tokens"][0].__setitem__(0, ["nested"]),
+        lambda d: d["tokens"][0].__setitem__(0, None),
+        lambda d: d["tokens"].__setitem__(0, "a document as one string"),
+    ], ids=["number", "two-words", "empty", "tab", "list", "null", "string-document"])
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_token_breaking_its_rule_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, mutate, stage
+    ):
+        """A number as a token ended `train` in a TypeError traceback; a
+        token holding a space silently matched a bigram term. Each token
+        must be a non-empty string without whitespace."""
+        payload = json.loads(Path(cli_prepared["prep"]).read_text(encoding="utf-8"))
+        mutate(payload)
+        bad = str(tmp_path / "prepared.json")
+        Path(bad).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        if stage == "train":
+            code = cli.run(["train", "--prepared", bad, "--family", "logistic",
+                            "--out", str(tmp_path / "model")])
+        else:
+            code = cli.run(["evaluate", "--prepared", bad,
+                            "--model", cli_artifacts["logistic"]["stem"],
+                            "--out", str(tmp_path / "evaluation.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "tokens" in err and repr(bad) in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("model*")) and not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("term", ["feel  hopeless", " feel", "feel hopeless today", ""])
+    def test_tfidf_term_breaking_its_rule_exits_two(self, cli_prepared, tmp_path, capsys, term):
+        """A term is one or two (ngram_range) tokens joined by single
+        spaces, so it splits back into the n-gram it names."""
+        payload = json.loads(Path(cli_prepared["prep"]).read_text(encoding="utf-8"))
+        payload["tfidf"]["terms"][0] = term
+        bad = str(tmp_path / "prepared.json")
+        Path(bad).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run(["train", "--prepared", bad, "--family", "logistic",
+                        "--out", str(tmp_path / "model")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "terms:" in err and repr(bad) in err
 
     @pytest.mark.parametrize("artifact", ["svm-bundle", "prepared-dataset"])
     def test_payload_of_another_schema_names_the_file(
