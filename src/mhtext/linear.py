@@ -10,6 +10,11 @@ and l2 = 1 / C. Binary problems collapse to a single sigmoid row;
 multiclass is multinomial softmax with max-subtraction for stability.
 Optimization is full-batch gradient descent from zeros with Armijo
 backtracking, so the objective never increases across iterations.
+Trial steps evaluate only `objective`, which keeps the state its
+gradient reads (z, or the log-probabilities); `gradient` runs once per
+accepted step on that kept state. The two perform the operations the
+fused `loss_and_gradient` performs, in the same order, so the fit is
+bit-identical to computing a gradient on every trial.
 """
 
 from __future__ import annotations
@@ -118,40 +123,57 @@ def predict(params: LinearModelParams, X) -> np.ndarray:
     return np.argmax(np.atleast_2d(proba), axis=1)
 
 
+def objective(params: LinearModelParams, X, y, l2_strength: float, sample_w):
+    """Weighted mean cross-entropy plus l2 * ||W||^2, and the state its
+    gradient reads: z for sigmoid, the log-probabilities for softmax."""
+    n = X.shape[0]
+    if params.kind == "sigmoid":
+        z = X @ params.weights[0] + params.bias[0]
+        # -ln sigma(z) = softplus(-z); CE = softplus(z) - y*z
+        ce = np.logaddexp(0.0, z) - y * z
+        data_loss = float(sample_w @ ce) / n
+        state = z
+    else:
+        state = log_softmax(X @ params.weights.T + params.bias)
+        data_loss = float(-(sample_w @ state[np.arange(n), y])) / n
+    penalty = l2_strength * float(np.sum(params.weights * params.weights))
+    return data_loss + penalty, state
+
+
+def gradient(params: LinearModelParams, X, y, l2_strength: float, sample_w, state):
+    """The exact gradient of `objective` at `params`, from its state."""
+    n = X.shape[0]
+    if params.kind == "sigmoid":
+        residual = sample_w * (sigmoid(state) - y) / n
+        grad_w = (residual @ X)[None, :] + 2.0 * l2_strength * params.weights
+        grad_b = np.array([residual.sum()])
+    else:
+        residual = np.exp(state)
+        residual[np.arange(n), y] -= 1.0
+        residual *= (sample_w / n)[:, None]
+        grad_w = residual.T @ X + 2.0 * l2_strength * params.weights
+        grad_b = residual.sum(axis=0)
+    return grad_w, grad_b
+
+
 def loss_and_gradient(
     params: LinearModelParams, X, y, l2_strength: float, weight_per_class
 ):
     """Weighted mean cross-entropy plus l2 * ||W||^2 and its exact gradient."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
     sample_w = np.asarray(weight_per_class, dtype=np.float64)[y]
-    if params.kind == "sigmoid":
-        z = X @ params.weights[0] + params.bias[0]
-        # -ln sigma(z) = softplus(-z); CE = softplus(z) - y*z
-        ce = np.logaddexp(0.0, z) - y * z
-        data_loss = float(sample_w @ ce) / n
-        residual = sample_w * (sigmoid(z) - y) / n
-        grad_w = (residual @ X)[None, :] + 2.0 * l2_strength * params.weights
-        grad_b = np.array([residual.sum()])
-    else:
-        logits = X @ params.weights.T + params.bias
-        logp = log_softmax(logits)
-        data_loss = float(-(sample_w @ logp[np.arange(n), y])) / n
-        residual = np.exp(logp)
-        residual[np.arange(n), y] -= 1.0
-        residual *= (sample_w / n)[:, None]
-        grad_w = residual.T @ X + 2.0 * l2_strength * params.weights
-        grad_b = residual.sum(axis=0)
-    penalty = l2_strength * float(np.sum(params.weights * params.weights))
-    return data_loss + penalty, (grad_w, grad_b)
+    loss, state = objective(params, X, y, l2_strength, sample_w)
+    return loss, gradient(params, X, y, l2_strength, sample_w, state)
 
 
 def fit_logistic(X, y, config: LogisticConfig = LogisticConfig()) -> LinearModelParams:
     """Full-batch gradient descent with Armijo backtracking from zeros.
 
     Stops when the gradient norm over all parameters falls below
-    config.tol, when no productive step exists, or at max_iter.
+    config.tol, when no productive step exists, or at max_iter. Trial
+    steps compute only the objective; the gradient is computed once per
+    accepted step, from that trial's kept state.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -160,12 +182,11 @@ def fit_logistic(X, y, config: LogisticConfig = LogisticConfig()) -> LinearModel
     n_classes = int(y.max()) + 1 if y.size else 0
     if n_classes < 2:
         raise DataError("logistic regression needs at least two classes")
-    weight_per_class = class_weights(y, config.class_weight, n_classes)
+    sample_w = class_weights(y, config.class_weight, n_classes)[y]
     l2_strength = 1.0 / config.C
     params = LinearModelParams.zeros(X.shape[1], n_classes, config)
-    loss, (grad_w, grad_b) = loss_and_gradient(
-        params, X, y, l2_strength, weight_per_class
-    )
+    loss, state = objective(params, X, y, l2_strength, sample_w)
+    grad_w, grad_b = gradient(params, X, y, l2_strength, sample_w, state)
     params.objective_trace.append(loss)
     step = 1.0
     for _ in range(config.max_iter):
@@ -182,9 +203,7 @@ def fit_logistic(X, y, config: LogisticConfig = LogisticConfig()) -> LinearModel
                 params.kind,
                 config,
             )
-            trial_loss, trial_grad = loss_and_gradient(
-                trial, X, y, l2_strength, weight_per_class
-            )
+            trial_loss, state = objective(trial, X, y, l2_strength, sample_w)
             if trial_loss <= loss - 1e-4 * step * grad_sq:
                 accepted = True
                 break
@@ -192,7 +211,8 @@ def fit_logistic(X, y, config: LogisticConfig = LogisticConfig()) -> LinearModel
         if not accepted:
             break
         params.weights, params.bias = trial.weights, trial.bias
-        loss, (grad_w, grad_b) = trial_loss, trial_grad
+        loss = trial_loss
+        grad_w, grad_b = gradient(trial, X, y, l2_strength, sample_w, state)
         params.objective_trace.append(loss)
     return params
 

@@ -14,9 +14,21 @@ The linear kernel uses a full-batch subgradient method on the primal
 objective 0.5 * ||w||^2 + C * sum_i w_i * hinge_i with a diminishing
 base step 1 / (lambda * (t + 1)), lambda = 1 / (C * n). Each step is
 halved until the objective does not increase, so the recorded objective
-is non-increasing at epoch granularity. Nonlinear kernels use dual
-coordinate ascent under box constraints 0 <= alpha_i <= C * w_{y_i},
-with the bias recovered afterwards from the average KKT residual.
+is non-increasing at epoch granularity. A trial step whose penalty
+0.5 * ||w||^2 alone exceeds the current objective is halved without
+evaluating the O(n d) hinge term. That skip is exact: the hinge term is
+a sum of products of nonnegatives, so it is >= 0, and float addition
+rounds monotonically, so the full objective would be at least the
+penalty and reject the step too (a NaN penalty fails the test and goes
+to the full evaluation, as before).
+
+Nonlinear kernels use dual coordinate ascent under box constraints
+0 <= alpha_i <= C * w_{y_i}, with the bias recovered afterwards from the
+average KKT residual. The coordinate loop keeps its scalars as Python
+floats, whose IEEE double arithmetic gives the bits numpy float64
+scalars gave, and reads column i of the Gram matrix as row i of one
+contiguous transposed copy, so no symmetry is assumed. A Gram matrix
+with a non-finite entry (an overflowing polynomial kernel) is refused.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, check, check_fields, finite, one_of, real, stored, whole
+from .errors import DataError, UsageError, check, check_fields, finite, one_of, real, stored, whole
 from .linear import class_weights, weight_mode
 
 SCHEMA_VERSION = 2  # 2: one config block, with the kernel fields in it
@@ -124,6 +136,11 @@ def _fit_primal_linear(X, y_signed, effective_c, C, max_epochs, tol):
         accepted = False
         for _ in range(60):
             w_new = w - step * grad_w
+            # the penalty alone already exceeds obj: the full objective,
+            # penalty plus a nonnegative hinge sum, would reject the step
+            if 0.5 * float(w_new @ w_new) > obj:
+                step *= 0.5
+                continue
             b_new = b - step * grad_b
             obj_new = hinge_objective(w_new, b_new, X, y_signed, effective_c)
             if obj_new <= obj:
@@ -145,33 +162,39 @@ def _fit_dual_kernel(gram, y_signed, box, max_epochs, tol, seed):
 
     Maintains f_i = sum_j alpha_j y_j K_ij incrementally. Stops when the
     largest projected gradient over an epoch falls below tol or at the
-    epoch budget.
+    epoch budget. The per-coordinate scalars are Python floats, and
+    row i of `columns` is gram[:, i].
     """
     n = gram.shape[0]
-    alpha = np.zeros(n)
     f = np.zeros(n)
-    denom = np.maximum(np.diag(gram).copy(), 1e-12)
+    columns = np.ascontiguousarray(gram.T)
+    alpha = [0.0] * n
+    signs = y_signed.tolist()
+    caps = box.tolist()
+    denom = np.maximum(np.diag(gram), 1e-12).tolist()
     rng = np.random.default_rng(seed)
     for _ in range(max_epochs):
         worst = 0.0
-        for i in rng.permutation(n):
-            grad = y_signed[i] * f[i] - 1.0
-            if alpha[i] <= 0.0:
+        for i in rng.permutation(n).tolist():
+            a = alpha[i]
+            grad = signs[i] * f.item(i) - 1.0
+            if a <= 0.0:
                 projected = min(grad, 0.0)
-            elif alpha[i] >= box[i]:
+            elif a >= caps[i]:
                 projected = max(grad, 0.0)
             else:
                 projected = grad
             worst = max(worst, abs(projected))
             if projected == 0.0:
                 continue
-            new = min(max(alpha[i] - grad / denom[i], 0.0), box[i])
-            delta = new - alpha[i]
+            new = min(max(a - grad / denom[i], 0.0), caps[i])
+            delta = new - a
             if delta != 0.0:
-                f += delta * y_signed[i] * gram[:, i]
+                f += delta * signs[i] * columns[i]
                 alpha[i] = new
         if worst < tol:
             break
+    alpha = np.array(alpha)
     free = (alpha > 1e-12) & (alpha < box - 1e-12)
     if free.any():
         bias = float(np.mean(y_signed[free] - f[free]))
@@ -242,7 +265,13 @@ def fit_svm(X, y, config: SvmConfig = SvmConfig(), seed: int = 0) -> SvmModel:
                     X_pair, y_signed, effective_c, config.C, config.max_epochs, config.tol
                 )
             else:
-                gram = kernel_matrix(config, X_pair, X_pair)
+                with np.errstate(over="ignore"):  # refused below, not warned about
+                    gram = kernel_matrix(config, X_pair, X_pair)
+                if not np.isfinite(gram).all():
+                    raise UsageError(
+                        f"kernel={config.kernel!r}, degree={config.degree}, "
+                        f"coef0={config.coef0}: the kernel matrix of class pair "
+                        f"({neg}, {pos}) has non-finite entries")
                 alpha, pair.b = _fit_dual_kernel(
                     gram, y_signed, effective_c, config.max_epochs, config.tol, seed
                 )
@@ -318,6 +347,24 @@ def to_dict(model: SvmModel) -> dict:
 _CLASS_ID = whole(at_least=0)
 
 
+def _check_pair_shapes(classes, pairs) -> None:
+    """The pairs fit_svm writes: (a, b) for each a < b of `classes`, once
+    each, in order; every `w` 1-D of one length; `support_vectors` 2-D
+    (or empty) with one `dual_coef` per row."""
+    found = [(pair.class_neg, pair.class_pos) for pair in pairs]
+    expected = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
+    if found != expected:
+        raise DataError(f"pairs {found}: expected {expected}, one per class pair in order")
+    lengths = {pair.w.shape for pair in pairs if pair.w is not None}
+    if len(lengths) > 1 or any(len(shape) != 1 for shape in lengths):
+        raise DataError(f"w of shapes {sorted(lengths)}: expected one 1-D length")
+    for pair in pairs:
+        sv, coef = pair.support_vectors, pair.dual_coef
+        if sv is not None and not ((sv.ndim == 2 or sv.size == 0) and coef.shape == (len(sv),)):
+            raise DataError(f"support_vectors and dual_coef of shapes {sv.shape} and "
+                            f"{coef.shape}: expected one dual_coef per support vector row")
+
+
 def from_dict(data: dict) -> SvmModel:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported SVM model schema: found schema_version "
@@ -326,6 +373,7 @@ def from_dict(data: dict) -> SvmModel:
     if len(classes) < 2 or list(classes) != sorted(set(classes)):
         raise DataError(f"classes={list(classes)!r}: expected two or more class ids "
                         "in increasing order")
+    config = stored(SvmConfig, data["config"])
     pairs = []
     for entry in data["pairs"]:
         pair = PairModel(
@@ -337,14 +385,19 @@ def from_dict(data: dict) -> SvmModel:
                 and {pair.class_neg, pair.class_pos} <= set(classes)):
             raise DataError(f"class_neg={pair.class_neg}, class_pos={pair.class_pos}: expected "
                             f"two ids of classes {list(classes)}, class_neg < class_pos")
-        if "w" in entry:
-            pair.w = finite("w", entry["w"])
-        else:
-            pair.support_vectors = finite("support_vectors", entry["support_vectors"])
-            pair.dual_coef = finite("dual_coef", entry["dual_coef"])
+        stored_arrays = {key: finite(key, entry[key])
+                         for key in ("w", "support_vectors", "dual_coef") if key in entry}
+        expected = {"w"} if config.kernel == "linear" else {"support_vectors", "dual_coef"}
+        if set(stored_arrays) != expected:
+            raise DataError(f"pairs: a {config.kernel} kernel pair stores {sorted(expected)}, "
+                            f"found {sorted(stored_arrays)}")
+        pair.w = stored_arrays.get("w")
+        pair.support_vectors = stored_arrays.get("support_vectors")
+        pair.dual_coef = stored_arrays.get("dual_coef")
         pairs.append(pair)
+    _check_pair_shapes(classes, pairs)
     return SvmModel(
-        config=stored(SvmConfig, data["config"]),
+        config=config,
         classes=classes,
         pairs=pairs,
         weight_per_class=finite("weight_per_class", data["weight_per_class"]),

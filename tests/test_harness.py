@@ -904,6 +904,40 @@ class TestCli:
         if isinstance(params, dict) and len(params) == 1:  # the refusal names the key
             assert next(iter(params)) in capsys.readouterr().err
 
+    def test_non_finite_kernel_exits_one(self, cli_prepared, tmp_path, capsys):
+        """A degree-1100 kernel overflows on every TF-IDF row; it once
+        trained a constant classifier with no support vectors."""
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps({"kernel": "polynomial", "degree": 1100,
+                                           "coef0": 1.0}), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run([
+            "train", "--prepared", cli_prepared["prep"], "--family", "svm",
+            "--params", str(params_path), "--out", str(tmp_path / "model"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not (tmp_path / "model.model.json").exists()
+        for part in ("kernel='polynomial'", "degree=1100", "coef0=1.0", "class pair (0, 1)"):
+            assert part in err
+
+    def test_non_finite_kernel_trial_is_recorded_and_skipped(self, cli_prepared, tmp_path):
+        config_path = tmp_path / "config.json"
+        make_config(family="svm", fixed={"kernel": "polynomial", "coef0": 1.0,
+                                         "max_epochs": 5},
+                    grid={"degree": [1100, 2]}).save(str(config_path))
+        tune_dir = tmp_path / "tune"
+        assert cli.run([
+            "tune", "--prepared", cli_prepared["prep"],
+            "--config", str(config_path), "--outdir", str(tune_dir),
+        ]) == 0
+        log = json.loads((tune_dir / "search.json").read_text(encoding="utf-8"))
+        failed, kept = log["trials"]
+        assert "non-finite" in failed["error"] and failed["val_weighted_f1"] is None
+        assert kept["error"] is None
+        best = json.loads((tune_dir / "best_config.json").read_text(encoding="utf-8"))
+        assert best["params"]["degree"] == 2
+
     def test_integral_float_param_trains_like_an_int(self, cli_prepared, tmp_path):
         bundles = []
         for value in (3, 3.0):
@@ -999,12 +1033,12 @@ def _json_copy(payload):
 
 
 @functools.cache
-def _bundle_model(family: str) -> dict:
+def _bundle_model(family: str, **params) -> dict:
     """The model block of a `family` bundle, fit by its default config
-    on four rows."""
+    (with `params` set) on four rows."""
     spec = families.get(family)
     X, y = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), np.array([0, 0, 1, 1])
-    payload, _ = spec.fit(X, y, spec.config(), 0, None)
+    payload, _ = spec.fit(X, y, spec.config(**params), 0, None)
     return spec.to_dict(payload)
 
 
@@ -1015,7 +1049,10 @@ def _built_and_read_back(family: str, params: dict):
     config = spec.config(**params)
     if family == "gru":  # a GRU bundle stores weights, not its config
         return config, spec.config(**_json_copy(asdict(config)))
-    model = dict(_bundle_model(family), config=asdict(config))
+    # an svm stores `w` under a linear kernel and support vectors under any other
+    kernel = {} if family != "svm" else {"kernel": "linear" if config.kernel == "linear"
+                                         else "rbf"}
+    model = dict(_bundle_model(family, **kernel), config=asdict(config))
     return config, spec.from_dict(_json_copy(model)).config
 
 
@@ -1337,6 +1374,11 @@ class TestMalformedArtifacts:
          "class_neg="),
         ("svm", lambda b: b["model"]["pairs"][0].update(class_pos=99), "class_neg="),
         ("svm", _renumber_last_svm_class, "scheme"),
+        ("svm", lambda b: b["model"]["pairs"].__setitem__(1, b["model"]["pairs"][0]),
+         "pairs"),
+        ("svm", lambda b: b["model"]["pairs"].pop(), "pairs"),
+        ("svm", lambda b: b["model"]["pairs"][2]["w"].pop(), "w of shapes"),
+        ("svm", lambda b: b["model"]["config"].update(kernel="rbf", gamma=0.5), "pairs"),
         ("logistic", _add_a_logistic_class, "scheme"),
         ("forest", lambda b: b["model"].update(tree_seeds=[0.5, "x", None]), "tree_seeds="),
         ("forest", lambda b: b.update(extra=[]), "extra="),
@@ -1347,7 +1389,9 @@ class TestMalformedArtifacts:
             "logistic-unknown-kind", "logistic-missing-weight-row", "logistic-missing-bias",
             "svm-nan-bias", "svm-fractional-class", "svm-classes-out-of-order",
             "svm-fractional-class-pos", "svm-pair-reversed", "svm-pair-class-not-in-classes",
-            "svm-class-beyond-the-scheme", "logistic-class-beyond-the-scheme",
+            "svm-class-beyond-the-scheme", "svm-duplicated-pair", "svm-dropped-pair",
+            "svm-truncated-w", "svm-w-under-an-rbf-kernel",
+            "logistic-class-beyond-the-scheme",
             "forest-bad-tree-seeds", "bundle-extra-as-list", "prepared-fractional-seed",
             "prepared-fractional-split-seed", "prepared-negative-n-dropped"])
     def test_decoded_number_breaking_its_rule_exits_two(

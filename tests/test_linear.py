@@ -67,6 +67,77 @@ def assert_same_bits(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def fused_loss_and_gradient(params, X, y, l2_strength, weight_per_class):
+    """Test-local oracle: the loss and gradient in one pass, as the
+    solver computed them on every trial before trials kept only the
+    objective's state."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = X.shape[0]
+    sample_w = np.asarray(weight_per_class, dtype=np.float64)[y]
+    if params.kind == "sigmoid":
+        z = X @ params.weights[0] + params.bias[0]
+        ce = np.logaddexp(0.0, z) - y * z
+        data_loss = float(sample_w @ ce) / n
+        residual = sample_w * (linear.sigmoid(z) - y) / n
+        grad_w = (residual @ X)[None, :] + 2.0 * l2_strength * params.weights
+        grad_b = np.array([residual.sum()])
+    else:
+        logits = X @ params.weights.T + params.bias
+        logp = linear.log_softmax(logits)
+        data_loss = float(-(sample_w @ logp[np.arange(n), y])) / n
+        residual = np.exp(logp)
+        residual[np.arange(n), y] -= 1.0
+        residual *= (sample_w / n)[:, None]
+        grad_w = residual.T @ X + 2.0 * l2_strength * params.weights
+        grad_b = residual.sum(axis=0)
+    penalty = l2_strength * float(np.sum(params.weights * params.weights))
+    return data_loss + penalty, (grad_w, grad_b)
+
+
+def gradient_every_trial_fit(X, y, config):
+    """Test-local oracle: the Armijo loop that computed a gradient on
+    every trial step, accepted or not."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = int(y.max()) + 1
+    weight_per_class = linear.class_weights(y, config.class_weight, n_classes)
+    l2_strength = 1.0 / config.C
+    params = linear.LinearModelParams.zeros(X.shape[1], n_classes, config)
+    loss, (grad_w, grad_b) = fused_loss_and_gradient(
+        params, X, y, l2_strength, weight_per_class
+    )
+    params.objective_trace.append(loss)
+    step = 1.0
+    for _ in range(config.max_iter):
+        grad_sq = float(np.sum(grad_w * grad_w) + grad_b @ grad_b)
+        if np.sqrt(grad_sq) < config.tol:
+            break
+        step = min(step * 2.0, 1e6)
+        accepted = False
+        for _ in range(60):
+            trial = linear.LinearModelParams(
+                params.weights - step * grad_w,
+                params.bias - step * grad_b,
+                params.n_classes,
+                params.kind,
+                config,
+            )
+            trial_loss, trial_grad = fused_loss_and_gradient(
+                trial, X, y, l2_strength, weight_per_class
+            )
+            if trial_loss <= loss - 1e-4 * step * grad_sq:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        params.weights, params.bias = trial.weights, trial.bias
+        loss, (grad_w, grad_b) = trial_loss, trial_grad
+        params.objective_trace.append(loss)
+    return params
+
+
 class TestSigmoid:
     EDGES = [0.0, -0.0, 709.0, -709.0, 746.0, -746.0, np.inf, -np.inf]
 
@@ -320,3 +391,70 @@ class TestSerialization:
     def test_bad_schema_rejected(self):
         with pytest.raises(DataError):
             linear.from_dict({"schema_version": 99})
+
+
+@st.composite
+def logistic_problems(draw):
+    """A small dense or sparse problem with every class present, and a
+    config across the solver's regimes: tiny and huge C, one iteration,
+    tol 0, class weights, and feature scales where no step is
+    productive."""
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(n_classes, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 10.0, 1e10])),
+                   (n, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        X[rng.random(X.shape) < 0.6] = 0.0  # mostly zero, as TF-IDF rows are
+    y = rng.integers(0, n_classes, n)
+    y[rng.permutation(n)[:n_classes]] = np.arange(n_classes)
+    config = linear.LogisticConfig(
+        C=draw(st.sampled_from([1e-3, 1.0, 100.0, 1e12])),
+        class_weight=draw(st.sampled_from([None, "balanced"])),
+        max_iter=draw(st.sampled_from([1, 2, 7, 40])),
+        tol=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+    )
+    return X, y, config
+
+
+class TestGradientOnlyOnAcceptedSteps:
+    """fit_logistic computes the objective on every trial and the
+    gradient only on the accepted one; the loop that computed both on
+    every trial is the bitwise oracle."""
+
+    def assert_same_fit(self, got, want):
+        assert_same_bits(got.weights, want.weights)
+        assert_same_bits(got.bias, want.bias)
+        assert_same_bits(np.array(got.objective_trace), np.array(want.objective_trace))
+
+    @given(logistic_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_fit_matches_the_gradient_every_trial_loop_bitwise(self, problem):
+        X, y, config = problem
+        self.assert_same_fit(linear.fit_logistic(X, y, config),
+                             gradient_every_trial_fit(X, y, config))
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_fit_without_a_productive_step_matches(self, n_classes):
+        # on features of scale 1e10 even a step of 2**-58 overshoots, so
+        # the first line search accepts nothing and the fit stops
+        X = np.random.default_rng(0).normal(0.0, 1e10, (12, 3))
+        y = np.arange(12) % n_classes
+        config = linear.LogisticConfig(tol=0.0, max_iter=50)
+        got = linear.fit_logistic(X, y, config)
+        assert len(got.objective_trace) == 1
+        self.assert_same_fit(got, gradient_every_trial_fit(X, y, config))
+
+    @given(logistic_problems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_objective_then_gradient_is_the_fused_pass(self, problem, seed):
+        X, y, config = problem
+        n_classes = int(y.max()) + 1
+        params = random_params(np.random.default_rng(seed), X.shape[1], n_classes)
+        wpc = linear.class_weights(y, config.class_weight, n_classes)
+        loss, (grad_w, grad_b) = linear.loss_and_gradient(params, X, y, 1.0 / config.C, wpc)
+        want_loss, (want_w, want_b) = fused_loss_and_gradient(
+            params, X, y, 1.0 / config.C, wpc)
+        assert_same_bits(np.array(loss), np.array(want_loss))
+        assert_same_bits(grad_w, want_w)
+        assert_same_bits(grad_b, want_b)

@@ -6,12 +6,104 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhtext import svm
-from mhtext.errors import DataError
+from mhtext.errors import DataError, UsageError
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
+
+
+def full_evaluation_primal(X, y_signed, effective_c, C, max_epochs, tol):
+    """Test-local oracle: the primal loop that evaluated the full
+    objective for every trial step."""
+    n = X.shape[0]
+    lam = 1.0 / (C * n)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    obj = svm.hinge_objective(w, b, X, y_signed, effective_c)
+    trace = [obj]
+    for epoch in range(1, max_epochs + 1):
+        grad_w, grad_b = svm.hinge_subgradient(w, b, X, y_signed, effective_c)
+        step = 1.0 / (lam * (epoch + 1))
+        accepted = False
+        for _ in range(60):
+            w_new = w - step * grad_w
+            b_new = b - step * grad_b
+            obj_new = svm.hinge_objective(w_new, b_new, X, y_signed, effective_c)
+            if obj_new <= obj:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        improved = obj - obj_new
+        w, b, obj = w_new, b_new, obj_new
+        trace.append(obj)
+        if improved <= tol * max(1.0, abs(obj)):
+            break
+    return w, b, trace
+
+
+def numpy_scalar_dual(gram, y_signed, box, max_epochs, tol, seed):
+    """Test-local oracle: the dual coordinate loop on numpy scalars,
+    reading each column of the Gram matrix in place."""
+    n = gram.shape[0]
+    alpha = np.zeros(n)
+    f = np.zeros(n)
+    denom = np.maximum(np.diag(gram).copy(), 1e-12)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_epochs):
+        worst = 0.0
+        for i in rng.permutation(n):
+            grad = y_signed[i] * f[i] - 1.0
+            if alpha[i] <= 0.0:
+                projected = min(grad, 0.0)
+            elif alpha[i] >= box[i]:
+                projected = max(grad, 0.0)
+            else:
+                projected = grad
+            worst = max(worst, abs(projected))
+            if projected == 0.0:
+                continue
+            new = min(max(alpha[i] - grad / denom[i], 0.0), box[i])
+            delta = new - alpha[i]
+            if delta != 0.0:
+                f += delta * y_signed[i] * gram[:, i]
+                alpha[i] = new
+        if worst < tol:
+            break
+    free = (alpha > 1e-12) & (alpha < box - 1e-12)
+    if free.any():
+        bias = float(np.mean(y_signed[free] - f[free]))
+    else:
+        support = alpha > 1e-12
+        bias = float(np.mean(y_signed[support] - f[support])) if support.any() else 0.0
+    return alpha, bias
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def signed_problems(draw, max_rows=16):
+    """Rows, +-1 labels with both signs present, and per-row C values
+    (class-weighted, so they differ between the signs)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max_rows))
+    X = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 10.0])),
+                   (n, draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        X[rng.random(X.shape) < 0.6] = 0.0
+    y_signed = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y_signed[:2] = [1.0, -1.0]
+    C = draw(st.sampled_from([1e-3, 1.0, 10.0, 1e12]))
+    weights = {1.0: draw(st.sampled_from([1.0, 0.5, 2.5])), -1.0: 1.0}
+    effective_c = C * np.array([weights[s] for s in y_signed])
+    return rng, X, y_signed, effective_c, C
 
 
 class TestKernels:
@@ -289,3 +381,190 @@ class TestSerialization:
     def test_bad_schema_rejected(self):
         with pytest.raises(DataError):
             svm.from_dict({"schema_version": 99})
+
+
+class TestSolverEconomy:
+    """The primal loop skips steps whose penalty alone rejects them, and
+    the dual loop runs on Python floats; the loops they replace are the
+    bitwise oracles."""
+
+    @given(signed_problems(), st.sampled_from([1, 2, 5, 40]), st.sampled_from([0.0, 1e-6, 1e-2]))
+    @settings(max_examples=150, deadline=None)
+    def test_primal_matches_the_full_evaluation_loop_bitwise(self, problem, max_epochs, tol):
+        _, X, y_signed, effective_c, C = problem
+        got = svm._fit_primal_linear(X, y_signed, effective_c, C, max_epochs, tol)
+        want = full_evaluation_primal(X, y_signed, effective_c, C, max_epochs, tol)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+        assert bits(got[2]) == bits(want[2])
+
+    @given(signed_problems(max_rows=8), st.sampled_from([1e-3, 1.0, 1e3]),
+           st.sampled_from([1.0, 1e-300, 0.0]), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_the_certificate_never_skips_an_accepted_step(self, problem, scale, c_scale, ulps):
+        """Whenever 0.5 * ||w||^2 > obj, the full objective exceeds obj
+        too: for obj one to three ulps below the penalty or well below
+        it, and for hinge sums that are zero or vanish in rounding."""
+        rng, X, y_signed, effective_c, _ = problem
+        w = rng.normal(0.0, scale, X.shape[1])
+        penalty = 0.5 * float(w @ w)
+        obj = penalty * float(rng.uniform(0.0, 1.0))
+        if ulps:
+            obj = penalty
+            for _ in range(ulps):
+                obj = float(np.nextafter(obj, -np.inf))
+        assert penalty > obj
+        full = svm.hinge_objective(w, float(rng.normal()), X, y_signed, c_scale * effective_c)
+        assert full > obj
+
+    def test_the_certificate_skips_objective_evaluations(self, rng, monkeypatch):
+        full = svm.hinge_objective
+        calls = {"new": 0, "old": 0}
+
+        def counting(loop):
+            def count(*args):
+                calls[loop] += 1
+                return full(*args)
+            return count
+
+        X = rng.normal(0.0, 1.0, (60, 4))
+        y_signed = np.where(X[:, 0] > 0, 1.0, -1.0)
+        c = np.ones(60)
+        monkeypatch.setattr(svm, "hinge_objective", counting("new"))
+        got = svm._fit_primal_linear(X, y_signed, c, 1.0, 30, 0.0)
+        monkeypatch.setattr(svm, "hinge_objective", counting("old"))
+        want = full_evaluation_primal(X, y_signed, c, 1.0, 30, 0.0)
+        assert bits(got[0]) == bits(want[0]) and bits(got[2]) == bits(want[2])
+        assert 0 < calls["new"] < calls["old"]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1, 2, 5, 30]),
+           st.sampled_from([0.0, 1e-6, 1e-2]), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_dual_matches_the_numpy_scalar_loop_on_any_matrix(
+        self, draw_seed, n, max_epochs, tol, seed
+    ):
+        """Non-symmetric, indefinite and negative-diagonal matrices too:
+        the loop reads column i, never row i."""
+        rng = np.random.default_rng(draw_seed)
+        gram = rng.normal(0.0, rng.choice([0.1, 1.0, 10.0]), (n, n))
+        if rng.random() < 0.3:
+            gram[rng.random((n, n)) < 0.5] = 0.0
+        y_signed = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        box = rng.choice([1e-3, 1.0, 10.0, 1e12]) * rng.uniform(0.5, 2.0, n)
+        got = svm._fit_dual_kernel(gram, y_signed, box, max_epochs, tol, seed)
+        want = numpy_scalar_dual(gram, y_signed, box, max_epochs, tol, seed)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+
+    @given(signed_problems(), st.sampled_from([
+        svm.SvmConfig(kernel="linear"),
+        svm.SvmConfig(kernel="rbf", gamma=0.5),
+        svm.SvmConfig(kernel="polynomial", degree=3, coef0=1.0),
+        svm.SvmConfig(kernel="sigmoid", alpha=0.3, coef0=-0.2),
+    ]), st.sampled_from([1, 5, 100]), st.sampled_from([0.0, 1e-3]), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_dual_matches_the_numpy_scalar_loop_on_kernel_matrices(
+        self, problem, config, max_epochs, tol, seed
+    ):
+        _, X, y_signed, effective_c, _ = problem
+        gram = svm.kernel_matrix(config, X, X)
+        got = svm._fit_dual_kernel(gram, y_signed, effective_c, max_epochs, tol, seed)
+        want = numpy_scalar_dual(gram, y_signed, effective_c, max_epochs, tol, seed)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+
+
+class TestNonFiniteKernel:
+    def test_overflowing_polynomial_kernel_is_refused(self):
+        """A degree-1100 kernel once fitted a constant classifier with no
+        support vectors and b = 0."""
+        X = np.array([[2.0, 1.0], [1.5, 2.0], [-2.0, -1.0], [-1.0, -2.5]])
+        config = svm.SvmConfig(kernel="polynomial", degree=1100, coef0=1.0)
+        with pytest.raises(UsageError) as refusal, np.errstate(over="ignore"):
+            svm.fit_svm(X, [0, 0, 1, 1], config)
+        message = str(refusal.value)
+        for part in ("kernel='polynomial'", "degree=1100", "coef0=1.0", "(0, 1)"):
+            assert part in message
+
+    def test_finite_polynomial_kernel_fits(self):
+        X = np.array([[2.0, 1.0], [1.5, 2.0], [-2.0, -1.0], [-1.0, -2.5]])
+        config = svm.SvmConfig(kernel="polynomial", degree=3, coef0=1.0, C=10.0)
+        model = svm.fit_svm(X, [0, 0, 1, 1], config)
+        assert svm.predict(model, X).tolist() == [0, 0, 1, 1]
+
+
+class TestDecoderPairRules:
+    """from_dict takes only the pairs fit_svm writes, with arrays that
+    fit their kernel. Each refusal names `pairs` or the field."""
+
+    @staticmethod
+    def written(kernel):
+        rng = np.random.default_rng(7)
+        X = np.vstack([rng.normal(c, 0.4, (8, 2)) for c in ((0, 0), (4, 0), (0, 4))])
+        model = svm.fit_svm(X, np.repeat([0, 1, 2], 8), svm.SvmConfig(kernel=kernel, C=5.0))
+        return json.loads(json.dumps(svm.to_dict(model)))
+
+    @pytest.fixture(params=["linear", "rbf"])
+    def payload(self, request):
+        return self.written(request.param)
+
+    @pytest.fixture
+    def linear_payload(self):
+        return self.written("linear")
+
+    @pytest.fixture
+    def rbf_payload(self):
+        return self.written("rbf")
+
+    def refused(self, payload, field):
+        with pytest.raises(DataError, match=field):
+            svm.from_dict(payload)
+
+    def test_written_payload_decodes(self, payload):
+        again = svm.from_dict(payload)
+        assert [(p.class_neg, p.class_pos) for p in again.pairs] == [(0, 1), (0, 2), (1, 2)]
+
+    def test_duplicated_pair_is_refused(self, payload):
+        payload["pairs"][1] = dict(payload["pairs"][0])
+        self.refused(payload, "pairs")
+
+    def test_dropped_pair_is_refused(self, payload):
+        payload["pairs"].pop()
+        self.refused(payload, "pairs")
+
+    def test_reordered_pairs_are_refused(self, payload):
+        payload["pairs"].reverse()
+        self.refused(payload, "pairs")
+
+    def test_arrays_of_the_other_kernel_are_refused(self, payload):
+        payload["config"]["kernel"] = "rbf" if payload["config"]["kernel"] == "linear" \
+            else "linear"
+        self.refused(payload, "pairs")
+
+    def test_pair_with_both_kinds_of_arrays_is_refused(self, payload):
+        payload["pairs"][0].update(w=[0.0, 0.0], support_vectors=[[0.0, 0.0]], dual_coef=[1.0])
+        self.refused(payload, "pairs")
+
+    def test_truncated_w_is_refused(self, linear_payload):
+        linear_payload["pairs"][1]["w"].pop()
+        self.refused(linear_payload, "w of shapes")
+
+    def test_w_of_two_dimensions_is_refused(self, linear_payload):
+        for pair in linear_payload["pairs"]:
+            pair["w"] = [pair["w"]]
+        self.refused(linear_payload, "w of shapes")
+
+    def test_flat_support_vectors_are_refused(self, rbf_payload):
+        pair = rbf_payload["pairs"][0]
+        pair["support_vectors"] = [v for row in pair["support_vectors"] for v in row]
+        self.refused(rbf_payload, "support_vectors")
+
+    def test_dual_coef_per_row_is_required(self, rbf_payload):
+        rbf_payload["pairs"][0]["dual_coef"].pop()
+        self.refused(rbf_payload, "dual_coef")
+
+    def test_pair_without_support_vectors_decodes(self, rbf_payload):
+        rbf_payload["pairs"][0].update(support_vectors=[], dual_coef=[])
+        model = svm.from_dict(rbf_payload)
+        pair = model.pairs[0]
+        assert pair.margins(model.config, np.ones((2, 2))).tolist() == [pair.b, pair.b]
