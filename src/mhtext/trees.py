@@ -27,15 +27,31 @@ about _BLOCK_ENTRIES entries, which bounds the scan's memory. A block's
 first argmax replaces the best so far only when its gain is strictly
 greater, which keeps the tie rule.
 
-The booster bins features into at most max_bins quantile bins, grows
-each tree leaf-wise by largest Newton gain
+The booster bins each feature once per fit into at most max_bins bins.
+A feature of at most max_bins distinct values cuts midway between
+adjacent ones; a feature of more cuts at its distinct quantiles at
+levels 1/max_bins, ..., (max_bins - 1)/max_bins. One sort of a block of
+X's columns gives each feature's distinct values, and one np.quantile
+call over the block's unsorted many-valued columns gives each column's
+quantiles bit for bit. The bins are kept as one int64 code matrix, a
+cell's bin plus feature * width (width is the most bins a feature has),
+so one bincount over a leaf's rows of it gives every feature's gradient,
+hessian and count histogram; gains are computed at each feature's own
+cuts only, and a split routes rows by their codes. The
+root holds every row: its histograms read the matrix as it is, and its
+count histogram, the same in every tree, is counted once per fit. Each
+tree grows leaf-wise by largest Newton gain
 
     G_L^2/(H_L + reg) + G_R^2/(H_R + reg) - G_P^2/(H_P + reg)
 
-with reg = 1e-3, and assigns leaf values -G/(H + reg) scaled by the
-learning rate. Binary targets train one tree per round on sigmoid
+with reg = 1e-3. A leaf's histograms are built only when it can still be
+split: the split that makes the num_leaves-th leaf ends the tree, so its
+two children are not searched. Leaf values are -G/(H + reg) scaled by
+the learning rate. Binary targets train one tree per round on sigmoid
 gradients from a logit(base rate) start; multiclass trains one tree per
-class per round on softmax gradients.
+class per round on softmax gradients. A tree fit refuses an X with a NaN
+or infinite cell, or one of magnitude 2**1023 or more, whose midpoint
+with another cell could overflow.
 """
 
 from __future__ import annotations
@@ -345,6 +361,24 @@ def _grow(X, index, y, idx, config, weights, n_classes, depth, rng, n_candidates
     return node
 
 
+_CELL_LIMIT = 2.0 ** 1023  # below it in magnitude, two cells' sum cannot overflow
+
+
+def _fit_inputs(X, y, what: str):
+    """X as float64 and y as int64 for a tree fit, refused when empty or
+    when a cell is NaN, infinite or at least _CELL_LIMIT in magnitude: a
+    cut midway to such a cell is infinite and sends every row one way."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if y.size == 0:
+        raise DataError(f"cannot fit a {what} on an empty dataset")
+    # a NaN cell makes min and max NaN, which fails the range test
+    if X.size and not -_CELL_LIMIT < X.min() <= X.max() < _CELL_LIMIT:
+        raise DataError(f"cannot fit a {what} on non-finite features or on a cell of "
+                        f"magnitude 2**1023 or more")
+    return X, y
+
+
 @dataclass
 class CartModel:
     """A single tree plus the class weights its leaf distributions use."""
@@ -357,10 +391,7 @@ class CartModel:
 
 def fit_cart(X, y, config: TreeConfig = TreeConfig()) -> CartModel:
     """Grow a single deterministic CART tree over all features."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if y.size == 0:
-        raise DataError("cannot fit a tree on an empty dataset")
+    X, y = _fit_inputs(X, y, "tree")
     n_classes = int(y.max()) + 1
     weights = class_weights(y, config.class_weight, n_classes)
     root = _grow(X, SortedNonzeros(X), y, np.arange(y.size), config, weights, n_classes,
@@ -431,10 +462,7 @@ def _resolve_max_features(setting, n_features: int) -> int:
 def fit_forest(X, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> ForestModel:
     """Bagged trees: per-tree bootstrap of n rows (seeded from the run
     seed by tree index) and ceil(sqrt(D)) candidate features per split."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if y.size == 0:
-        raise DataError("cannot fit a forest on an empty dataset")
+    X, y = _fit_inputs(X, y, "forest")
     n_classes = int(y.max()) + 1
     weights = class_weights(y, config.class_weight, n_classes)
     n_candidates = _resolve_max_features(config.max_features, X.shape[1])
@@ -477,25 +505,56 @@ def forest_scores(model: ForestModel, X) -> np.ndarray:
 # Histogram gradient boosting
 
 
-def _bin_features(X, max_bins: int):
-    """Quantile bins per feature. Returns (binned int32 matrix, list of
-    per-feature bin upper bounds). bin(x) <= t exactly when
+_BIN_BLOCK = 64  # features binned at once
+
+
+@dataclass
+class _Bins:
+    """X's quantile bins, built once per fit and read by every tree."""
+
+    codes: np.ndarray  # (rows, features) int64: a cell's bin plus feature * width
+    upper_bounds: list[np.ndarray]  # per feature, ascending
+    width: int  # the most bins a feature has: one histogram row
+    cuts: np.ndarray  # f * width + t for each feature f's cuts t, ascending
+    root_counts: np.ndarray  # rows per code over every row
+
+
+def _bin_features(X, max_bins: int) -> _Bins:
+    """Quantile bins per feature, from one sort per block of X's columns;
+    X's cells must pass _fit_inputs. bin(x) <= t exactly when
     x <= upper_bounds[t], so raw-threshold routing reproduces binned
     splits."""
-    n, n_features = X.shape
-    binned = np.empty((n, n_features), dtype=np.int32)
-    upper_bounds = []
-    for feat in range(n_features):
-        col = X[:, feat]
-        distinct = np.unique(col)
-        if distinct.size <= max_bins:
-            bounds = (distinct[:-1] + distinct[1:]) / 2.0
-        else:
-            quantiles = np.quantile(col, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
-            bounds = np.unique(quantiles)
-        binned[:, feat] = np.searchsorted(bounds, col, side="left")
-        upper_bounds.append(bounds)
-    return binned, upper_bounds
+    codes = np.empty(X.shape, dtype=np.int64)
+    levels = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
+    upper_bounds: list[np.ndarray] = []
+    for lo in range(0, X.shape[1], _BIN_BLOCK):
+        block = np.ascontiguousarray(X[:, lo:lo + _BIN_BLOCK].T)  # a row per feature
+        ordered = np.sort(block, axis=1)
+        new_run = ordered[:, 1:] != ordered[:, :-1]  # where a next distinct value starts
+        n_distinct = 1 + new_run.sum(axis=1)
+        # a feature of at most max_bins values cuts midway between adjacent ones
+        row, at = np.nonzero(new_run)
+        mids = (ordered[row, at] + ordered[row, at + 1]) / 2.0
+        bounds = np.split(mids, np.cumsum(n_distinct - 1)[:-1])
+        # one of more cuts at its distinct quantiles, taken of the unsorted
+        # rows as of each column alone (a sorted row can order -0.0 and 0.0
+        # otherwise), then deduplicated as np.unique does: sort, and keep
+        # the first of each run of equals
+        many = np.flatnonzero(n_distinct > max_bins)
+        quantiles = np.sort(np.quantile(block[many], levels, axis=1).T, axis=1)
+        first = np.ones(quantiles.shape, dtype=bool)
+        first[:, 1:] = quantiles[:, 1:] != quantiles[:, :-1]
+        for i, kept in zip(many, np.split(quantiles[first], np.cumsum(first.sum(axis=1))[:-1])):
+            bounds[i] = kept
+        for i, values in enumerate(block):
+            codes[:, lo + i] = np.searchsorted(bounds[i], values, side="left")
+        upper_bounds += bounds
+    n_cuts = np.array([b.size for b in upper_bounds], dtype=np.int64)
+    width = int(n_cuts.max(initial=0)) + 1
+    codes += np.arange(X.shape[1], dtype=np.int64) * width
+    cuts = np.flatnonzero(np.arange(width) < n_cuts[:, None])
+    root_counts = np.bincount(codes.ravel(), minlength=codes.shape[1] * width)
+    return _Bins(codes, upper_bounds, width, cuts, root_counts)
 
 
 @dataclass
@@ -508,24 +567,22 @@ class _LeafState:
     best: tuple[float, int, int] | None = None  # (gain, feature, bin)
 
 
-def _leaf_best_split(binned, idx, grad, hess, grad_sum, hess_sum, n_bins, config):
+def _leaf_best_split(bins: _Bins, idx, grad, hess, grad_sum, hess_sum, config):
     """Best Newton split for one leaf via gradient/hessian histograms."""
-    max_bins = int(n_bins.max())
-    if max_bins < 2 or idx.size < 2 * config.min_child_samples:
+    width = bins.width
+    if width < 2 or idx.size < 2 * config.min_child_samples:
         return None
-    n_features = binned.shape[1]
-    codes = binned[idx].astype(np.int64) + np.arange(n_features, dtype=np.int64) * max_bins
-    flat = codes.ravel()
-    size = n_features * max_bins
+    n_rows, n_features = bins.codes.shape
+    size = n_features * width
+    root = idx.size == n_rows  # a leaf of every row holds them in order
+    flat = (bins.codes if root else bins.codes[idx]).ravel()
     hist_g = np.bincount(flat, weights=np.repeat(grad[idx], n_features), minlength=size)
     hist_h = np.bincount(flat, weights=np.repeat(hess[idx], n_features), minlength=size)
-    hist_n = np.bincount(flat, minlength=size)
-    hist_g = hist_g.reshape(n_features, max_bins)
-    hist_h = hist_h.reshape(n_features, max_bins)
-    hist_n = hist_n.reshape(n_features, max_bins)
-    grad_left = np.cumsum(hist_g, axis=1)[:, :-1]
-    hess_left = np.cumsum(hist_h, axis=1)[:, :-1]
-    count_left = np.cumsum(hist_n, axis=1)[:, :-1]
+    hist_n = bins.root_counts if root else np.bincount(flat, minlength=size)
+    # the left side of each real cut t of feature f: its bins 0..t
+    grad_left = np.cumsum(hist_g.reshape(n_features, width), axis=1).ravel()[bins.cuts]
+    hess_left = np.cumsum(hist_h.reshape(n_features, width), axis=1).ravel()[bins.cuts]
+    count_left = np.cumsum(hist_n.reshape(n_features, width), axis=1).ravel()[bins.cuts]
     grad_right = grad_sum - grad_left
     hess_right = hess_sum - hess_left
     count_right = idx.size - count_left
@@ -535,38 +592,32 @@ def _leaf_best_split(binned, idx, grad, hess, grad_sum, hess_sum, n_bins, config
         + grad_right * grad_right / (hess_right + GBDT_REG)
         - parent_term
     )
-    cut_ok = np.arange(max_bins - 1)[None, :] < (n_bins[:, None] - 1)
-    valid = (
-        cut_ok
-        & (count_left >= config.min_child_samples)
-        & (count_right >= config.min_child_samples)
-    )
+    valid = (count_left >= config.min_child_samples) & (count_right >= config.min_child_samples)
     gains = np.where(valid, gains, -np.inf)
-    flat_best = int(np.argmax(gains))  # row-major: lowest feature, then bin
-    feat, cut = divmod(flat_best, max_bins - 1)
-    gain = float(gains[feat, cut])
+    best = int(np.argmax(gains))  # the cuts ascend: lowest feature, then bin
+    gain = float(gains[best])
     if not np.isfinite(gain) or gain <= 0.0:
         return None
+    feat, cut = divmod(int(bins.cuts[best]), width)
     return gain, int(feat), int(cut)
 
 
-def _grow_tree_leafwise(binned, upper_bounds, grad, hess, config, apply_to):
+def _grow_tree_leafwise(bins: _Bins, grad, hess, config, apply_to):
     """Grow one regression tree leaf-wise by largest gain; write the
     learning-rate-scaled leaf values into apply_to (the score vector)."""
-    n_bins = np.array([b.size + 1 for b in upper_bounds], dtype=np.int64)
     heap: list[tuple[float, int, int]] = []
     leaves: dict[int, _LeafState] = {}
     ticket = 0
 
-    def make_leaf(idx: np.ndarray, depth: int) -> TreeNode:
+    def make_leaf(idx: np.ndarray, depth: int, can_split: bool) -> TreeNode:
         nonlocal ticket
         node = TreeNode(n_samples=int(idx.size))
         state = _LeafState(
             node, idx, depth, float(grad[idx].sum()), float(hess[idx].sum())
         )
-        if depth < config.depth_limit:
+        if can_split and depth < config.depth_limit:
             found = _leaf_best_split(
-                binned, idx, grad, hess, state.grad_sum, state.hess_sum, n_bins, config
+                bins, idx, grad, hess, state.grad_sum, state.hess_sum, config
             )
             if found is not None:
                 state.best = found
@@ -575,7 +626,7 @@ def _grow_tree_leafwise(binned, upper_bounds, grad, hess, config, apply_to):
         ticket += 1
         return node
 
-    root = make_leaf(np.arange(binned.shape[0]), 0)
+    root = make_leaf(np.arange(bins.codes.shape[0]), 0, True)
     n_leaves = 1
     while heap and n_leaves < config.num_leaves:
         _, _, leaf_id = heapq.heappop(heap)
@@ -583,11 +634,13 @@ def _grow_tree_leafwise(binned, upper_bounds, grad, hess, config, apply_to):
         gain, feat, cut = state.best
         node = state.node
         node.feature = feat
-        node.threshold = float(upper_bounds[feat][cut])
+        node.threshold = float(bins.upper_bounds[feat][cut])
         node.gain = gain
-        goes_left = binned[state.idx, feat] <= cut
-        node.left = make_leaf(state.idx[goes_left], state.depth + 1)
-        node.right = make_leaf(state.idx[~goes_left], state.depth + 1)
+        goes_left = bins.codes[state.idx, feat] <= cut + feat * bins.width
+        # the split that makes the last leaf leaves its children unsplit
+        can_split = n_leaves + 1 < config.num_leaves
+        node.left = make_leaf(state.idx[goes_left], state.depth + 1, can_split)
+        node.right = make_leaf(state.idx[~goes_left], state.depth + 1, can_split)
         n_leaves += 1
     for state in leaves.values():
         value = -config.learning_rate * state.grad_sum / (state.hess_sum + GBDT_REG)
@@ -619,16 +672,13 @@ def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     takes no seed. train_loss[r] records the weighted mean log-loss
     after r rounds, starting at the base score.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if y.size == 0:
-        raise DataError("cannot fit a booster on an empty dataset")
+    X, y = _fit_inputs(X, y, "booster")
     n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise DataError("boosting needs at least two classes")
     weights = class_weights(y, config.class_weight, n_classes)
     sample_w = weights[y]
-    binned, upper_bounds = _bin_features(X, config.max_bins)
+    bins = _bin_features(X, config.max_bins)
     n = y.size
     rounds: list[list[TreeNode]] = []
     losses: list[float] = []
@@ -646,7 +696,7 @@ def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
             prob = sigmoid(scores)
             grad = sample_w * (prob - target)
             hess = sample_w * prob * (1.0 - prob)
-            root = _grow_tree_leafwise(binned, upper_bounds, grad, hess, config, scores)
+            root = _grow_tree_leafwise(bins, grad, hess, config, scores)
             rounds.append([root])
             losses.append(loss())
         base_score = np.array([base])
@@ -670,12 +720,12 @@ def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
             hesses = sample_w[:, None] * prob * (1.0 - prob)
             for k in range(n_classes):
                 root = _grow_tree_leafwise(
-                    binned, upper_bounds, grads[:, k], hesses[:, k], config, scores[:, k]
+                    bins, grads[:, k], hesses[:, k], config, scores[:, k]
                 )
                 round_trees.append(root)
             rounds.append(round_trees)
             losses.append(loss())
-    return GbdtModel(base_score, rounds, n_classes, config, upper_bounds, losses)
+    return GbdtModel(base_score, rounds, n_classes, config, bins.upper_bounds, losses)
 
 
 def predict_gbdt_proba(model: GbdtModel, X) -> np.ndarray:
@@ -810,13 +860,31 @@ def gbdt_to_dict(model: GbdtModel) -> dict:
     }
 
 
+def _ascending(name: str, values) -> np.ndarray:
+    """`values` as a 1-D float64 array of finite, strictly ascending numbers."""
+    array = finite(name, values)
+    if array.ndim != 1 or (array[1:] <= array[:-1]).any():
+        raise ValueError(f"{name}: expected strictly ascending numbers")
+    return array
+
+
 def gbdt_from_dict(data: dict) -> GbdtModel:
     _check_header(data, "gbdt")
+    n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
+    per_round = 1 if n_classes == 2 else n_classes  # trees per round and base scores
+    base_score = finite("base_score", data["base_score"])
+    if base_score.shape != (per_round,):
+        raise ValueError(f"base_score: expected {per_round} numbers for n_classes={n_classes}, "
+                         f"found shape {base_score.shape}")
+    if any(len(rnd) != per_round for rnd in data["rounds"]):
+        raise ValueError(f"rounds: expected {per_round} trees in each round for "
+                         f"n_classes={n_classes}")
     return GbdtModel(
-        base_score=finite("base_score", data["base_score"]),
+        base_score=base_score,
         rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
-        n_classes=check("n_classes", data["n_classes"], _POSITIVE),
+        n_classes=n_classes,
         config=stored(GbdtConfig, data["config"]),
-        bin_upper_bounds=[np.array(b, dtype=np.float64) for b in data["bin_upper_bounds"]],
+        bin_upper_bounds=[_ascending(f"bin_upper_bounds[{f}]", b)
+                          for f, b in enumerate(data["bin_upper_bounds"])],
         train_loss=[check("train_loss", v, _REAL) for v in data.get("train_loss", [])],
     )

@@ -1112,8 +1112,8 @@ def cli_artifacts(cli_prepared) -> dict:
 
 @pytest.fixture(scope="module")
 def cli_multiclass(cli_prepared) -> dict:
-    """A multiclass prepared dataset and small logistic, svm and forest
-    bundles trained on it, for the decoders' number and cross-field
+    """A multiclass prepared dataset and small logistic, svm, forest and
+    gbdt bundles trained on it, for the decoders' number and cross-field
     rules."""
     base = cli_prepared["base"] / "multiclass"
     base.mkdir()
@@ -1124,7 +1124,8 @@ def cli_multiclass(cli_prepared) -> dict:
     out = {"prep": prep}
     for family, params in (("logistic", {"max_iter": 20}),
                            ("svm", {"max_epochs": 5}),
-                           ("forest", {"n_estimators": 3, "max_depth": 4})):
+                           ("forest", {"n_estimators": 3, "max_depth": 4}),
+                           ("gbdt", {"n_estimators": 2, "num_leaves": 3, "max_bins": 8})):
         stem = str(base / family)
         search.save_model(search.train_family(family, params, dataset), stem)
         out[family] = stem
@@ -1189,6 +1190,15 @@ def _add_a_logistic_class(bundle: dict) -> None:
     model["n_classes"] += 1
     model["weights"].append(list(model["weights"][-1]))
     model["bias"].append(model["bias"][-1])
+
+
+def _a_gbdt_bound_list(bundle: dict) -> list:
+    """The bin upper bounds of the first feature that has two or more."""
+    return next(b for b in bundle["model"]["bin_upper_bounds"] if len(b) >= 2)
+
+
+def _reverse_a_gbdt_bound_list(bundle: dict) -> None:
+    _a_gbdt_bound_list(bundle).reverse()
 
 
 def _as_support_vectors(support_vectors, dual_coef):
@@ -1382,6 +1392,12 @@ class TestMalformedArtifacts:
         ("logistic", _add_a_logistic_class, "scheme"),
         ("forest", lambda b: b["model"].update(tree_seeds=[0.5, "x", None]), "tree_seeds="),
         ("forest", lambda b: b.update(extra=[]), "extra="),
+        ("gbdt", lambda b: b["model"].update(n_classes=3), "n_classes=3"),
+        ("gbdt", lambda b: b["model"].update(n_classes=1), "n_classes=1"),
+        ("gbdt", lambda b: b["model"]["rounds"][0].pop(), "rounds"),
+        ("gbdt", lambda b: b["model"].update(base_score=b["model"]["base_score"][:1]),
+         "base_score"),
+        ("gbdt", _reverse_a_gbdt_bound_list, "bin_upper_bounds["),
         ("prepared", lambda d: d.update(seed=0.9), "seed="),
         ("prepared", lambda d: d["split"].update(seed=0.9), "split.seed="),
         ("prepared", lambda d: d.update(n_dropped=-1), "n_dropped="),
@@ -1392,15 +1408,19 @@ class TestMalformedArtifacts:
             "svm-class-beyond-the-scheme", "svm-duplicated-pair", "svm-dropped-pair",
             "svm-truncated-w", "svm-w-under-an-rbf-kernel",
             "logistic-class-beyond-the-scheme",
-            "forest-bad-tree-seeds", "bundle-extra-as-list", "prepared-fractional-seed",
+            "forest-bad-tree-seeds", "bundle-extra-as-list", "gbdt-fewer-classes",
+            "gbdt-one-class", "gbdt-round-short-of-a-tree", "gbdt-one-base-score",
+            "gbdt-descending-bounds", "prepared-fractional-seed",
             "prepared-fractional-split-seed", "prepared-negative-n-dropped"])
     def test_decoded_number_breaking_its_rule_exits_two(
         self, cli_multiclass, tmp_path, capsys, artifact, mutate, field
     ):
         """Each of these once evaluated with exit 0: a fractional class
         count or id, a sigmoid row read as a six-class model, a NaN bias,
-        a list for `extra`, a fractional seed. The refusal names the
-        file and the field."""
+        a list for `extra`, a fractional seed, a six-class booster stored
+        as three or one class, a round short of a tree. A booster's single
+        base score for six classes ended in numpy's index error. The
+        refusal names the file and the field."""
         prepared, stem = cli_multiclass["prep"], cli_multiclass["logistic"]
         if artifact == "prepared":
             source, bad = prepared, str(tmp_path / "prepared.json")
@@ -1421,7 +1441,7 @@ class TestMalformedArtifacts:
 
     def test_multiclass_bundles_evaluate(self, cli_multiclass, tmp_path):
         """The unmutated artifacts of the rule tests pass every rule."""
-        for family in ("logistic", "svm", "forest"):
+        for family in ("logistic", "svm", "forest", "gbdt"):
             assert cli.run(["evaluate", "--prepared", cli_multiclass["prep"],
                             "--model", cli_multiclass[family],
                             "--out", str(tmp_path / f"{family}.json")]) == 0
@@ -1442,11 +1462,13 @@ class TestMalformedArtifacts:
          "weight_per_class:"),
         ("gbdt", lambda b: b["model"]["base_score"].__setitem__(0, float("nan")),
          "base_score:"),
+        ("gbdt", lambda b: _a_gbdt_bound_list(b).__setitem__(0, float("nan")),
+         "bin_upper_bounds["),
         ("prepared", lambda d: d["tfidf"]["idf"].__setitem__(3, float("nan")), "idf:"),
     ], ids=["logistic-nan-weight", "logistic-null-weight", "logistic-infinite-bias",
             "svm-nan-w", "svm-infinite-support-vector", "svm-nan-dual-coef",
             "svm-nan-class-weight", "forest-infinite-class-weight", "cart-nan-class-weight",
-            "gbdt-nan-base-score", "prepared-nan-idf"])
+            "gbdt-nan-base-score", "gbdt-nan-bin-bound", "prepared-nan-idf"])
     def test_non_finite_array_exits_two(
         self, cli_prepared, cli_artifacts, cli_multiclass, tmp_path, capsys,
         artifact, mutate, field

@@ -1,9 +1,12 @@
 """CART, random forest, and histogram boosting against enumeration oracles."""
 
 import contextlib
+import heapq
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,6 +256,161 @@ def sparse_problems(draw, max_rows=24, max_features=6):
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
     y[:n_classes] = np.arange(n_classes)
     return X, y
+
+
+def oracle_bin_features(X, max_bins: int):
+    """Quantile bins per feature, one column at a time: the binning before
+    the one-sort code matrix, kept as its bitwise oracle. Returns (binned
+    int32 matrix, list of per-feature bin upper bounds)."""
+    n, n_features = X.shape
+    binned = np.empty((n, n_features), dtype=np.int32)
+    upper_bounds = []
+    for feat in range(n_features):
+        col = X[:, feat]
+        distinct = np.unique(col)
+        if distinct.size <= max_bins:
+            bounds = (distinct[:-1] + distinct[1:]) / 2.0
+        else:
+            quantiles = np.quantile(col, np.linspace(0.0, 1.0, max_bins + 1)[1:-1])
+            bounds = np.unique(quantiles)
+        binned[:, feat] = np.searchsorted(bounds, col, side="left")
+        upper_bounds.append(bounds)
+    return binned, upper_bounds
+
+
+@dataclass
+class OracleLeafState:
+    node: trees.TreeNode
+    idx: np.ndarray
+    depth: int
+    grad_sum: float
+    hess_sum: float
+    best: tuple | None = None  # (gain, feature, bin)
+
+
+def oracle_leaf_best_split(binned, idx, grad, hess, grad_sum, hess_sum, n_bins, config):
+    """One leaf's best Newton split from histograms of per-leaf codes."""
+    max_bins = int(n_bins.max())
+    if max_bins < 2 or idx.size < 2 * config.min_child_samples:
+        return None
+    n_features = binned.shape[1]
+    codes = binned[idx].astype(np.int64) + np.arange(n_features, dtype=np.int64) * max_bins
+    flat = codes.ravel()
+    size = n_features * max_bins
+    hist_g = np.bincount(flat, weights=np.repeat(grad[idx], n_features), minlength=size)
+    hist_h = np.bincount(flat, weights=np.repeat(hess[idx], n_features), minlength=size)
+    hist_n = np.bincount(flat, minlength=size)
+    hist_g = hist_g.reshape(n_features, max_bins)
+    hist_h = hist_h.reshape(n_features, max_bins)
+    hist_n = hist_n.reshape(n_features, max_bins)
+    grad_left = np.cumsum(hist_g, axis=1)[:, :-1]
+    hess_left = np.cumsum(hist_h, axis=1)[:, :-1]
+    count_left = np.cumsum(hist_n, axis=1)[:, :-1]
+    grad_right = grad_sum - grad_left
+    hess_right = hess_sum - hess_left
+    count_right = idx.size - count_left
+    parent_term = grad_sum * grad_sum / (hess_sum + trees.GBDT_REG)
+    gains = (
+        grad_left * grad_left / (hess_left + trees.GBDT_REG)
+        + grad_right * grad_right / (hess_right + trees.GBDT_REG)
+        - parent_term
+    )
+    cut_ok = np.arange(max_bins - 1)[None, :] < (n_bins[:, None] - 1)
+    valid = (
+        cut_ok
+        & (count_left >= config.min_child_samples)
+        & (count_right >= config.min_child_samples)
+    )
+    gains = np.where(valid, gains, -np.inf)
+    flat_best = int(np.argmax(gains))  # row-major: lowest feature, then bin
+    feat, cut = divmod(flat_best, max_bins - 1)
+    gain = float(gains[feat, cut])
+    if not np.isfinite(gain) or gain <= 0.0:
+        return None
+    return gain, int(feat), int(cut)
+
+
+def oracle_grow_tree_leafwise(binned, upper_bounds, grad, hess, config, apply_to):
+    """One regression tree grown leaf-wise, searching every new leaf."""
+    n_bins = np.array([b.size + 1 for b in upper_bounds], dtype=np.int64)
+    heap = []
+    leaves = {}
+    ticket = 0
+
+    def make_leaf(idx, depth):
+        nonlocal ticket
+        node = trees.TreeNode(n_samples=int(idx.size))
+        state = OracleLeafState(
+            node, idx, depth, float(grad[idx].sum()), float(hess[idx].sum())
+        )
+        if depth < config.depth_limit:
+            found = oracle_leaf_best_split(
+                binned, idx, grad, hess, state.grad_sum, state.hess_sum, n_bins, config
+            )
+            if found is not None:
+                state.best = found
+                heapq.heappush(heap, (-found[0], ticket, ticket))
+        leaves[ticket] = state
+        ticket += 1
+        return node
+
+    root = make_leaf(np.arange(binned.shape[0]), 0)
+    n_leaves = 1
+    while heap and n_leaves < config.num_leaves:
+        _, _, leaf_id = heapq.heappop(heap)
+        state = leaves.pop(leaf_id)
+        gain, feat, cut = state.best
+        node = state.node
+        node.feature = feat
+        node.threshold = float(upper_bounds[feat][cut])
+        node.gain = gain
+        goes_left = binned[state.idx, feat] <= cut
+        node.left = make_leaf(state.idx[goes_left], state.depth + 1)
+        node.right = make_leaf(state.idx[~goes_left], state.depth + 1)
+        n_leaves += 1
+    for state in leaves.values():
+        value = -config.learning_rate * state.grad_sum / (state.hess_sum + trees.GBDT_REG)
+        state.node.value = value
+        apply_to[state.idx] += value
+    return root
+
+
+@contextlib.contextmanager
+def oracle_booster():
+    """fit_gbdt bins and grows its trees by the oracles above."""
+    def bins(X, max_bins):
+        binned, upper_bounds = oracle_bin_features(X, max_bins)
+        return SimpleNamespace(binned=binned, upper_bounds=upper_bounds)
+
+    def grow(bins, grad, hess, config, apply_to):
+        return oracle_grow_tree_leafwise(bins.binned, bins.upper_bounds, grad, hess, config,
+                                         apply_to)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "_bin_features", bins)
+        patch.setattr(trees, "_grow_tree_leafwise", grow)
+        yield
+
+
+def exhaustive_newton_split(X, upper_bounds, grad, hess, rows, min_child):
+    """A leaf's best (gain, feature, bin) by routing its rows through every
+    (feature, bin) cut, with no histograms; None when no cut gains."""
+    grad_sum, hess_sum = float(grad[rows].sum()), float(hess[rows].sum())
+    parent_term = grad_sum * grad_sum / (hess_sum + trees.GBDT_REG)
+    best = None
+    for f, bounds in enumerate(upper_bounds):
+        for cut, bound in enumerate(bounds):
+            left = rows[X[rows, f] <= bound]
+            right = rows[X[rows, f] > bound]
+            if left.size < min_child or right.size < min_child:
+                continue
+            g_left, h_left = float(grad[left].sum()), float(hess[left].sum())
+            g_right, h_right = float(grad[right].sum()), float(hess[right].sum())
+            gain = (g_left * g_left / (h_left + trees.GBDT_REG)
+                    + g_right * g_right / (h_right + trees.GBDT_REG) - parent_term)
+            if best is None or gain > best[0]:  # ties keep the lower feature, then bin
+                best = (gain, f, cut)
+    return best if best is not None and best[0] > 0.0 else None
 
 
 def route_recursively(node, x):
@@ -730,6 +888,154 @@ class TestGbdt:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             trees.fit_gbdt(np.ones((5, 2)), np.zeros(5, dtype=int))
+
+
+class TestBinnedBooster:
+    """The one-sort code matrix and the search of only the leaves that can
+    still split, against the per-column binning and the booster that
+    searched every leaf, bit for bit."""
+
+    @given(
+        problem=sparse_problems(max_rows=40, max_features=5),
+        max_bins=st.one_of(st.integers(2, 8), st.just(255)),
+        block=st.sampled_from([1, 2, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bins_match_the_per_column_oracle(self, problem, max_bins, block):
+        X, _ = problem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_BIN_BLOCK", block)  # features binned at once
+            bins = trees._bin_features(X, max_bins)
+        binned, upper_bounds = oracle_bin_features(X, max_bins)
+        assert len(bins.upper_bounds) == len(upper_bounds)
+        for got, expect in zip(bins.upper_bounds, upper_bounds):
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+        assert bins.width == max(b.size for b in upper_bounds) + 1
+        assert bins.cuts.tolist() == [f * bins.width + t for f, b in enumerate(upper_bounds)
+                                      for t in range(b.size)]
+        assert bins.codes.dtype == np.int64
+        assert np.array_equal(bins.codes - np.arange(X.shape[1]) * bins.width, binned)
+        assert np.array_equal(bins.root_counts,
+                              np.bincount(bins.codes.ravel(), minlength=X.shape[1] * bins.width))
+
+    @given(
+        problem=sparse_problems(max_rows=40, max_features=5),
+        n_estimators=st.integers(1, 3),
+        num_leaves=st.integers(2, 6),
+        max_bins=st.integers(2, 8),
+        min_child_samples=st.integers(0, 4),
+        max_depth=st.sampled_from([None, -1, 1, 2]),
+        class_weight=st.sampled_from([None, "balanced"]),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fit_matches_the_oracle_booster(
+        self, problem, n_estimators, num_leaves, max_bins, min_child_samples, max_depth,
+        class_weight, block,
+    ):
+        X, y = problem  # two to four classes: both the sigmoid and the softmax scheme
+        config = trees.GbdtConfig(
+            n_estimators=n_estimators, learning_rate=0.5, num_leaves=num_leaves,
+            min_child_samples=min_child_samples, max_bins=max_bins, max_depth=max_depth,
+            class_weight=class_weight,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_BIN_BLOCK", block)
+            got = json.dumps(trees.gbdt_to_dict(trees.fit_gbdt(X, y, config)))
+        with oracle_booster():
+            expect = json.dumps(trees.gbdt_to_dict(trees.fit_gbdt(X, y, config)))
+        assert got == expect
+
+    @pytest.mark.parametrize("seed, max_bins, num_leaves", [(0, 16, 4), (1, 255, 31), (2, 4, 3)])
+    def test_tfidf_like_matrix_over_many_blocks(self, seed, max_bins, num_leaves):
+        """Rows of a few L2-normalised positive cells, as TF-IDF gives, over
+        three bin blocks, with features of few and of many values."""
+        rng = np.random.default_rng(seed)
+        n, d = 300, 150
+        X = np.where(rng.random((n, d)) < np.linspace(0.02, 0.6, d), rng.random((n, d)), 0.0)
+        X /= np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+        y = (X[:, :5].sum(axis=1) > X[:, 5:10].sum(axis=1)).astype(int) + 2 * (rng.random(n) < 0.2)
+        config = trees.GbdtConfig(n_estimators=3, num_leaves=num_leaves, max_bins=max_bins,
+                                  min_child_samples=5, class_weight="balanced")
+        got = json.dumps(trees.gbdt_to_dict(trees.fit_gbdt(X, y, config)))
+        with oracle_booster():
+            expect = json.dumps(trees.gbdt_to_dict(trees.fit_gbdt(X, y, config)))
+        assert got == expect
+
+    @given(
+        problem=sparse_problems(max_rows=30, max_features=5),
+        max_bins=st.integers(2, 8),
+        min_child=st.integers(0, 4),
+        every_row=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_leaf_split_is_the_exhaustive_best(
+        self, problem, max_bins, min_child, every_row, data
+    ):
+        """Quarter-integer gradients and hessians make every sum exact in
+        any order, so the histogram search and a loop over every cut must
+        agree on the gain's bits and on the tie rule."""
+        X, _ = problem
+        n = X.shape[0]
+        quarters = st.lists(st.integers(-8, 8), min_size=n, max_size=n)
+        grad = np.array(data.draw(quarters), dtype=np.float64) / 4.0
+        hess = np.abs(np.array(data.draw(quarters), dtype=np.float64)) / 4.0
+        rows = np.arange(n) if every_row else np.array(sorted(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=n, unique=True))))
+        bins = trees._bin_features(X, max_bins)
+        config = trees.GbdtConfig(min_child_samples=min_child)
+        got = trees._leaf_best_split(bins, rows, grad, hess, float(grad[rows].sum()),
+                                     float(hess[rows].sum()), config)
+        assert got == exhaustive_newton_split(X, bins.upper_bounds, grad, hess, rows, min_child)
+
+    def test_only_leaves_that_can_split_are_searched(self, rng):
+        """With num_leaves 2 a tree is its root's split, so a fit of three
+        classes and three rounds searches nine leaves, not 27."""
+        X = rng.normal(0, 1, (90, 4))
+        y = np.repeat([0, 1, 2], 30)
+        searched = []
+        search = trees._leaf_best_split
+
+        def counted(bins, idx, *args):
+            searched.append(idx.size)
+            return search(bins, idx, *args)
+
+        config = trees.GbdtConfig(n_estimators=3, num_leaves=2, min_child_samples=5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_leaf_best_split", counted)
+            model = trees.fit_gbdt(X, y, config)
+        assert searched == [90] * 9
+        assert all(not root.is_leaf for round_trees in model.rounds for root in round_trees)
+
+
+class TestNonFiniteFeatures:
+    """An infinite cell, or two cells whose sum overflows, once sent CART
+    into a RecursionError (the midpoint cut is infinite, so every row goes
+    left), a NaN was boosted silently, and the booster stored infinite bin
+    bounds; every tree fit now refuses them."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1.5e308,
+                                     -2.0 ** 1023])
+    @pytest.mark.parametrize("fit", [
+        trees.fit_cart,
+        lambda X, y: trees.fit_forest(X, y, trees.ForestConfig(n_estimators=2)),
+        trees.fit_gbdt,
+    ], ids=["cart", "forest", "gbdt"])
+    def test_non_finite_cell_rejected(self, fit, bad):
+        X = np.arange(12.0).reshape(6, 2)
+        X[2, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            fit(X, np.array([0, 1, 0, 1, 0, 1]))
+
+    def test_cells_just_below_the_limit_fit(self):
+        top = np.nextafter(2.0 ** 1023, 0.0)
+        X = np.array([[top], [0.75 * top], [top], [0.0]])  # a midpoint of 1.75 * 2**1022
+        y = np.array([0, 1, 0, 1])
+        assert not trees.fit_cart(X, y).root.is_leaf
+        model = trees.fit_gbdt(X, y, trees.GbdtConfig(n_estimators=1, min_child_samples=1))
+        assert np.isfinite(np.concatenate(model.bin_upper_bounds)).all()
+        trees.gbdt_from_dict(json.loads(json.dumps(trees.gbdt_to_dict(model))))
 
 
 class TestSerialization:
