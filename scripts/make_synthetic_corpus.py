@@ -6,6 +6,7 @@ plumbing, not the models.
 """
 
 import argparse
+import os
 
 from mhtext import synth
 
@@ -17,7 +18,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--statuses", nargs="+", default=None,
-        help="status names to draw from (default: all seven)",
+        help="status names to draw from (default: all of "
+             f"{' '.join(synth.DEFAULT_STATUSES)})",
     )
     parser.add_argument(
         "--normal-fraction", type=float, default=0.34,
@@ -32,7 +34,12 @@ def main() -> None:
     kwargs = {"normal_fraction": args.normal_fraction, "noise": not args.clean}
     if args.statuses:
         kwargs["statuses"] = tuple(args.statuses)
-    rows = synth.make_corpus_file(args.out, args.n_docs, args.seed, **kwargs)
+    # the README quick start writes into a directory that may not exist yet
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    try:
+        rows = synth.make_corpus_file(args.out, args.n_docs, args.seed, **kwargs)
+    except ValueError as exc:  # a SynthSpec field breaking its rule
+        parser.error(str(exc))
     counts: dict[str, int] = {}
     for _, _, status in rows:
         counts[status] = counts.get(status, 0) + 1

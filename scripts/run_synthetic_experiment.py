@@ -32,7 +32,10 @@ def main() -> int:
     if not args.corpus:
         statuses = ("Normal", "Depression") if args.scheme == "binary" else None
         kwargs = {"statuses": statuses, "normal_fraction": 0.5} if statuses else {}
-        synth.make_corpus_file(corpus, args.n_docs, args.seed, **kwargs)
+        try:
+            synth.make_corpus_file(corpus, args.n_docs, args.seed, **kwargs)
+        except ValueError as exc:  # a SynthSpec field breaking its rule
+            parser.error(str(exc))
         print(f"generated {corpus}")
 
     prepared, model, evaluation = (os.path.join(outdir, name) for name in

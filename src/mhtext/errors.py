@@ -92,7 +92,7 @@ def whole(at_least: int | None = None, at_most: int | None = None):
 
 
 def real(at_least: float | None = None, above: float | None = None,
-         below: float | None = None):
+         below: float | None = None, at_most: float | None = None):
     """The rule for a finite number, as a float; bools, strings, NaN and
     infinities (json reads NaN, Infinity and 1e999) are refused."""
     def rule(value) -> float:
@@ -104,7 +104,8 @@ def real(at_least: float | None = None, above: float | None = None,
             value = math.inf
         if not math.isfinite(value):
             raise ValueError("expected a finite number")
-        return _within(value, "a number", (">=", at_least), (">", above), ("<", below))
+        return _within(value, "a number", (">=", at_least), (">", above), ("<", below),
+                       ("<=", at_most))
     return rule
 
 

@@ -5,6 +5,15 @@ and lemmatization, mixed with shared filler words and optional platform
 noise (URLs, mentions, hashtags, HTML escapes, casing jitter). The
 marker pools make the labels learnable by every model family while the
 noise exercises the cleaning pipeline end to end.
+
+A document's marker ids, its filler ids, its casing rolls and its URL
+slug are each one vectorised draw; every other draw is a scalar call in
+a fixed order. This leaves the random stream as it was when each word
+took its own call: for a range below 2**32, `integers(n, size=k)` takes
+k 32-bit halves from the bit generator's shared buffer, as k scalar
+`integers(n)` calls do, and `random(size=k)` takes k 64-bit draws, as
+k `random()` calls do. The corpus is the same byte for byte, and
+tests/test_synth.py keeps the per-draw generator as its oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_fields, one_of, real, whole
 from .seeds import STAGE_SYNTH, derive_seed
 
 DEFAULT_STATUSES = (
@@ -63,6 +73,11 @@ FILLER_WORDS = (
 _URL_BITS = ("https://t.co/{}", "http://example.com/{}", "www.snippet.net/{}")
 _TAGS = ("#mood", "#life", "#today", "#vent", "#journal")
 _MENTIONS = ("@friend", "@diary", "@nobody", "@team", "@dr_hall")
+_SLUG_CHARS = np.array(list("abcdefghij0123456789"))
+
+# the pools as object arrays, so a document's ids index them in one go
+_MARKER_ARRAYS = {status: np.array(pool, dtype=object) for status, pool in MARKER_POOLS.items()}
+_FILLER_ARRAY = np.array(FILLER_WORDS, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -78,13 +93,35 @@ class SynthSpec:
     max_fillers: int = 10
 
     def __post_init__(self):
-        if self.n_docs < 1:
-            raise ValueError("n_docs must be at least 1")
-        unknown = [s for s in self.statuses if s not in MARKER_POOLS]
-        if unknown:
-            raise ValueError(f"no marker pool for statuses: {unknown}")
-        if not 0.0 <= self.normal_fraction <= 1.0:
-            raise ValueError("normal_fraction must be in [0, 1]")
+        count = whole(at_least=0)
+        check_fields(
+            self, n_docs=whole(at_least=1), seed=whole(), statuses=_known_statuses,
+            normal_fraction=real(at_least=0.0, at_most=1.0), noise=one_of(True, False),
+            min_markers=count, max_markers=count, min_fillers=count, max_fillers=count,
+        )
+        for kind in ("markers", "fillers"):
+            low, high = getattr(self, f"min_{kind}"), getattr(self, f"max_{kind}")
+            if low > high:
+                raise ValueError(f"min_{kind}={low} is above max_{kind}={high}")
+        if self.min_markers + self.min_fillers < 1:
+            raise ValueError("min_markers + min_fillers must be at least 1: "
+                             "a document needs a word")
+
+
+def _known_statuses(value) -> tuple[str, ...]:
+    """The rule for `statuses`: a non-empty sequence of distinct names
+    that each have a marker pool, as a tuple."""
+    if isinstance(value, str):  # would be read as one status per letter
+        raise ValueError("expected a sequence of status names, not one string")
+    statuses = tuple(value)
+    if not statuses:
+        raise ValueError("expected at least one status")
+    unknown = [s for s in statuses if s not in MARKER_POOLS]
+    if unknown:
+        raise ValueError(f"no marker pool for {unknown}")
+    if len(set(statuses)) != len(statuses):
+        raise ValueError("expected distinct statuses")
+    return statuses
 
 
 def _status_sequence(spec: SynthSpec) -> list[str]:
@@ -111,7 +148,7 @@ def _status_sequence(spec: SynthSpec) -> list[str]:
 def _add_noise(words: list[str], rng) -> list[str]:
     noisy = list(words)
     if rng.random() < 0.3:
-        slug = "".join(rng.choice(list("abcdefghij0123456789"), size=6))
+        slug = "".join(rng.choice(_SLUG_CHARS, size=6))
         url = _URL_BITS[rng.integers(len(_URL_BITS))].format(slug)
         noisy.insert(int(rng.integers(len(noisy) + 1)), url)
     if rng.random() < 0.25:
@@ -122,12 +159,9 @@ def _add_noise(words: list[str], rng) -> list[str]:
         noisy.insert(int(rng.integers(len(noisy) + 1)), "&amp;")
     if rng.random() < 0.15:
         noisy.insert(int(rng.integers(len(noisy) + 1)), "<br>")
-    for i, word in enumerate(noisy):
-        roll = rng.random()
-        if roll < 0.05:
-            noisy[i] = word.upper()
-        elif roll < 0.15:
-            noisy[i] = word.capitalize()
+    rolls = rng.random(len(noisy))  # one casing roll per word
+    for i in np.flatnonzero(rolls < 0.15).tolist():
+        noisy[i] = noisy[i].upper() if rolls[i] < 0.05 else noisy[i].capitalize()
     return noisy
 
 
@@ -138,11 +172,11 @@ def generate(spec: SynthSpec) -> list[tuple[str, str, str]]:
     rng.shuffle(sequence)
     rows = []
     for i, status in enumerate(sequence):
-        pool = MARKER_POOLS[status]
+        pool = _MARKER_ARRAYS[status]
         n_markers = int(rng.integers(spec.min_markers, spec.max_markers + 1))
         n_fillers = int(rng.integers(spec.min_fillers, spec.max_fillers + 1))
-        words = [pool[rng.integers(len(pool))] for _ in range(n_markers)]
-        words += [FILLER_WORDS[rng.integers(len(FILLER_WORDS))] for _ in range(n_fillers)]
+        words = pool[rng.integers(len(pool), size=n_markers)].tolist()
+        words += _FILLER_ARRAY[rng.integers(len(_FILLER_ARRAY), size=n_fillers)].tolist()
         rng.shuffle(words)
         if spec.noise:
             words = _add_noise(words, rng)

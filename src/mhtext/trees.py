@@ -774,23 +774,36 @@ _REAL = real()
 _POSITIVE = whole(at_least=1)  # a tree header's class and feature counts
 
 
-def node_from_dict(data: dict, need_counts: bool = False) -> TreeNode:
-    node = TreeNode(
-        n_samples=check("n_samples", data["n_samples"], _NONNEGATIVE),
-        impurity=check("impurity", data["impurity"], _REAL),
-        label=check("label", data["label"], _NONNEGATIVE),
-        value=check("value", data["value"], _REAL),
-        gain=check("gain", data["gain"], _REAL),
-    )
-    if need_counts or "counts" in data:
-        node.counts = np.array([check("counts", c, _NONNEGATIVE) for c in data["counts"]],
-                               dtype=np.int64)
-    if "feature" in data:
-        node.feature = check("feature", data["feature"], _NONNEGATIVE)
-        node.threshold = check("threshold", data["threshold"], _REAL)
-        node.left = node_from_dict(data["left"], need_counts)
-        node.right = node_from_dict(data["right"], need_counts)
-    return node
+def node_from_dict(data: dict, need_counts: bool = False, n_classes: int | None = None,
+                   n_features: int | None = None) -> TreeNode:
+    """The tree under `data`; when given, `n_classes` bounds every node's
+    `label` and is the length of its `counts`, and `n_features` bounds
+    every split `feature`."""
+    label = whole(at_least=0, at_most=None if n_classes is None else n_classes - 1)
+    feature = whole(at_least=0, at_most=None if n_features is None else n_features - 1)
+
+    def read(data: dict) -> TreeNode:
+        node = TreeNode(
+            n_samples=check("n_samples", data["n_samples"], _NONNEGATIVE),
+            impurity=check("impurity", data["impurity"], _REAL),
+            label=check("label", data["label"], label),
+            value=check("value", data["value"], _REAL),
+            gain=check("gain", data["gain"], _REAL),
+        )
+        if need_counts or "counts" in data:
+            counts = [check("counts", c, _NONNEGATIVE) for c in data["counts"]]
+            if n_classes is not None and len(counts) != n_classes:
+                raise ValueError(f"counts: expected {n_classes} entries for "
+                                 f"n_classes={n_classes}, found {len(counts)}")
+            node.counts = np.array(counts, dtype=np.int64)
+        if "feature" in data:
+            node.feature = check("feature", data["feature"], feature)
+            node.threshold = check("threshold", data["threshold"], _REAL)
+            node.left = read(data["left"])
+            node.right = read(data["right"])
+        return node
+
+    return read(data)
 
 
 def _check_header(data: dict, kind: str) -> None:
@@ -813,11 +826,12 @@ def cart_to_dict(model: CartModel) -> dict:
 
 def cart_from_dict(data: dict) -> CartModel:
     _check_header(data, "cart")
+    n_classes = check("n_classes", data["n_classes"], _POSITIVE)
     return CartModel(
         # scores read the counts of any leaf, not just the one the load probe reaches
-        root=node_from_dict(data["root"], need_counts=True),
+        root=node_from_dict(data["root"], need_counts=True, n_classes=n_classes),
         config=stored(TreeConfig, data["config"]),
-        n_classes=check("n_classes", data["n_classes"], _POSITIVE),
+        n_classes=n_classes,
         weight_per_class=finite("weight_per_class", data["weight_per_class"]),
     )
 
@@ -837,11 +851,14 @@ def forest_to_dict(model: ForestModel) -> dict:
 
 def forest_from_dict(data: dict) -> ForestModel:
     _check_header(data, "forest")
+    n_classes = check("n_classes", data["n_classes"], _POSITIVE)
+    n_features = check("n_features", data["n_features"], _POSITIVE)
     return ForestModel(
-        roots=[node_from_dict(t) for t in data["trees"]],
+        roots=[node_from_dict(t, n_classes=n_classes, n_features=n_features)
+               for t in data["trees"]],
         config=stored(ForestConfig, data["config"]),
-        n_classes=check("n_classes", data["n_classes"], _POSITIVE),
-        n_features=check("n_features", data["n_features"], _POSITIVE),
+        n_classes=n_classes,
+        n_features=n_features,
         weight_per_class=finite("weight_per_class", data["weight_per_class"]),
         tree_seeds=tuple(check("tree_seeds", s, _NONNEGATIVE) for s in data["tree_seeds"]),
     )
@@ -879,12 +896,15 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
     if any(len(rnd) != per_round for rnd in data["rounds"]):
         raise ValueError(f"rounds: expected {per_round} trees in each round for "
                          f"n_classes={n_classes}")
+    bin_upper_bounds = [_ascending(f"bin_upper_bounds[{f}]", b)
+                        for f, b in enumerate(data["bin_upper_bounds"])]
     return GbdtModel(
         base_score=base_score,
-        rounds=[[node_from_dict(t) for t in rnd] for rnd in data["rounds"]],
+        # a split feature indexes the bounds, one list per feature
+        rounds=[[node_from_dict(t, n_features=len(bin_upper_bounds)) for t in rnd]
+                for rnd in data["rounds"]],
         n_classes=n_classes,
         config=stored(GbdtConfig, data["config"]),
-        bin_upper_bounds=[_ascending(f"bin_upper_bounds[{f}]", b)
-                          for f, b in enumerate(data["bin_upper_bounds"])],
+        bin_upper_bounds=bin_upper_bounds,
         train_loss=[check("train_loss", v, _REAL) for v in data.get("train_loss", [])],
     )

@@ -1112,9 +1112,9 @@ def cli_artifacts(cli_prepared) -> dict:
 
 @pytest.fixture(scope="module")
 def cli_multiclass(cli_prepared) -> dict:
-    """A multiclass prepared dataset and small logistic, svm, forest and
-    gbdt bundles trained on it, for the decoders' number and cross-field
-    rules."""
+    """A multiclass prepared dataset and small logistic, svm, cart,
+    forest and gbdt bundles trained on it, for the decoders' number and
+    cross-field rules."""
     base = cli_prepared["base"] / "multiclass"
     base.mkdir()
     prep = str(base / "prepared.json")
@@ -1124,6 +1124,7 @@ def cli_multiclass(cli_prepared) -> dict:
     out = {"prep": prep}
     for family, params in (("logistic", {"max_iter": 20}),
                            ("svm", {"max_epochs": 5}),
+                           ("cart", {"max_depth": 4}),
                            ("forest", {"n_estimators": 3, "max_depth": 4}),
                            ("gbdt", {"n_estimators": 2, "num_leaves": 3, "max_bins": 8})):
         stem = str(base / family)
@@ -1398,6 +1399,16 @@ class TestMalformedArtifacts:
         ("gbdt", lambda b: b["model"].update(base_score=b["model"]["base_score"][:1]),
          "base_score"),
         ("gbdt", _reverse_a_gbdt_bound_list, "bin_upper_bounds["),
+        ("cart", lambda b: b["model"]["root"]["left"].update(counts=[1]), "counts:"),
+        ("cart", lambda b: b["model"]["root"]["left"].update(label=6), "label=6"),
+        ("forest", lambda b: b["model"]["trees"][0]["left"].update(label=99), "label=99"),
+        ("forest", lambda b: b["model"]["trees"][0]["right"].update(counts=[1, 0, 0, 0, 0, 0, 0]),
+         "counts:"),
+        ("forest", lambda b: b["model"]["trees"][0].update(feature=b["model"]["n_features"]),
+         "feature="),
+        ("gbdt", lambda b: b["model"]["rounds"][0][0].update(feature=5000), "feature=5000"),
+        ("gbdt", lambda b: b["model"]["rounds"][1][2].update(
+            feature=len(b["model"]["bin_upper_bounds"])), "feature="),
         ("prepared", lambda d: d.update(seed=0.9), "seed="),
         ("prepared", lambda d: d["split"].update(seed=0.9), "split.seed="),
         ("prepared", lambda d: d.update(n_dropped=-1), "n_dropped="),
@@ -1410,7 +1421,10 @@ class TestMalformedArtifacts:
             "logistic-class-beyond-the-scheme",
             "forest-bad-tree-seeds", "bundle-extra-as-list", "gbdt-fewer-classes",
             "gbdt-one-class", "gbdt-round-short-of-a-tree", "gbdt-one-base-score",
-            "gbdt-descending-bounds", "prepared-fractional-seed",
+            "gbdt-descending-bounds", "cart-one-class-count", "cart-label-beyond-the-classes",
+            "forest-label-beyond-the-classes", "forest-seven-class-counts",
+            "forest-feature-beyond-n-features", "gbdt-feature-5000",
+            "gbdt-feature-beyond-the-bounds", "prepared-fractional-seed",
             "prepared-fractional-split-seed", "prepared-negative-n-dropped"])
     def test_decoded_number_breaking_its_rule_exits_two(
         self, cli_multiclass, tmp_path, capsys, artifact, mutate, field
@@ -1418,9 +1432,12 @@ class TestMalformedArtifacts:
         """Each of these once evaluated with exit 0: a fractional class
         count or id, a sigmoid row read as a six-class model, a NaN bias,
         a list for `extra`, a fractional seed, a six-class booster stored
-        as three or one class, a round short of a tree. A booster's single
-        base score for six classes ended in numpy's index error. The
-        refusal names the file and the field."""
+        as three or one class, a round short of a tree, a cart leaf's
+        `counts` of one class (weighted F1 0.48). A booster's single base
+        score for six classes, a booster split on feature 5000 and a
+        forest leaf's `label` of 99 ended in numpy's index error, and a
+        cart leaf's `label` of 99 in a traceback. The refusal names the
+        file and the field."""
         prepared, stem = cli_multiclass["prep"], cli_multiclass["logistic"]
         if artifact == "prepared":
             source, bad = prepared, str(tmp_path / "prepared.json")
@@ -1441,7 +1458,7 @@ class TestMalformedArtifacts:
 
     def test_multiclass_bundles_evaluate(self, cli_multiclass, tmp_path):
         """The unmutated artifacts of the rule tests pass every rule."""
-        for family in ("logistic", "svm", "forest", "gbdt"):
+        for family in ("logistic", "svm", "cart", "forest", "gbdt"):
             assert cli.run(["evaluate", "--prepared", cli_multiclass["prep"],
                             "--model", cli_multiclass[family],
                             "--out", str(tmp_path / f"{family}.json")]) == 0
@@ -1735,6 +1752,21 @@ class TestScripts:
         ran = _script("run_synthetic_experiment.py", "--outdir", tmp_path / "bad",
                       "--corpus", corpus, "--preset", "nope", env=env)
         assert ran.returncode == 1
+
+    def test_corpus_script_makes_its_directory_and_names_a_bad_setting(self, tmp_path):
+        """The README's first command wrote into a missing /tmp/demo with a
+        FileNotFoundError traceback, and repeated statuses ended in a
+        ZeroDivisionError one."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        corpus = tmp_path / "demo" / "corpus.csv"
+        ran = _script("make_synthetic_corpus.py", "--out", corpus, "--n-docs", 20, env=env)
+        assert ran.returncode == 0, ran.stderr
+        assert len(corpus.read_text(encoding="utf-8").splitlines()) == 21
+        ran = _script("make_synthetic_corpus.py", "--out", tmp_path / "bad.csv",
+                      "--statuses", "Normal", "Normal", env=env)
+        assert ran.returncode == 2
+        assert "statuses=" in ran.stderr and "Traceback" not in ran.stderr
 
 
     def test_public_corpus_script_runs_on_a_synthetic_corpus(self, tmp_path):
