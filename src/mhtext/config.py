@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,13 +27,15 @@ from .corpus import (
     load_csv,
     split_dataset,
 )
-from .errors import DataError, UsageError, check, read_json, real, whole
+from .errors import DataError, UsageError, check, read_json, real, whole, wholes
 from .families import REGISTRY
 from .gru import SeqVocabulary
 from .report import write_json
 from .seeds import STAGE_SPLIT, derive_seed
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # of an experiment config
+# v2 stores tokens as a sorted table and base64 int32 codes
+PREPARED_SCHEMA_VERSION = 2
 
 SPLIT_NAMES = ("train", "validation", "test")
 
@@ -46,7 +49,7 @@ class PreparedDataset:
     """A corpus after cleaning, labeling, splitting, and fitting."""
 
     ids: tuple[str, ...]
-    tokens: tuple[tuple[str, ...], ...]
+    docs: features.CodedDocs
     labels: np.ndarray
     scheme: LabelScheme
     split: DatasetSplit
@@ -59,6 +62,11 @@ class PreparedDataset:
     @property
     def n_docs(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def tokens(self) -> tuple[tuple[str, ...], ...]:
+        """Each document's tokens, decoded from `docs` on first use."""
+        return self.docs.documents()
 
     def indices(self, split_name: str) -> tuple[int, ...]:
         if split_name not in SPLIT_NAMES:
@@ -73,15 +81,15 @@ class PreparedDataset:
         split, cached after first build."""
         key = (name, split_name)
         if key not in self._rows:
-            docs = [self.tokens[i] for i in self.indices(split_name)]
+            docs = self.docs.take(self.indices(split_name))
             self._rows[key] = getattr(self, name).rows(docs)
         return self._rows[key]
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": PREPARED_SCHEMA_VERSION,
             "ids": list(self.ids),
-            "tokens": [list(toks) for toks in self.tokens],
+            **self.docs.to_dict(),
             "labels": [int(v) for v in self.labels],
             "scheme": self.scheme.to_dict(),
             "split": self.split.to_dict(),
@@ -93,13 +101,19 @@ class PreparedDataset:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PreparedDataset":
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise DataError("unsupported prepared-dataset payload")
-        _check_tokens(data["tokens"])
+        version = data.get("schema_version")
+        if version != PREPARED_SCHEMA_VERSION:
+            raise DataError(f"unsupported prepared-dataset schema: found schema_version "
+                            f"{version!r}; this version reads {PREPARED_SCHEMA_VERSION}. "
+                            "Run `mhtext prepare` again to write it")
+        ids = data["ids"]
+        if not (isinstance(ids, list) and all(type(i) is str for i in ids)
+                and len(set(ids)) == len(ids)):
+            raise DataError("ids: expected distinct strings")
         dataset = cls(
-            ids=tuple(data["ids"]),
-            tokens=tuple(tuple(toks) for toks in data["tokens"]),
-            labels=np.asarray(data["labels"], dtype=np.int64),
+            ids=tuple(ids),
+            docs=features.CodedDocs.from_dict(data),
+            labels=wholes("labels", data["labels"]),
             scheme=LabelScheme.from_dict(data["scheme"]),
             split=DatasetSplit.from_dict(data["split"]),
             tfidf=features.TfIdfModel.from_dict(data["tfidf"]),
@@ -109,8 +123,8 @@ class PreparedDataset:
         )
         # cheap shape checks, so a bad file fails here and not mid-fit
         n_docs = dataset.n_docs
-        if len(dataset.tokens) != n_docs or dataset.labels.shape != (n_docs,):
-            raise DataError("prepared dataset needs one token list and label per id")
+        if len(dataset.docs) != n_docs or dataset.labels.shape != (n_docs,):
+            raise DataError("prepared dataset needs one token count and label per id")
         if not _within(dataset.labels, dataset.scheme.n_classes):
             raise DataError("prepared dataset has labels outside its scheme")
         for name in SPLIT_NAMES:
@@ -119,27 +133,13 @@ class PreparedDataset:
         return dataset
 
     def save(self, path: str) -> None:
+        # json.dumps without indent runs the C encoder; json.dump never does
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True)
+            handle.write(json.dumps(self.to_dict(), sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "PreparedDataset":
         return read_json(path, "prepared dataset", cls.from_dict)
-
-
-def _check_tokens(documents) -> None:
-    """Every document is a list of non-empty strings without whitespace,
-    so its n-grams join with single spaces and split back one way; each
-    distinct token is checked once."""
-    if not all(isinstance(doc, list) for doc in documents):
-        raise DataError("tokens: expected one list of tokens per document")
-    try:
-        distinct = set().union(*documents)
-    except TypeError:  # a list or object token has no hash
-        distinct = [token for doc in documents for token in doc]
-    for token in distinct:
-        if not (isinstance(token, str) and token.split() == [token]):
-            raise DataError(f"tokens: {token!r} is not a non-empty string without whitespace")
 
 
 def _within(values: np.ndarray, bound: int) -> bool:
@@ -184,7 +184,7 @@ def prepare_dataset(
         raise UsageError(f"bad feature settings: {exc}") from exc
     return PreparedDataset(
         ids=tuple(doc.id for doc in docs),
-        tokens=tuple(doc.tokens for doc in docs),
+        docs=features.CodedDocs.of(doc.tokens for doc in docs),
         labels=labels,
         scheme=scheme,
         split=split,

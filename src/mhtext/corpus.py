@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check, whole
+from .errors import DataError, check, whole, wholes
 from .lexicon import STOPWORDS, lemmatize
 
 BINARY_NORMAL_STATUS = "Normal"
@@ -268,12 +268,15 @@ class DatasetSplit:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetSplit":
-        return cls(
-            tuple(data["train"]),
-            tuple(data["validation"]),
-            tuple(data["test"]),
-            check("split.seed", data["seed"], whole()),
-        )
+        """Read back a split whose indices are whole numbers, no index in
+        two places, so no document leaks from one split into another."""
+        parts = [wholes(f"split.{name}", data[name]) for name in ("train", "validation", "test")]
+        every = np.concatenate(parts)
+        if np.unique(every).size < every.size:
+            raise ValueError("split: expected each index at most once, in one of train, "
+                             "validation and test")
+        return cls(*(tuple(part.tolist()) for part in parts),
+                   check("split.seed", data["seed"], whole()))
 
 
 def _split_sizes(n: int) -> tuple[int, int, int]:

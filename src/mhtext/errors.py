@@ -91,6 +91,17 @@ def whole(at_least: int | None = None, at_most: int | None = None):
     return rule
 
 
+def wholes(name: str, values) -> np.ndarray:
+    """A JSON list of whole numbers as an int64 array; a bool or a
+    fraction in it is refused, not truncated, naming the field."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name}: expected a list of whole numbers")
+    if not all(type(value) is int for value in values):
+        rule = whole()
+        values = [check(name, value, rule) for value in values]
+    return np.array(values, dtype=np.int64)
+
+
 def real(at_least: float | None = None, above: float | None = None,
          below: float | None = None, at_most: float | None = None):
     """The rule for a finite number, as a float; bools, strings, NaN and

@@ -8,16 +8,20 @@ token is in the vocabulary). Fit on the training split only;
 featurizing text never changes the model. Fitting counts n-gram
 strings; building rows works on integers.
 
-Rows are built from interned codes. A model interns its vocabulary once
+Rows are built from coded documents (`CodedDocs`): a sorted table of
+the distinct tokens, every token occurrence as a code into it, and each
+document's token count. A model interns its vocabulary once
 (`TfIdfModel.grams`): each distinct token of its terms gets a code, and
 the terms' n-token prefixes are ranked level by level, the key of an
 n-token prefix being the rank of its (n-1)-token prefix times the number
 of codes plus the code of its last token. Keys therefore stay below
-len(terms) * codes whatever the n-gram range. `matrix` looks each token
-occurrence of the split up once, then finds its n-grams one length at a
-time with one np.searchsorted against that level's keys, never joining
-an n-gram string. Each in-vocabulary n-gram becomes a flat key
-row * dim + slot.
+len(terms) * codes whatever the n-gram range. `matrix` looks each table
+entry up once, maps every occurrence through that lookup by numpy
+indexing, then finds the n-grams one length at a time with one
+np.searchsorted against that level's keys, never joining an n-gram
+string. Each in-vocabulary n-gram becomes a flat key row * dim + slot.
+Token lists are interned into a `CodedDocs` first, so both inputs take
+the one path.
 
 Why the bits are those of the string lookup: a prepared dataset's
 tokens are non-empty and hold no whitespace, and each term is lo to hi
@@ -35,6 +39,7 @@ last bit.
 
 from __future__ import annotations
 
+import base64
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -42,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, check_fields, finite, whole
+from .errors import DataError, check_fields, finite, whole, wholes
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +57,102 @@ def _ngram_range(value) -> tuple[int, int]:
     if lo > hi:
         raise ValueError("expected 1 <= lo <= hi")
     return lo, hi
+
+
+@dataclass(frozen=True)
+class CodedDocs:
+    """Tokenized documents as codes: `table` holds the distinct tokens in
+    ascending order, `codes` every occurrence of every document in order
+    as an index into it, and `counts` each document's number of tokens."""
+
+    table: tuple[str, ...]
+    codes: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    @classmethod
+    def of(cls, docs) -> "CodedDocs":
+        """`docs` itself when already coded, else its token lists interned."""
+        if isinstance(docs, cls):
+            return docs
+        docs = [tuple(doc) for doc in docs]
+        table = tuple(sorted(set().union(*docs)))
+        code_of = {token: code for code, token in enumerate(table)}
+        counts = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+        codes = np.fromiter((code_of[token] for doc in docs for token in doc),
+                            dtype=np.int32, count=int(counts.sum()))
+        return cls(table, codes, counts)
+
+    def take(self, indices) -> "CodedDocs":
+        """The documents at `indices`, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        counts = self.counts[indices]
+        starts = (np.cumsum(self.counts) - self.counts)[indices]
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return CodedDocs(self.table, self.codes[np.arange(len(shift)) + shift], counts)
+
+    def lookup(self, mapping: dict, default: int) -> np.ndarray:
+        """`mapping` applied to every occurrence, with one lookup per
+        table entry; a token it lacks maps to `default`."""
+        get = mapping.get
+        table = np.fromiter((get(token, default) for token in self.table), dtype=np.int64,
+                            count=len(self.table))
+        return table[self.codes]
+
+    def documents(self) -> tuple[tuple[str, ...], ...]:
+        """Each document's tokens, decoded."""
+        words = [self.table[code] for code in self.codes.tolist()]
+        ends = np.cumsum(self.counts).tolist()
+        return tuple(tuple(words[end - n:end]) for end, n in zip(ends, self.counts.tolist()))
+
+    def to_dict(self) -> dict:
+        return {
+            "token_table": list(self.table),
+            "token_codes": base64.b64encode(self.codes.astype("<i4").tobytes()).decode("ascii"),
+            "token_counts": self.counts.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CodedDocs":
+        """The three token fields of a prepared dataset, each refusal a
+        DataError naming its field: `token_table` strictly ascending
+        tokens, `token_codes` standard base64 of little-endian int32
+        codes below len(token_table), and `token_counts` whole numbers
+        >= 0 that sum to the number of codes."""
+        table = data["token_table"]
+        if not isinstance(table, list):
+            raise DataError("token_table: expected a list of tokens")
+        # a token is a non-empty string without whitespace, so n-grams
+        # join with single spaces and split back one way
+        for token in table:
+            if not (isinstance(token, str) and token.split() == [token]):
+                raise DataError(f"token_table: {token!r} is not a non-empty string "
+                                "without whitespace")
+        if any(a >= b for a, b in zip(table, table[1:])):
+            raise DataError("token_table: expected distinct tokens in ascending order")
+        text = data["token_codes"]
+        if not isinstance(text, str):
+            raise DataError("token_codes: expected a base64 string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise DataError(f"token_codes: not standard base64 ({exc})") from None
+        if len(raw) % 4:
+            raise DataError(f"token_codes: {len(raw)} bytes is not a whole number of "
+                            "4-byte codes")
+        codes = np.frombuffer(raw, dtype="<i4")
+        if codes.size and not (codes.min() >= 0 and codes.max() < len(table)):
+            raise DataError(f"token_codes: expected codes from 0 to {len(table) - 1}, one per "
+                            "token_table entry")
+        counts = wholes("token_counts", data["token_counts"])
+        # bounded first, so the sum cannot wrap around
+        if ((counts.size and (counts.min() < 0 or counts.max() > codes.size))
+                or counts.sum() != codes.size):
+            raise DataError(f"token_counts: expected counts >= 0 that sum to the {codes.size} "
+                            "token_codes")
+        return cls(tuple(table), codes, counts)
 
 
 @dataclass(frozen=True)
@@ -184,36 +285,35 @@ def fit(documents, max_features: int = 1000, ngram_range=(1, 2)) -> TfIdfModel:
 
 
 def matrix(model: TfIdfModel, documents) -> np.ndarray:
-    """TF-IDF rows of tokenized documents as a dense (n_docs, dim) array."""
+    """TF-IDF rows of tokenized or coded documents as a dense
+    (n_docs, dim) array."""
     dim = model.dim
-    keys = _keys(model, documents)
+    docs = CodedDocs.of(documents)
+    keys = _keys(model, docs)
     flat, counts = np.unique(keys, return_counts=True)
     del keys  # freed before the dense output is allocated
     values = counts * model.idf[flat % dim]
-    bounds = np.searchsorted(flat, np.arange(len(documents) + 1) * dim).tolist()
+    bounds = np.searchsorted(flat, np.arange(len(docs) + 1) * dim).tolist()
     for start, stop in zip(bounds[:-1], bounds[1:]):
         part = values[start:stop]
         norm = math.sqrt(float(part @ part))
         if norm > 0.0:
             part /= norm
-    out = np.zeros((len(documents), dim))
+    out = np.zeros((len(docs), dim))
     out.ravel()[flat] = values
     return out
 
 
-def _keys(model: TfIdfModel, documents) -> np.ndarray:
-    """One key row * dim + slot per in-vocabulary n-gram of `documents`,
+def _keys(model: TfIdfModel, docs: CodedDocs) -> np.ndarray:
+    """One key row * dim + slot per in-vocabulary n-gram of `docs`,
     found through the model's interned tables; its temporaries are freed
     when it returns."""
-    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
-    n_tokens = int(lengths.sum())
+    n_tokens = len(docs.codes)
     if n_tokens == 0:
         return np.zeros(0, dtype=np.int64)
     code_of, tables = model.grams
-    get = code_of.get
-    codes = np.fromiter((get(tok, -1) for doc in documents for tok in doc),
-                        dtype=np.int64, count=n_tokens)
-    rows = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
+    codes = docs.lookup(code_of, -1)
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), docs.counts)
     lo = model.ngram_range[0]
     n_codes = len(code_of)
     parts = []

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, check, check_fields, read_json, real, whole
+from .features import CodedDocs
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .metrics import weighted_f1
 from .seeds import MODEL_DROPOUT, MODEL_INIT, MODEL_SHUFFLE, derive_seed
@@ -83,22 +84,17 @@ class SeqVocabulary:
         )
         return cls({t: i + 2 for i, t in enumerate(kept)}, max_len, min_freq)
 
-    def _ids(self, tokens) -> list[int]:
-        return [self.index.get(t, OOV_ID) for t in list(tokens)[: self.max_len]]
-
-    def encode(self, tokens) -> np.ndarray:
-        """Fixed-length id sequence: truncate right, pad right with PAD."""
-        ids = self._ids(tokens)
-        out = np.full(self.max_len, PAD_ID, dtype=np.int32)
-        out[: len(ids)] = ids
-        return out
-
     def encode_many(self, docs) -> np.ndarray:
-        """encode() of each document, one row each."""
+        """One fixed-length id row per tokenized or coded document:
+        truncated right, padded right with PAD, and OOV for a token the
+        index lacks."""
+        docs = CodedDocs.of(docs)
+        counts = docs.counts
         out = np.full((len(docs), self.max_len), PAD_ID, dtype=np.int32)
-        for row, tokens in zip(out, docs):
-            ids = self._ids(tokens)
-            row[: len(ids)] = ids
+        row = np.repeat(np.arange(len(docs)), counts)
+        col = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        kept = col < self.max_len
+        out[row[kept], col[kept]] = docs.lookup(self.index, OOV_ID)[kept]
         return out
 
     def rows(self, docs) -> np.ndarray:

@@ -298,7 +298,7 @@ def save_model(fitted: FittedModel, stem: str) -> str:
         bundle["model"] = fitted.spec.to_dict(fitted.payload)
     path = stem + ".model.json"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(bundle, handle, sort_keys=True)
+        handle.write(json.dumps(bundle, sort_keys=True))  # the C encoder; json.dump is Python
     return path
 
 

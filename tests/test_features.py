@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhtext import features
+from mhtext import features, gru
 from mhtext.errors import DataError
+from test_gru import lookup_encode_many
 
 
 def reference_tfidf(docs, max_features, lo, hi):
@@ -317,6 +318,123 @@ class TestInternedMatrix:
         model = features.fit([["a", "b"]], max_features=5)
         assert_same_bits(features.matrix(model, [()]), np.zeros((1, model.dim)))
         assert "grams" not in vars(model)
+
+
+def lookup_keys(model, documents):
+    """Test-local oracle: the key build that the coded one replaced.
+    Looks every token occurrence up in the model's interned codes, then
+    runs the same level-by-level prefix search."""
+    lengths = np.fromiter(map(len, documents), dtype=np.int64, count=len(documents))
+    n_tokens = int(lengths.sum())
+    if n_tokens == 0:
+        return np.zeros(0, dtype=np.int64)
+    code_of, tables = model.grams
+    get = code_of.get
+    codes = np.fromiter((get(tok, -1) for doc in documents for tok in doc),
+                        dtype=np.int64, count=n_tokens)
+    rows = np.repeat(np.arange(len(documents), dtype=np.int64), lengths)
+    lo = model.ngram_range[0]
+    n_codes = len(code_of)
+    parts = []
+    ranks = codes
+    for n, (prefixes, slot_of) in enumerate(tables, start=1):
+        if n > n_tokens or len(prefixes) == 0:
+            break
+        if n > 1:
+            size = n_tokens - n + 1
+            prev, last = ranks[:size], codes[n - 1:]
+            key = prev * n_codes + last
+            at = np.searchsorted(prefixes, key).clip(max=len(prefixes) - 1)
+            known = ((prev >= 0) & (last >= 0) & (rows[:size] == rows[n - 1:])
+                     & (prefixes[at] == key))
+            ranks = np.where(known, at, -1)
+        if n >= lo:
+            slots = np.where(ranks >= 0, slot_of[ranks], -1)
+            hit = slots >= 0
+            parts.append(rows[:len(slots)][hit] * model.dim + slots[hit])
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def assert_coded_rows_match_the_oracles(docs, tfidf, vocab, picks):
+    """Rows of coded documents, and of the coded subset at `picks`, equal
+    the per-token lookup and string builds bit for bit."""
+    coded = features.CodedDocs.of(docs)
+    assert list(coded.table) == sorted({tok for doc in docs for tok in doc})
+    assert coded.documents() == tuple(tuple(doc) for doc in docs)
+    for batch, subset in ((coded, docs), (coded.take(picks), [docs[i] for i in picks])):
+        keys, want = features._keys(tfidf, batch), lookup_keys(tfidf, subset)
+        assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
+        assert_same_bits(features.matrix(tfidf, batch), string_matrix(tfidf, subset))
+        assert_same_bits(vocab.encode_many(batch), lookup_encode_many(vocab, subset))
+
+
+class TestCodedDocs:
+    """Rows built from a token table and codes against the per-token
+    lookups they replaced, bit for bit."""
+
+    @given(
+        fit_docs=st.lists(st.lists(st.sampled_from("abcde"), min_size=0, max_size=12),
+                          min_size=1, max_size=8),
+        docs=st.lists(
+            st.one_of(
+                st.just([]),
+                st.lists(st.sampled_from(["x", "y", "zz"]), min_size=1, max_size=4),  # OOV
+                st.lists(st.sampled_from(["a", "b", "c", "e", "x"]), min_size=0, max_size=20),
+                st.lists(st.sampled_from("ab"), min_size=0, max_size=20),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]),
+        max_features=st.integers(1, 40),
+        min_freq=st.integers(1, 3),
+        max_len=st.integers(1, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_lookup_builds(self, fit_docs, docs, ngram_range, max_features,
+                                          min_freq, max_len, data):
+        # empty documents, documents past max_len, tokens outside the
+        # vocabulary and tokens in no term (max_features and min_freq
+        # drop some)
+        tfidf = features.fit(fit_docs, max_features=max_features, ngram_range=ngram_range)
+        vocab = gru.SeqVocabulary.build(fit_docs, min_freq=min_freq, max_len=max_len)
+        picks = data.draw(st.lists(st.integers(0, len(docs) - 1), max_size=2 * len(docs)))
+        assert_coded_rows_match_the_oracles(docs, tfidf, vocab, picks)
+
+    @pytest.mark.parametrize("ngram_range", [(1, 2), (1, 3)])
+    def test_thousands_of_distinct_tokens(self, ngram_range):
+        """The synthetic corpora have 41 and 81 distinct tokens; a real
+        corpus has thousands."""
+        rng = np.random.default_rng(7)
+        words = [f"w{i:05d}" for i in range(6000)]
+        ranks = np.minimum(rng.zipf(1.3, size=40_000), len(words)) - 1
+        cuts = np.cumsum(rng.integers(0, 60, size=1500))
+        docs = [[words[r] for r in part] for part in np.split(ranks, cuts[cuts < ranks.size])]
+        docs.append([])
+        tfidf = features.fit(docs[:500], max_features=1000, ngram_range=ngram_range)
+        vocab = gru.SeqVocabulary.build(docs[:500], min_freq=2, max_len=32)
+        coded = features.CodedDocs.of(docs)
+        assert len(coded.table) > 2000 and vocab.vocab_size > 400
+        picks = rng.permutation(len(docs))[:300].tolist()
+        assert_coded_rows_match_the_oracles(docs, tfidf, vocab, picks)
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "bb", "c-d", "\u00e9", "z9"]), max_size=9),
+                    max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_fields_round_trip_through_json(self, docs):
+        coded = features.CodedDocs.of(docs)
+        payload = json.loads(json.dumps(coded.to_dict()))
+        again = features.CodedDocs.from_dict(payload)
+        assert again.table == coded.table
+        assert again.codes.tobytes() == coded.codes.astype("<i4").tobytes()
+        assert again.counts.tolist() == [len(doc) for doc in docs]
+        assert again.documents() == tuple(tuple(doc) for doc in docs)
+
+    def test_codes_are_little_endian_int32_in_standard_base64(self):
+        payload = features.CodedDocs.of([["b", "a"], [], ["b"]]).to_dict()
+        assert payload == {"token_table": ["a", "b"], "token_codes": "AQAAAAAAAAABAAAA",
+                           "token_counts": [2, 0, 1]}
 
 
 class TestModelRules:

@@ -6,6 +6,7 @@ handling, and failure capture on the shared synthetic corpus. The CLI
 is driven end to end through temp directories using its return codes.
 """
 
+import base64
 import functools
 import json
 import os
@@ -473,6 +474,23 @@ class TestRunSearch:
         assert 0.0 <= payload["prf"]["accuracy"] <= 1.0
 
 
+def token_codes(payload: dict) -> list[int]:
+    return np.frombuffer(base64.b64decode(payload["token_codes"]), dtype="<i4").tolist()
+
+
+def set_token_codes(payload: dict, codes) -> None:
+    payload["token_codes"] = base64.b64encode(
+        np.asarray(codes, dtype="<i4").tobytes()).decode("ascii")
+
+
+def drop_last_document_tokens(payload: dict) -> None:
+    """One document fewer in the token fields, which stay consistent
+    with each other."""
+    count = payload["token_counts"].pop()
+    codes = token_codes(payload)
+    set_token_codes(payload, codes[:len(codes) - count])
+
+
 class TestPreparedDatasetIO:
     def test_split_partitions_documents(self, prepared_binary):
         dataset = prepared_binary
@@ -489,6 +507,8 @@ class TestPreparedDatasetIO:
         dataset.save(path)
         loaded = PreparedDataset.load(path)
         assert loaded.ids == dataset.ids
+        assert loaded.tokens == dataset.tokens
+        assert all(isinstance(doc, tuple) for doc in loaded.tokens)
         assert loaded.scheme.to_dict() == dataset.scheme.to_dict()
         assert np.array_equal(loaded.labels, dataset.labels)
         for split_name in ("train", "validation", "test"):
@@ -511,28 +531,42 @@ class TestPreparedDatasetIO:
         with pytest.raises(DataError):
             PreparedDataset.load(str(path))
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d["labels"].pop(),
-        lambda d: d["tokens"].pop(),
-        lambda d: d["split"]["test"].append(len(d["ids"])),
-        lambda d: d["split"].update(train=-1),
-        lambda d: d["labels"].__setitem__(0, len(d["scheme"]["names"])),
-        lambda d: d["tfidf"].update(ngram_range="x"),
-        lambda d: d["vocab"].update(max_len=0),
-        lambda d: d["tfidf"].update(max_features=2.9),
-        lambda d: d["tfidf"].update(ngram_range=[2, 1]),
-        lambda d: d["tfidf"]["terms"].__setitem__(0, []),
-        lambda d: d["vocab"]["index"].update(extra=10**6),
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: d["labels"].pop(), "one token count and label per id"),
+        (drop_last_document_tokens, "one token count and label per id"),
+        (lambda d: d["split"]["test"].append(len(d["ids"])), "test indices past"),
+        (lambda d: d["split"].update(train=-1), "split.train"),
+        (lambda d: d["labels"].__setitem__(0, len(d["scheme"]["names"])), "labels outside"),
+        (lambda d: d["tfidf"].update(ngram_range="x"), "ngram_range"),
+        (lambda d: d["vocab"].update(max_len=0), "max_len"),
+        (lambda d: d["tfidf"].update(max_features=2.9), "max_features"),
+        (lambda d: d["tfidf"].update(ngram_range=[2, 1]), "ngram_range"),
+        (lambda d: d["tfidf"]["terms"].__setitem__(0, []), "terms"),
+        (lambda d: d["vocab"]["index"].update(extra=10**6), "index"),
+        (lambda d: d["split"]["train"].__setitem__(0, 1.5), "split.train"),
+        (lambda d: d["split"]["train"].__setitem__(0, True), "split.train"),
+        (lambda d: d["split"]["test"].append(d["split"]["train"][0]), "split:"),
+        (lambda d: d["split"]["train"].append(d["split"]["train"][0]), "split:"),
+        (lambda d: d["labels"].__setitem__(0, 0.5), "labels"),
+        (lambda d: d["labels"].__setitem__(0, True), "labels"),
+        (lambda d: d["ids"].__setitem__(1, d["ids"][0]), "ids:"),
+        (lambda d: d["ids"].__setitem__(0, 7), "ids:"),
     ], ids=["labels-short", "tokens-short", "split-index-past-end", "split-not-a-list",
             "label-outside-scheme", "bad-ngram-range", "zero-max-len",
             "fractional-max-features", "ngram-range-reversed", "term-not-a-string",
-            "token-id-past-vocabulary"])
-    def test_inconsistent_payload_is_data_error(self, prepared_binary, tmp_path, mutate):
-        payload = prepared_binary.to_dict()
+            "token-id-past-vocabulary", "split-index-fractional", "split-index-bool",
+            "index-in-two-splits", "index-twice-in-one-split", "label-fractional",
+            "label-bool", "duplicate-ids", "numeric-id"])
+    def test_inconsistent_payload_is_data_error(self, prepared_binary, tmp_path, mutate,
+                                                field):
+        """A split index of 1.5 ended in a TypeError traceback; an index of
+        true, an index in two splits, a label of 0.5 and duplicate or
+        numeric ids were accepted."""
+        payload = json.loads(json.dumps(prepared_binary.to_dict()))
         mutate(payload)
         path = tmp_path / "prepared.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(field)):
             PreparedDataset.load(str(path))
 
 
@@ -1517,14 +1551,14 @@ class TestMalformedArtifacts:
         assert not (tmp_path / "evaluation.json").exists()
 
     @pytest.mark.parametrize("mutate", [
-        lambda d: d["tokens"][0].__setitem__(0, 7),
-        lambda d: d["tokens"][0].__setitem__(0, "feel hopeless"),
-        lambda d: d["tokens"][0].__setitem__(0, ""),
-        lambda d: d["tokens"][0].__setitem__(0, "tab\there"),
-        lambda d: d["tokens"][0].__setitem__(0, ["nested"]),
-        lambda d: d["tokens"][0].__setitem__(0, None),
-        lambda d: d["tokens"].__setitem__(0, "a document as one string"),
-    ], ids=["number", "two-words", "empty", "tab", "list", "null", "string-document"])
+        lambda d: d["token_table"].__setitem__(0, 7),
+        lambda d: d["token_table"].__setitem__(0, "feel hopeless"),
+        lambda d: d["token_table"].__setitem__(0, ""),
+        lambda d: d["token_table"].__setitem__(0, "tab\there"),
+        lambda d: d["token_table"].__setitem__(0, ["nested"]),
+        lambda d: d["token_table"].__setitem__(0, None),
+        lambda d: d.__setitem__("token_table", "a table as one string"),
+    ], ids=["number", "two-words", "empty", "tab", "list", "null", "string-table"])
     @pytest.mark.parametrize("stage", ["train", "evaluate"])
     def test_token_breaking_its_rule_exits_two(
         self, cli_prepared, cli_artifacts, tmp_path, capsys, mutate, stage
@@ -1546,9 +1580,50 @@ class TestMalformedArtifacts:
                             "--out", str(tmp_path / "evaluation.json")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "tokens" in err and repr(bad) in err
+        assert "token_table" in err and repr(bad) in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("model*")) and not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda d: set_token_codes(d, [len(d["token_table"])] + token_codes(d)[1:]),
+         "token_codes"),
+        (lambda d: set_token_codes(d, [-1] + token_codes(d)[1:]), "token_codes"),
+        (lambda d: d.update(token_codes="not base64!"), "token_codes"),
+        (lambda d: d.update(token_codes=d["token_codes"].upper()[:-1]), "token_codes"),
+        (lambda d: d.update(token_codes=base64.b64encode(
+            base64.b64decode(d["token_codes"])[:-1]).decode("ascii")), "token_codes"),
+        (lambda d: d.update(token_codes=[0, 1]), "token_codes"),
+        (lambda d: d["token_counts"].__setitem__(0, d["token_counts"][0] + 1), "token_counts"),
+        (lambda d: d["token_counts"].__setitem__(0, d["token_counts"][0] - 0.5),
+         "token_counts"),
+        (lambda d: d["token_counts"].__setitem__(0, -1), "token_counts"),
+        (lambda d: d["token_counts"].__setitem__(0, True), "token_counts"),
+        (lambda d: d["token_table"].reverse(), "token_table"),
+        (lambda d: d["token_table"].__setitem__(1, d["token_table"][0]), "token_table"),
+        (lambda d: d.update(schema_version=1), "schema_version 1; this version reads 2"),
+    ], ids=["code-past-table", "negative-code", "codes-not-base64", "codes-bad-padding",
+            "codes-length-not-a-multiple-of-4", "codes-a-list", "counts-wrong-sum",
+            "count-fractional", "count-negative", "count-bool", "table-unsorted",
+            "table-duplicated", "version-1-file"])
+    def test_token_field_breaking_its_rule_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, mutate, field
+    ):
+        """The token fields decode to codes inside the table and counts
+        that cover them; each refusal names its field, and an older file
+        names both versions."""
+        payload = json.loads(Path(cli_prepared["prep"]).read_text(encoding="utf-8"))
+        mutate(payload)
+        bad = str(tmp_path / "prepared.json")
+        Path(bad).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run(["evaluate", "--prepared", bad,
+                        "--model", cli_artifacts["logistic"]["stem"],
+                        "--out", str(tmp_path / "evaluation.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and repr(bad) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "evaluation.json").exists()
 
     @pytest.mark.parametrize("term", ["feel  hopeless", " feel", "feel hopeless today", ""])
     def test_tfidf_term_breaking_its_rule_exits_two(self, cli_prepared, tmp_path, capsys, term):
@@ -1830,3 +1905,25 @@ class TestDependencies:
         count, loaded = ran.stdout.split(" ", 1)
         assert int(count) == len(list(Path(src, "mhtext").glob("*.py"))) - 1  # all but __init__
         assert loaded.strip() == "[]"
+
+
+class TestHashSeed:
+    def test_prepared_bytes_do_not_depend_on_the_hash_seed(self, synthetic_csv, tmp_path):
+        """String hashing, and with it set and dict order, changes with
+        PYTHONHASHSEED; `prepare` in two processes with different seeds
+        must still write the same prepared.json (the token table is
+        sorted, not taken in set order)."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = "import sys\nfrom mhtext import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
+        written = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"prepared-{hash_seed}.json"
+            ran = subprocess.run(
+                [sys.executable, "-c", code, "prepare", "--corpus", synthetic_csv,
+                 "--out", str(out), "--scheme", "multiclass", "--seed", "3"],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+            )
+            assert ran.returncode == 0, ran.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
