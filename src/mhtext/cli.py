@@ -9,14 +9,17 @@ Subcommands mirror the pipeline stages:
     report    evaluation JSON -> report.json, roc_points.csv,
               class_distribution.{csv,svg}
 
-Exit codes: 0 success, 1 usage errors (including bad flags), 2 data
-errors (unreadable or malformed inputs), 3 failed searches. Relative
-output paths resolve under $MHTEXT_OUTPUT_ROOT when it is set.
+Exit codes: 0 success, 1 usage errors (including bad flags and outputs
+that cannot be written), 2 data errors (unreadable or malformed
+inputs), 3 failed searches. Relative output paths resolve under
+$MHTEXT_OUTPUT_ROOT when it is set, and missing parent directories of
+an output are created.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -40,6 +43,25 @@ def _resolve(path: str) -> str:
     root = os.environ.get(OUTPUT_ROOT_ENV, "")
     if root and not os.path.isabs(path):
         return os.path.join(root, path)
+    return path
+
+
+@contextlib.contextmanager
+def _writing(flag: str, path: str):
+    """Raise an OSError met while writing output `path` as a UsageError
+    that names the flag and the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {flag} {path!r}: {exc}") from exc
+
+
+def _output(flag: str, path: str, directory: bool = False) -> str:
+    """Resolve output `path` and create its missing parent directories,
+    or the directory itself for a flag that names one."""
+    path = _resolve(path)
+    with _writing(flag, path):
+        os.makedirs(path if directory else os.path.dirname(path) or os.curdir, exist_ok=True)
     return path
 
 
@@ -101,8 +123,9 @@ def _cmd_prepare(args) -> int:
         vocab_min_freq=args.vocab_min_freq,
         max_len=args.max_len,
     )
-    out = _resolve(args.out)
-    dataset.save(out)
+    out = _output("--out", args.out)
+    with _writing("--out", out):
+        dataset.save(out)
     sizes = {name: len(dataset.indices(name)) for name in ("train", "validation", "test")}
     print(
         f"prepared {dataset.n_docs} documents ({dataset.n_dropped} empty dropped): "
@@ -119,16 +142,23 @@ def _cmd_tune(args) -> int:
         config = get_preset(args.preset)
     else:
         config = ExperimentConfig.load(args.config)
-    outdir = _resolve(args.outdir)
-    os.makedirs(outdir, exist_ok=True)
+    prepared_sha256 = search_mod.file_sha256(args.prepared)
+    outdir = _output("--outdir", args.outdir, directory=True)
     try:
         result = search_mod.run_search(dataset, config)
     except SearchFailedError as exc:
         # still leave a log behind so the failure is inspectable
-        report_mod.write_json(exc.result.to_dict(), os.path.join(outdir, "search.json"))
+        with _writing("--outdir", outdir):
+            report_mod.write_json(exc.result.to_dict(), os.path.join(outdir, "search.json"))
         raise
-    report_mod.write_json(result.to_dict(), os.path.join(outdir, "search.json"))
-    report_mod.write_json(result.best_config(), os.path.join(outdir, "best_config.json"))
+    # the kept model before the best config, whose key covers its bytes
+    kept = os.path.join(outdir, search_mod.KEPT_STEM)
+    with _writing("--outdir", outdir):
+        report_mod.write_json(result.to_dict(), os.path.join(outdir, "search.json"))
+        search_mod.save_model(result.best_model, kept)
+        best = result.best_config(prepared_sha256,
+                                  search_mod.bundle_sha256(kept, config.family))
+        report_mod.write_json(best, os.path.join(outdir, "best_config.json"))
     n_failed = sum(1 for t in result.trials if t.error is not None)
     print(
         f"searched {len(result.trials)} candidates ({n_failed} failed); "
@@ -141,20 +171,29 @@ def _cmd_tune(args) -> int:
 def _cmd_train(args) -> int:
     if args.best and args.params:
         raise UsageError("--params only applies with --family")
-    dataset = PreparedDataset.load(args.prepared)
     if args.best:
-        family, params, model_seed = read_json(
-            args.best, "best config", search_mod.decode_best_config
+        (family, params, model_seed), best = read_json(
+            args.best, "best config", lambda data: (search_mod.decode_best_config(data), data)
         )
-    else:
+        # the model tune kept is the fit below, byte for byte, when the key matches
+        kept = search_mod.kept_model(args.best, best, args.prepared)
+        if kept is not None:
+            out = _output("--out", args.out)
+            with _writing("--out", out):
+                path = search_mod.write_bundle(kept, out, family)
+            print(f"copied the {family} model tune kept beside {args.best} -> {path}")
+            return 0
+    dataset = PreparedDataset.load(args.prepared)
+    if not args.best:
         family, model_seed = args.family, search_mod.trial_seed(args.seed, 0)
         params = read_json(args.params, "params file", lambda data: data) if args.params else {}
     try:
         fitted = search_mod.train_family(family, params, dataset, model_seed=model_seed)
     except ValueError as exc:  # solvers reject out-of-range hyperparameters
         raise UsageError(f"bad {family} hyperparameters: {exc}") from exc
-    out = _resolve(args.out)
-    path = search_mod.save_model(fitted, out)
+    out = _output("--out", args.out)
+    with _writing("--out", out):
+        path = search_mod.save_model(fitted, out)
     print(f"trained {family} on {dataset.labels_for('train').size} documents -> {path}")
     return 0
 
@@ -163,10 +202,11 @@ def _cmd_evaluate(args) -> int:
     dataset = PreparedDataset.load(args.prepared)
     fitted = search_mod.load_model(args.model)
     result = search_mod.evaluate_model(fitted, dataset, args.split)
-    out = _resolve(args.out)
-    report_mod.write_json(
-        search_mod.evaluation_record(fitted.family, dataset, args.split, result), out
-    )
+    out = _output("--out", args.out)
+    with _writing("--out", out):
+        report_mod.write_json(
+            search_mod.evaluation_record(fitted.family, dataset, args.split, result), out
+        )
     summary = result.prf.weighted
     auroc = result.auroc_values.get("binary", result.auroc_values.get("micro"))
     auroc_text = f" auroc={auroc:.4f}" if auroc is not None else ""
@@ -180,7 +220,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     report = read_json(args.evaluation, "evaluation file", report_mod.check_evaluation)
-    written = report_mod.emit_report(report, _resolve(args.outdir))
+    outdir = _resolve(args.outdir)
+    with _writing("--outdir", outdir):
+        written = report_mod.emit_report(report, outdir)
     print("wrote " + ", ".join(written))
     return 0
 

@@ -420,17 +420,21 @@ def from_dict(arrays) -> GruParams:
     )
 
 
+# the suffixes of the sidecar files a bundle stem gets, in the order save writes them
+SIDECARS = WEIGHTS, VOCAB = (".npz", ".vocab.json")
+
+
 def save(params: GruParams, vocab: SeqVocabulary, stem: str) -> None:
     """Write <stem>.npz (tensors plus a meta record) and <stem>.vocab.json."""
-    np.savez(stem + ".npz", **to_dict(params))
-    with open(stem + ".vocab.json", "w", encoding="utf-8") as handle:
+    np.savez(stem + WEIGHTS, **to_dict(params))
+    with open(stem + VOCAB, "w", encoding="utf-8") as handle:
         json.dump(vocab.to_dict(), handle, sort_keys=True, indent=2)
 
 
 def load(stem: str) -> tuple[GruParams, SeqVocabulary]:
     try:
-        with np.load(stem + ".npz") as arrays:
+        with np.load(stem + WEIGHTS) as arrays:
             params = from_dict(arrays)
     except (EOFError, zipfile.BadZipFile) as exc:  # an empty, cut or corrupt archive
-        raise DataError(f"invalid weights {stem + '.npz'!r}: {exc}") from exc
-    return params, read_json(stem + ".vocab.json", "vocabulary", SeqVocabulary.from_dict)
+        raise DataError(f"invalid weights {stem + WEIGHTS!r}: {exc}") from exc
+    return params, read_json(stem + VOCAB, "vocabulary", SeqVocabulary.from_dict)

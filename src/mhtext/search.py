@@ -20,6 +20,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +37,8 @@ from .metrics import EvaluationReport, evaluate_predictions, weighted_f1
 from .seeds import STAGE_MODEL, STAGE_SEARCH, derive_seed
 
 SCHEMA_VERSION = 1
+# the stem, beside best_config.json, of the winning trial's model that `tune` keeps
+KEPT_STEM = "best_model"
 
 
 def expand_grid(grid: dict) -> list[dict]:
@@ -169,6 +173,8 @@ class SearchResult:
     config: ExperimentConfig
     trials: list[TrialRecord]
     best_index: int
+    # the winning trial's model, which `tune` keeps beside its best config
+    best_model: FittedModel | None = None
 
     @property
     def best_trial(self) -> TrialRecord:
@@ -192,16 +198,58 @@ class SearchResult:
                        best_val_weighted_f1=self.best_trial.val_weighted_f1)
         return log
 
-    def best_config(self) -> dict:
+    def best_config(self, prepared_sha256: str, model_sha256: list[str]) -> dict:
         """best_config.json: the winning candidate and the seed path that
-        trained it, which decode_best_config reads back."""
-        return {
+        trained it, which decode_best_config reads back, and the
+        inputs_sha256 key of the kept model, given the sha256 of the
+        prepared file the search read and of each kept bundle file."""
+        best = {
             "schema_version": SCHEMA_VERSION,
             "family": self.config.family,
             "params": self.best_params,
             "seed": self.config.seed,
             "trial_index": self.best_index,
         }
+        best["inputs_sha256"] = inputs_key(best, prepared_sha256, model_sha256)
+        return best
+
+
+def _sha256(data: bytes) -> str:
+    # imported here: loading OpenSSL would slow every CLI start by some
+    # milliseconds, and only tune and train --best hash
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_sha256(path: str) -> str:
+    with open(path, "rb") as handle:
+        return _sha256(handle.read())
+
+
+def code_sha256() -> str:
+    """The sha256 over the name and bytes of each of the package's
+    source files: any change to the code that fits a model changes it."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    names = sorted(name for name in os.listdir(here) if name.endswith(".py"))
+    return _sha256(json.dumps({name: file_sha256(os.path.join(here, name))
+                               for name in names}, sort_keys=True).encode("utf-8"))
+
+
+def inputs_key(best: dict, prepared_sha256: str, model_sha256: list[str]) -> str:
+    """The inputs_sha256 of a best config: the sha256 of the canonical
+    JSON of the config's family, params, seed and trial_index, the
+    sha256 of the prepared file's bytes and of each kept bundle file,
+    the package source (code_sha256) and the numpy and Python versions.
+    Equal keys mean the kept bundle is, byte for byte, the one `tune`
+    fitted from this config, prepared file and code."""
+    fields = {name: best.get(name) for name in ("family", "params", "seed", "trial_index")}
+    text = json.dumps({**fields, "prepared_sha256": prepared_sha256,
+                       "model_sha256": model_sha256, "code_sha256": code_sha256(),
+                       "numpy_version": np.__version__,
+                       "python_version": sys.version.split()[0]},
+                      sort_keys=True, separators=(",", ":"))
+    return _sha256(text.encode("utf-8"))
 
 
 def trial_seed(seed: int, index: int) -> int:
@@ -224,6 +272,7 @@ def run_search(
     trials: list[TrialRecord] = []
     best_index = -1
     best_score = -np.inf
+    best_model = None
     for i, params in enumerate(candidates):
         start = clock()
         try:
@@ -238,13 +287,14 @@ def run_search(
         if score > best_score:
             best_score = score
             best_index = i
+            best_model = fitted
     if best_index < 0:
         first_error = next(t.error for t in trials if t.error is not None)
         raise SearchFailedError(
             f"all {len(trials)} trials failed; first error: {first_error}",
             SearchResult(config, trials, best_index),
         )
-    return SearchResult(config, trials, best_index)
+    return SearchResult(config, trials, best_index, best_model)
 
 
 def decode_best_config(data: dict) -> tuple[str, dict, int]:
@@ -300,6 +350,48 @@ def save_model(fitted: FittedModel, stem: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(bundle, sort_keys=True))  # the C encoder; json.dump is Python
     return path
+
+
+def bundle_files(stem: str, family: str) -> list[str]:
+    """The files of a model bundle, in the order save_model writes them."""
+    sidecars = gru_mod.SIDECARS if families.get(family).features == "vocab" else ()
+    return [stem + suffix for suffix in (*sidecars, ".model.json")]
+
+
+def bundle_sha256(stem: str, family: str) -> list[str]:
+    return [file_sha256(path) for path in bundle_files(stem, family)]
+
+
+def kept_model(best_path: str, best: dict, prepared_path: str) -> list[bytes] | None:
+    """The bytes of each file of the model `tune` kept beside the best
+    config read from `best_path`, when they are the bytes its fit wrote
+    and refitting the config on `prepared_path` would repeat that fit:
+    the recorded inputs_sha256 equals the key recomputed from the
+    config, the prepared file and the kept files. None otherwise."""
+    recorded = best.get("inputs_sha256")
+    if not isinstance(recorded, str):
+        return None
+    kept = bundle_files(os.path.join(os.path.dirname(best_path), KEPT_STEM), best["family"])
+    try:
+        prepared_sha256 = file_sha256(prepared_path)
+        contents = []
+        for path in kept:
+            with open(path, "rb") as handle:
+                contents.append(handle.read())
+    except OSError:
+        return None
+    key = inputs_key(best, prepared_sha256, [_sha256(data) for data in contents])
+    return contents if key == recorded else None
+
+
+def write_bundle(contents: list[bytes], stem: str, family: str) -> str:
+    """Write the bundle files `contents` (as kept_model returns them) at
+    `stem`; returns the bundle path, as save_model does."""
+    paths = bundle_files(stem, family)
+    for path, data in zip(paths, contents):
+        with open(path, "wb") as handle:
+            handle.write(data)
+    return paths[-1]
 
 
 def load_model(stem: str) -> FittedModel:

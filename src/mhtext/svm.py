@@ -20,7 +20,8 @@ evaluating the O(n d) hinge term. That skip is exact: the hinge term is
 a sum of products of nonnegatives, so it is >= 0, and float addition
 rounds monotonically, so the full objective would be at least the
 penalty and reject the step too (a NaN penalty fails the test and goes
-to the full evaluation, as before).
+to the full evaluation, as before). The subgradient of an epoch reads
+the margins that the objective evaluation of its point computed.
 
 Nonlinear kernels use dual coordinate ascent under box constraints
 0 <= alpha_i <= C * w_{y_i}, with the bias recovered afterwards from the
@@ -105,16 +106,17 @@ def kernel_matrix(config: SvmConfig, A, B) -> np.ndarray:
     return np.exp(-config.gamma * dist_sq)
 
 
-def hinge_objective(w, b, X, y_signed, effective_c) -> float:
-    """Primal objective 0.5 * ||w||^2 + sum_i C_i * hinge_i."""
+def hinge_objective(w, b, X, y_signed, effective_c) -> tuple[float, np.ndarray]:
+    """Primal objective 0.5 * ||w||^2 + sum_i C_i * hinge_i, and the
+    margins y_i * (x_i . w + b) it was computed from."""
     margins = y_signed * (X @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * float(w @ w) + float(effective_c @ hinge)
+    return 0.5 * float(w @ w) + float(effective_c @ hinge), margins
 
 
-def hinge_subgradient(w, b, X, y_signed, effective_c):
-    """A subgradient of the primal objective (violated margins only)."""
-    margins = y_signed * (X @ w + b)
+def hinge_subgradient(w, X, y_signed, effective_c, margins):
+    """A subgradient of the primal objective (violated margins only) at
+    the point whose margins hinge_objective returned."""
     viol = margins < 1.0
     coeff = effective_c[viol] * y_signed[viol]
     grad_w = w - coeff @ X[viol]
@@ -127,10 +129,10 @@ def _fit_primal_linear(X, y_signed, effective_c, C, max_epochs, tol):
     lam = 1.0 / check("C * rows", C * n, real())  # an infinite product leaves no step
     w = np.zeros(X.shape[1])
     b = 0.0
-    obj = hinge_objective(w, b, X, y_signed, effective_c)
+    obj, margins = hinge_objective(w, b, X, y_signed, effective_c)
     trace = [obj]
     for epoch in range(1, max_epochs + 1):
-        grad_w, grad_b = hinge_subgradient(w, b, X, y_signed, effective_c)
+        grad_w, grad_b = hinge_subgradient(w, X, y_signed, effective_c, margins)
         # base diminishing schedule, halved until non-increasing
         step = 1.0 / (lam * (epoch + 1))
         accepted = False
@@ -142,7 +144,7 @@ def _fit_primal_linear(X, y_signed, effective_c, C, max_epochs, tol):
                 step *= 0.5
                 continue
             b_new = b - step * grad_b
-            obj_new = hinge_objective(w_new, b_new, X, y_signed, effective_c)
+            obj_new, margins_new = hinge_objective(w_new, b_new, X, y_signed, effective_c)
             if obj_new <= obj:
                 accepted = True
                 break
@@ -150,7 +152,7 @@ def _fit_primal_linear(X, y_signed, effective_c, C, max_epochs, tol):
         if not accepted:
             break  # even a vanishing step increases the objective
         improved = obj - obj_new
-        w, b, obj = w_new, b_new, obj_new
+        w, b, obj, margins = w_new, b_new, obj_new, margins_new
         trace.append(obj)
         if improved <= tol * max(1.0, abs(obj)):
             break

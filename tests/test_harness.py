@@ -444,7 +444,7 @@ class TestRunSearch:
     def test_refit_best_reproduces_validation_score(self, prepared_binary):
         dataset = prepared_binary
         result = search.run_search(dataset, make_config())
-        family, params, model_seed = search.decode_best_config(result.best_config())
+        family, params, model_seed = search.decode_best_config(result.best_config("0" * 64, []))
         refit = search.train_family(family, params, dataset, model_seed=model_seed)
         labels, _ = refit.infer(refit._inputs(dataset, "validation"))
         score = metrics.weighted_f1(
@@ -1036,6 +1036,385 @@ class TestCli:
         ])
         assert code == 2
         assert "different" in capsys.readouterr().err
+
+
+# a two-point grid per family, small enough to tune in a test
+TUNE_GRIDS = {
+    "logistic": ({"max_iter": 100}, {"C": [1.0, 1000.0]}),
+    "svm": ({"kernel": "linear", "max_epochs": 50}, {"C": [0.1, 1.0]}),
+    "cart": ({}, {"max_depth": [2, 8]}),
+    "forest": ({"max_depth": 8}, {"n_estimators": [2, 5]}),
+    "gbdt": ({"n_estimators": 3, "num_leaves": 4}, {"learning_rate": [0.3, 1.0]}),
+    "gru": ({**FAMILY_PARAMS["gru"], "epochs": 1}, {"learning_rate": [0.003, 0.01]}),
+}
+
+
+def _bundle_contents(stem: str, family: str) -> list:
+    """A bundle's file bytes, gru `.npz` arrays by dtype, shape and bytes
+    (the archive stamps each member with its write time)."""
+    contents = []
+    for path in search.bundle_files(stem, family):
+        if path.endswith(".npz"):
+            with np.load(path) as arrays:
+                contents.append(sorted((name, a.dtype.str, a.shape, a.tobytes())
+                                       for name, a in arrays.items()))
+        else:
+            contents.append(Path(path).read_bytes())
+    return contents
+
+
+@pytest.fixture()
+def fits(monkeypatch) -> dict:
+    """Counts the model fits of the CLI calls that follow."""
+    counted = {"calls": 0}
+    train_family = search.train_family
+
+    def counting(*args, **kwargs):
+        counted["calls"] += 1
+        return train_family(*args, **kwargs)
+
+    monkeypatch.setattr(search, "train_family", counting)
+    return counted
+
+
+def _train_best(prep, best_path, stem) -> int:
+    return cli.run(["train", "--prepared", str(prep), "--best", str(best_path),
+                    "--out", str(stem)])
+
+
+@pytest.fixture(scope="module")
+def kept_tunes(cli_prepared) -> dict:
+    """Per family: a tune directory with its kept model, and the bundle
+    that refitting its best config writes (no model kept beside it)."""
+    base = cli_prepared["base"] / "kept"
+    other = base / "prepared-seed6.json"
+    assert cli.run(["prepare", "--corpus", cli_prepared["corpus"], "--out", str(other),
+                    "--scheme", "binary", "--seed", "6", "--max-features", "400"]) == 0
+    out = {"other_prep": other}
+    for family, (fixed, grid) in TUNE_GRIDS.items():
+        config = base / family / "experiment.json"
+        config.parent.mkdir()
+        ExperimentConfig(family=family, mode="grid", seed=3, fixed=fixed,
+                         grid=grid).save(str(config))
+        tune = base / family / "tune"
+        assert cli.run(["tune", "--prepared", cli_prepared["prep"], "--config", str(config),
+                        "--outdir", str(tune)]) == 0
+        refit = base / family / "refit"
+        refit.mkdir()
+        shutil.copy(tune / "best_config.json", refit)
+        assert _train_best(cli_prepared["prep"], refit / "best_config.json",
+                           refit / "model") == 0
+        # a second tune of the same family on the same prepared file: its
+        # one candidate is the first tune's losing grid point
+        best = json.loads((tune / "best_config.json").read_text(encoding="utf-8"))
+        (axis, values), = grid.items()
+        losing = next(v for v in values if v != best["params"][axis])
+        other = base / family / "other"
+        other.mkdir()
+        ExperimentConfig(family=family, mode="grid", seed=3, fixed=fixed,
+                         grid={axis: [losing]}).save(str(other / "experiment.json"))
+        assert cli.run(["tune", "--prepared", cli_prepared["prep"],
+                        "--config", str(other / "experiment.json"),
+                        "--outdir", str(other / "tune")]) == 0
+        out[family] = {"tune": tune, "other": other / "tune",
+                       "refit": _bundle_contents(str(refit / "model"), family)}
+    return out
+
+
+class TestKeptModel:
+    """`tune` keeps its winning model beside best_config.json, and
+    `train --best` copies it when the inputs_sha256 key matches; any
+    other case refits, with the same bytes a refit always wrote."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tune_keeps_the_winning_model_and_records_its_key(self, cli_prepared, kept_tunes,
+                                                              family):
+        tune = kept_tunes[family]["tune"]
+        best = json.loads((tune / "best_config.json").read_text(encoding="utf-8"))
+        kept = str(tune / search.KEPT_STEM)
+        assert best["inputs_sha256"] == search.inputs_key(
+            best, search.file_sha256(cli_prepared["prep"]), search.bundle_sha256(kept, family))
+        assert search.load_model(kept).family == family
+        assert _bundle_contents(kept, family) == kept_tunes[family]["refit"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matching_key_copies_the_kept_model(self, cli_prepared, kept_tunes, fits,
+                                                tmp_path, family):
+        stem = tmp_path / "nested" / "model"
+        assert _train_best(cli_prepared["prep"], kept_tunes[family]["tune"] / "best_config.json",
+                           stem) == 0
+        assert fits["calls"] == 0
+        assert _bundle_contents(str(stem), family) == kept_tunes[family]["refit"]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_out_naming_the_kept_stem_exits_zero(self, cli_prepared, kept_tunes, fits,
+                                                 tmp_path, family):
+        tune = tmp_path / "tune"
+        shutil.copytree(kept_tunes[family]["tune"], tune)
+        kept = tune / search.KEPT_STEM
+        assert _train_best(cli_prepared["prep"], tune / "best_config.json", kept) == 0
+        assert fits["calls"] == 0
+        assert _bundle_contents(str(kept), family) == kept_tunes[family]["refit"]
+
+    @pytest.mark.parametrize("case", ["edited params", "other prepared", "other code",
+                                      "other numpy", "missing bundle", "truncated bundle",
+                                      "no key"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_miss_refits(self, cli_prepared, kept_tunes, fits, tmp_path, monkeypatch,
+                           family, case):
+        tune = tmp_path / "tune"
+        shutil.copytree(kept_tunes[family]["tune"], tune)
+        best_path = tune / "best_config.json"
+        best = json.loads(best_path.read_text(encoding="utf-8"))
+        kept = search.bundle_files(str(tune / search.KEPT_STEM), family)
+        prep, want = cli_prepared["prep"], kept_tunes[family]["refit"]
+        if case == "edited params":  # the losing grid point
+            (axis, values), = TUNE_GRIDS[family][1].items()
+            best["params"][axis] = next(v for v in values if v != best["params"][axis])
+        elif case == "other prepared":
+            prep = kept_tunes["other_prep"]
+        elif case == "other code":
+            monkeypatch.setattr(search, "code_sha256", lambda: "0" * 64)
+        elif case == "other numpy":
+            monkeypatch.setattr(np, "__version__", "0.0.0")
+        elif case == "missing bundle":
+            for path in kept:
+                os.remove(path)
+        elif case == "truncated bundle":
+            for path in kept:
+                data = Path(path).read_bytes()
+                Path(path).write_bytes(data[: len(data) // 2])
+        else:
+            del best["inputs_sha256"]
+        best_path.write_text(json.dumps(best), encoding="utf-8")
+        if case in ("edited params", "other prepared"):
+            # the refit bytes: the same best config with no model kept beside it
+            alone = tmp_path / "alone"
+            alone.mkdir()
+            shutil.copy(best_path, alone)
+            assert _train_best(prep, alone / "best_config.json", alone / "model") == 0
+            want = _bundle_contents(str(alone / "model"), family)
+            fits["calls"] = 0
+        assert _train_best(prep, best_path, tmp_path / "model") == 0
+        assert fits["calls"] == 1
+        assert _bundle_contents(str(tmp_path / "model"), family) == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_bundle_from_another_run_refits(self, cli_prepared, kept_tunes, fits, tmp_path,
+                                              family):
+        """A tune cut between writing its bundle and its best config
+        leaves the previous run's best config beside the new bundle: the
+        same family, prepared file and key fields, but another model."""
+        tune = tmp_path / "tune"
+        shutil.copytree(kept_tunes[family]["tune"], tune)
+        for path in search.bundle_files(str(kept_tunes[family]["other"] / search.KEPT_STEM),
+                                        family):
+            shutil.copy(path, tune)
+        assert _train_best(cli_prepared["prep"], tune / "best_config.json",
+                           tmp_path / "model") == 0
+        assert fits["calls"] == 1
+        assert _bundle_contents(str(tmp_path / "model"), family) == kept_tunes[family]["refit"]
+
+    def test_gru_weights_from_another_run_refit(self, cli_prepared, kept_tunes, fits,
+                                                tmp_path):
+        """A gru save cut after its `.npz`: new weights of the same shapes
+        beside the old vocabulary and `.model.json` still load."""
+        tune = tmp_path / "tune"
+        shutil.copytree(kept_tunes["gru"]["tune"], tune)
+        shutil.copy(kept_tunes["gru"]["other"] / f"{search.KEPT_STEM}.npz", tune)
+        assert search.load_model(str(tune / search.KEPT_STEM)).family == "gru"
+        assert _train_best(cli_prepared["prep"], tune / "best_config.json",
+                           tmp_path / "model") == 0
+        assert fits["calls"] == 1
+        assert _bundle_contents(str(tmp_path / "model"), "gru") == kept_tunes["gru"]["refit"]
+
+    def test_kept_model_of_another_family_refits(self, cli_prepared, kept_tunes, fits,
+                                                 tmp_path):
+        tune = tmp_path / "tune"
+        shutil.copytree(kept_tunes["cart"]["tune"], tune)
+        shutil.copy(kept_tunes["forest"]["tune"] / "best_model.model.json", tune)
+        assert _train_best(cli_prepared["prep"], tune / "best_config.json",
+                           tmp_path / "model") == 0
+        assert fits["calls"] == 1
+        assert _bundle_contents(str(tmp_path / "model"), "cart") == kept_tunes["cart"]["refit"]
+
+
+class TestReuseKey:
+    BEST = {"schema_version": 1, "family": "gbdt", "seed": 3, "trial_index": 1,
+            "params": {"n_estimators": 3, "num_leaves": 4, "learning_rate": 0.3,
+                       "class_weight": None, "max_bins": 16}}
+    PREPARED = "0" * 64
+    MODEL = ["1" * 64]
+
+    def test_key_does_not_depend_on_the_hash_seed(self, cli_prepared, tmp_path):
+        """Set and dict order change with PYTHONHASHSEED; two `tune`
+        processes must still record the same key."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = "import sys\nfrom mhtext import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
+        config = tmp_path / "experiment.json"
+        ExperimentConfig(family="cart", mode="grid", seed=3, fixed={"max_depth": 2},
+                         grid={"criterion": ["gini", "entropy"]}).save(str(config))
+        keys = []
+        for hash_seed in ("0", "1"):
+            ran = subprocess.run(
+                [sys.executable, "-c", code, "tune", "--prepared", cli_prepared["prep"],
+                 "--config", str(config), "--outdir", str(tmp_path / hash_seed)],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+            )
+            assert ran.returncode == 0, ran.stderr
+            best = json.loads((tmp_path / hash_seed / "best_config.json").read_text())
+            keys.append(best["inputs_sha256"])
+        assert keys[0] == keys[1]
+
+    def test_key_ignores_the_order_of_params(self, cli_prepared, kept_tunes, fits, tmp_path):
+        key = search.inputs_key(self.BEST, self.PREPARED, self.MODEL)
+        reordered = dict(self.BEST, params=dict(reversed(self.BEST["params"].items())))
+        assert search.inputs_key(reordered, self.PREPARED, self.MODEL) == key
+        # and `train --best` still copies the kept model
+        tune = tmp_path / "tune"
+        shutil.copytree(kept_tunes["gbdt"]["tune"], tune)
+        best = json.loads((tune / "best_config.json").read_text(encoding="utf-8"))
+        best["params"] = dict(reversed(best["params"].items()))
+        (tune / "best_config.json").write_text(json.dumps(best), encoding="utf-8")
+        assert _train_best(cli_prepared["prep"], tune / "best_config.json",
+                           tmp_path / "model") == 0
+        assert fits["calls"] == 0
+
+    @pytest.mark.parametrize("path, value", [
+        (("params", "n_estimators"), 4), (("params", "num_leaves"), 4.0),
+        (("params", "learning_rate"), 0.30000000000000004),
+        (("params", "class_weight"), "balanced"),
+        (("params", "max_bins"), True), (("params", "extra"), 1), (("seed",), 4),
+        (("seed",), 3.0), (("trial_index",), 0), (("family",), "cart"),
+    ])
+    def test_key_changes_with_any_value(self, path, value):
+        best = json.loads(json.dumps(self.BEST))
+        *parents, name = path
+        target = best
+        for parent in parents:
+            target = target[parent]
+        target[name] = value
+        assert search.inputs_key(best, self.PREPARED, self.MODEL) != search.inputs_key(
+            self.BEST, self.PREPARED, self.MODEL)
+
+    def test_key_changes_with_the_prepared_file(self):
+        assert search.inputs_key(self.BEST, "1" * 64, self.MODEL) != search.inputs_key(
+            self.BEST, self.PREPARED, self.MODEL)
+
+    @pytest.mark.parametrize("model", [["2" * 64], ["1" * 64, "1" * 64], []])
+    def test_key_changes_with_the_kept_files(self, model):
+        assert search.inputs_key(self.BEST, self.PREPARED, model) != search.inputs_key(
+            self.BEST, self.PREPARED, self.MODEL)
+
+    def test_key_changes_with_the_code_and_numpy(self, monkeypatch):
+        key = search.inputs_key(self.BEST, self.PREPARED, self.MODEL)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "code_sha256", lambda: "0" * 64)
+            assert search.inputs_key(self.BEST, self.PREPARED, self.MODEL) != key
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "__version__", "0.0.0")
+            assert search.inputs_key(self.BEST, self.PREPARED, self.MODEL) != key
+        assert search.inputs_key(self.BEST, self.PREPARED, self.MODEL) == key
+
+    def test_code_hash_covers_every_source_file(self, tmp_path, monkeypatch):
+        package = Path(search.__file__).parent
+        copy = tmp_path / "mhtext"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(search, "__file__", str(copy / "search.py"))
+        key = search.code_sha256()
+        assert key == search.code_sha256()
+        for source in sorted(copy.glob("*.py")):
+            data = source.read_bytes()
+            source.write_bytes(data + b"\n")
+            assert search.code_sha256() != key, source.name
+            source.write_bytes(data)
+        assert search.code_sha256() == key
+
+
+@pytest.fixture(scope="module")
+def writing_inputs(cli_prepared, cli_artifacts) -> dict:
+    """The inputs each writing command reads."""
+    base = cli_prepared["base"] / "writing"
+    base.mkdir()
+    config = base / "experiment.json"
+    ExperimentConfig(family="cart", mode="grid", seed=3, fixed={},
+                     grid={"max_depth": [1, 2]}).save(str(config))
+    params = base / "params.json"
+    params.write_text(json.dumps({"max_depth": 2}), encoding="utf-8")
+    evaluation = base / "evaluation.json"
+    assert cli.run(["evaluate", "--prepared", cli_prepared["prep"],
+                    "--model", cli_artifacts["cart"]["stem"], "--out", str(evaluation)]) == 0
+    prep = cli_prepared["prep"]
+    return {
+        "prepare": ["prepare", "--corpus", cli_prepared["corpus"], "--max-features", "50"],
+        "tune": ["tune", "--prepared", prep, "--config", str(config)],
+        "train": ["train", "--prepared", prep, "--family", "cart", "--params", str(params)],
+        "evaluate": ["evaluate", "--prepared", prep, "--model", cli_artifacts["cart"]["stem"]],
+        "report": ["report", "--evaluation", str(evaluation)],
+    }
+
+
+class TestWritePaths:
+    """Every output path: missing parent directories are created, and a
+    path that cannot be written exits 1 naming the flag and the path."""
+
+    # command -> (output flag, output name, the file it writes relative to the output)
+    OUTPUTS = {
+        "prepare": ("--out", "prepared.json", ""),
+        "tune": ("--outdir", "tune", "best_config.json"),
+        "train": ("--out", "model", ".model.json"),
+        "evaluate": ("--out", "evaluation.json", ""),
+        "report": ("--outdir", "report", "report.json"),
+    }
+
+    @staticmethod
+    def _written(target: Path, relative: str) -> Path:
+        if relative.startswith("."):
+            return target.with_name(target.name + relative)
+        return target / relative if relative else target
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_missing_parents_are_created(self, writing_inputs, tmp_path, command):
+        flag, name, relative = self.OUTPUTS[command]
+        target = tmp_path / "a" / "b" / name
+        assert cli.run([*writing_inputs[command], flag, str(target)]) == 0
+        assert self._written(target, relative).is_file()
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_a_directory_where_a_file_goes_exits_one(self, writing_inputs, tmp_path,
+                                                     capsys, command):
+        flag, name, relative = self.OUTPUTS[command]
+        target = tmp_path / name
+        self._written(target, relative).mkdir(parents=True)
+        assert cli.run([*writing_inputs[command], flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {flag} {str(target)!r}" in err
+
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_a_file_where_a_directory_goes_exits_one(self, writing_inputs, tmp_path,
+                                                     capsys, command):
+        flag, name, relative = self.OUTPUTS[command]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file", encoding="utf-8")
+        # a directory output is the file itself; a file output lies under it
+        target = blocker if flag == "--outdir" else blocker / name
+        assert cli.run([*writing_inputs[command], flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {flag} {str(target)!r}" in err
+        assert blocker.read_text(encoding="utf-8") == "a file"
+
+    def test_no_traceback_from_the_console_script(self, writing_inputs, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file", encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        ran = subprocess.run(
+            [sys.executable, "-c", "from mhtext.cli import main; main()",
+             *writing_inputs["report"], "--outdir", str(blocker)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert ran.returncode == 1
+        assert "--outdir" in ran.stderr and "Traceback" not in ran.stderr
 
 
 # JSON values of every type, with the edges the rules draw lines at; each
@@ -1811,6 +2190,7 @@ class TestScripts:
             assert cli.run([str(a) for a in argv]) == 0
 
         subdir = {"search.json": "tune", "best_config.json": "tune",
+                  "best_model.model.json": "tune",
                   "report.json": "report", "roc_points.csv": "report",
                   "class_distribution.csv": "report", "class_distribution.svg": "report"}
         names = sorted(p.name for p in (tmp_path / "script").iterdir())

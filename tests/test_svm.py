@@ -16,6 +16,18 @@ XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
 
 
+def objective(w, b, X, y_signed, effective_c) -> float:
+    return svm.hinge_objective(w, b, X, y_signed, effective_c)[0]
+
+
+def recomputing_subgradient(w, b, X, y_signed, effective_c):
+    """Test-local oracle: the subgradient that computed its own margins."""
+    margins = y_signed * (X @ w + b)
+    viol = margins < 1.0
+    coeff = effective_c[viol] * y_signed[viol]
+    return w - coeff @ X[viol], -float(coeff.sum())
+
+
 def full_evaluation_primal(X, y_signed, effective_c, C, max_epochs, tol):
     """Test-local oracle: the primal loop that evaluated the full
     objective for every trial step."""
@@ -23,16 +35,51 @@ def full_evaluation_primal(X, y_signed, effective_c, C, max_epochs, tol):
     lam = 1.0 / (C * n)
     w = np.zeros(X.shape[1])
     b = 0.0
-    obj = svm.hinge_objective(w, b, X, y_signed, effective_c)
+    obj = objective(w, b, X, y_signed, effective_c)
     trace = [obj]
     for epoch in range(1, max_epochs + 1):
-        grad_w, grad_b = svm.hinge_subgradient(w, b, X, y_signed, effective_c)
+        grad_w, grad_b = recomputing_subgradient(w, b, X, y_signed, effective_c)
         step = 1.0 / (lam * (epoch + 1))
         accepted = False
         for _ in range(60):
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            obj_new = svm.hinge_objective(w_new, b_new, X, y_signed, effective_c)
+            obj_new = objective(w_new, b_new, X, y_signed, effective_c)
+            if obj_new <= obj:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        improved = obj - obj_new
+        w, b, obj = w_new, b_new, obj_new
+        trace.append(obj)
+        if improved <= tol * max(1.0, abs(obj)):
+            break
+    return w, b, trace
+
+
+def recomputing_margins_primal(X, y_signed, effective_c, C, max_epochs, tol,
+                               subgradient=recomputing_subgradient):
+    """Test-local oracle: the screening primal loop whose subgradient
+    recomputed the margins of the point it had just accepted."""
+    n = X.shape[0]
+    lam = 1.0 / (C * n)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    obj = objective(w, b, X, y_signed, effective_c)
+    trace = [obj]
+    for epoch in range(1, max_epochs + 1):
+        grad_w, grad_b = subgradient(w, b, X, y_signed, effective_c)
+        step = 1.0 / (lam * (epoch + 1))
+        accepted = False
+        for _ in range(60):
+            w_new = w - step * grad_w
+            if 0.5 * float(w_new @ w_new) > obj:
+                step *= 0.5
+                continue
+            b_new = b - step * grad_b
+            obj_new = objective(w_new, b_new, X, y_signed, effective_c)
             if obj_new <= obj:
                 accepted = True
                 break
@@ -179,22 +226,24 @@ class TestHinge:
         y = np.array([1.0, -1.0])
         c = np.array([1.0, 3.0])
         # margins 2.0 and -0.5; hinges 0 and 1.5
-        got = svm.hinge_objective(w, 0.0, X, y, c)
+        got, margins = svm.hinge_objective(w, 0.0, X, y, c)
         assert got == 0.5 + 3.0 * 1.5
+        assert margins.tolist() == [2.0, -0.5]
 
     def test_subgradient_matches_finite_differences(self):
-        gw, gb = svm.hinge_subgradient(self.W, self.B, self.X, self.Y, self.C)
+        _, margins = svm.hinge_objective(self.W, self.B, self.X, self.Y, self.C)
+        gw, gb = svm.hinge_subgradient(self.W, self.X, self.Y, self.C, margins)
         eps = 1e-7
         for i in range(2):
             w = self.W.copy()
             w[i] += eps
-            hi = svm.hinge_objective(w, self.B, self.X, self.Y, self.C)
+            hi = objective(w, self.B, self.X, self.Y, self.C)
             w[i] -= 2 * eps
-            lo = svm.hinge_objective(w, self.B, self.X, self.Y, self.C)
+            lo = objective(w, self.B, self.X, self.Y, self.C)
             fd = (hi - lo) / (2 * eps)
             assert abs(fd - gw[i]) < 1e-6
-        hi = svm.hinge_objective(self.W, self.B + eps, self.X, self.Y, self.C)
-        lo = svm.hinge_objective(self.W, self.B - eps, self.X, self.Y, self.C)
+        hi = objective(self.W, self.B + eps, self.X, self.Y, self.C)
+        lo = objective(self.W, self.B - eps, self.X, self.Y, self.C)
         assert abs((hi - lo) / (2 * eps) - gb) < 1e-6
 
 
@@ -398,6 +447,52 @@ class TestSolverEconomy:
         assert bits(got[1]) == bits(want[1])
         assert bits(got[2]) == bits(want[2])
 
+    @given(signed_problems(), st.sampled_from([1, 2, 5, 40]), st.sampled_from([0.0, 1e-6, 1e-2]))
+    @settings(max_examples=150, deadline=None)
+    def test_primal_matches_the_recomputing_margins_loop_bitwise(self, problem, max_epochs, tol):
+        _, X, y_signed, effective_c, C = problem
+        got = svm._fit_primal_linear(X, y_signed, effective_c, C, max_epochs, tol)
+        want = recomputing_margins_primal(X, y_signed, effective_c, C, max_epochs, tol)
+        assert bits(got[0]) == bits(want[0])
+        assert bits(got[1]) == bits(want[1])
+        assert bits(got[2]) == bits(want[2])
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_reused_margins_fit_desk_like_rows_bitwise(self, n_classes, class_weight,
+                                                       monkeypatch):
+        """TF-IDF-like rows (about 2% nonzero, unit length): every class
+        pair's w, b and objective trace match the loop that recomputed
+        the margins, with one subgradient per epoch in both."""
+        rng = np.random.default_rng(n_classes)
+        X = rng.random((300, 400)) * (rng.random((300, 400)) < 0.02)
+        X[:, 0] += 0.01  # no empty row
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        y = rng.integers(0, n_classes, 300)
+        config = svm.SvmConfig(C=1.0, max_epochs=12, class_weight=class_weight)
+        calls = {"new": 0, "old": 0}
+
+        def counting(loop, subgradient):
+            def count(*args):
+                calls[loop] += 1
+                return subgradient(*args)
+            return count
+
+        def oracle(*args):
+            return recomputing_margins_primal(
+                *args, subgradient=counting("old", recomputing_subgradient))
+
+        monkeypatch.setattr(svm, "hinge_subgradient", counting("new", svm.hinge_subgradient))
+        got = svm.fit_svm(X, y, config)
+        monkeypatch.setattr(svm, "_fit_primal_linear", oracle)
+        want = svm.fit_svm(X, y, config)
+        assert len(got.pairs) == n_classes * (n_classes - 1) // 2
+        for ours, theirs in zip(got.pairs, want.pairs):
+            assert bits(ours.w) == bits(theirs.w)
+            assert bits(ours.b) == bits(theirs.b)
+            assert bits(ours.objective_trace) == bits(theirs.objective_trace)
+        assert calls["new"] == calls["old"] >= len(got.pairs)
+
     @given(signed_problems(max_rows=8), st.sampled_from([1e-3, 1.0, 1e3]),
            st.sampled_from([1.0, 1e-300, 0.0]), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
@@ -414,7 +509,7 @@ class TestSolverEconomy:
             for _ in range(ulps):
                 obj = float(np.nextafter(obj, -np.inf))
         assert penalty > obj
-        full = svm.hinge_objective(w, float(rng.normal()), X, y_signed, c_scale * effective_c)
+        full = objective(w, float(rng.normal()), X, y_signed, c_scale * effective_c)
         assert full > obj
 
     def test_the_certificate_skips_objective_evaluations(self, rng, monkeypatch):
