@@ -30,7 +30,7 @@ from .corpus import (
 from .errors import DataError, UsageError, check, read_json, real, whole, wholes
 from .families import REGISTRY
 from .gru import SeqVocabulary
-from .report import write_json
+from .report import replacing, write_json
 from .seeds import STAGE_SPLIT, derive_seed
 
 SCHEMA_VERSION = 1  # of an experiment config
@@ -134,7 +134,7 @@ class PreparedDataset:
 
     def save(self, path: str) -> None:
         # json.dumps without indent runs the C encoder; json.dump never does
-        with open(path, "w", encoding="utf-8") as handle:
+        with replacing(path) as handle:
             handle.write(json.dumps(self.to_dict(), sort_keys=True))
 
     @classmethod

@@ -37,6 +37,7 @@ from .errors import DataError, check, check_fields, read_json, real, whole
 from .features import CodedDocs
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .metrics import weighted_f1
+from .report import indented_json, replacing
 from .seeds import MODEL_DROPOUT, MODEL_INIT, MODEL_SHUFFLE, derive_seed
 
 SCHEMA_VERSION = 1
@@ -426,9 +427,10 @@ SIDECARS = WEIGHTS, VOCAB = (".npz", ".vocab.json")
 
 def save(params: GruParams, vocab: SeqVocabulary, stem: str) -> None:
     """Write <stem>.npz (tensors plus a meta record) and <stem>.vocab.json."""
-    np.savez(stem + WEIGHTS, **to_dict(params))
-    with open(stem + VOCAB, "w", encoding="utf-8") as handle:
-        json.dump(vocab.to_dict(), handle, sort_keys=True, indent=2)
+    with replacing(stem + WEIGHTS, binary=True) as handle:
+        np.savez(handle, **to_dict(params))
+    with replacing(stem + VOCAB) as handle:
+        handle.write(indented_json(vocab.to_dict()))
 
 
 def load(stem: str) -> tuple[GruParams, SeqVocabulary]:

@@ -13,6 +13,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,10 +175,7 @@ class RocCurve:
     area: float
 
     def to_rows(self) -> list[tuple[float, float, float]]:
-        return [
-            (float(f), float(t), float(th))
-            for f, t, th in zip(self.fpr, self.tpr, self.thresholds)
-        ]
+        return list(zip(self.fpr.tolist(), self.tpr.tolist(), self.thresholds.tolist()))
 
 
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
@@ -259,7 +257,7 @@ class EvaluationReport:
             ]
         if self.roc is not None:
             data["roc_points"] = [
-                {"fpr": f, "tpr": t, "threshold": th if np.isfinite(th) else None}
+                {"fpr": f, "tpr": t, "threshold": th if math.isfinite(th) else None}
                 for f, t, th in self.roc.to_rows()
             ]
         return data

@@ -1,18 +1,30 @@
 """Report emission: JSON metrics, ROC points, and class distributions.
 
 Outputs are byte-deterministic for a given evaluation when the fixed
-clock is on (MHTEXT_FIXED_CLOCK=1): JSON is dumped with sorted keys,
+clock is on (MHTEXT_FIXED_CLOCK=1): JSON is written with sorted keys,
 floats are repr'd by json itself, CSV rows use fixed formatting, and
 the SVG contains no volatile content. With the real clock only the
 generated_at stamp differs.
+
+Indented JSON has the bytes of json.dumps(payload, sort_keys=True,
+indent=2), which the standard library encodes in pure Python only.
+`indented_json` hands every run of scalars to json's C encoder in one
+call instead (a list of numbers, a dict's values, the values of a list
+of records such as the ROC points) and lays out the tokens it returns.
+
+Every file the CLI writes goes through `replacing`: it is written
+under a temporary name beside its path and then moved over it, so an
+interrupted or failed write leaves the old file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 FIXED_CLOCK_ENV = "MHTEXT_FIXED_CLOCK"
 _EPOCH_STAMP = "1970-01-01T00:00:00Z"
@@ -28,21 +40,102 @@ def timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_C_ENCODER = json.JSONEncoder(sort_keys=True)  # no indent, so encode() runs in C
+_SCALARS = (str, int, float)  # bool is an int
+
+
+def _tokens(values) -> list[str] | None:
+    """The JSON text of each of `values` from one C encoder call; None
+    unless all are scalars, or when a string holding ", " splits apart."""
+    if all(value is None or isinstance(value, _SCALARS) for value in values):
+        tokens = _C_ENCODER.encode(values)[1:-1].split(", ")
+        if len(tokens) == len(values):
+            return tokens
+    return None
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return _C_ENCODER.encode({key: None})[1:-7]  # a number, bool or None key as json spells it
+
+
+def _records(items, inner: str) -> str | None:
+    """The items of a list of dicts that share one set of str keys and
+    hold only scalars, poured from one C encoder call into a %-template;
+    None for any other list."""
+    first = items[0]
+    if not (isinstance(first, dict) and first and all(isinstance(k, str) for k in first)
+            and all(isinstance(item, dict) and item.keys() == first.keys() for item in items)):
+        return None
+    keys = sorted(first)
+    tokens = _tokens([item[key] for item in items for key in keys])
+    if tokens is None:
+        return None
+    field = inner + "  "
+    record = "{" + field + ("," + field).join(
+        _key(key).replace("%", "%%") + ": %s" for key in keys) + inner + "}"
+    return ("," + inner).join([record] * len(items)) % tuple(tokens)
+
+
+def _indented(obj, level: int) -> str:
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items())
+        values = [value for _, value in items]
+        texts = _tokens(values) or [_indented(value, level + 1) for value in values]
+        return "{" + inner + ("," + inner).join(
+            _key(key) + ": " + text for (key, _), text in zip(items, texts)) + outer + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        texts = _tokens(obj)
+        body = ("," + inner).join(texts) if texts is not None else _records(obj, inner)
+        if body is None:
+            body = ("," + inner).join(_indented(item, level + 1) for item in obj)
+        return "[" + inner + body + outer + "]"
+    return _C_ENCODER.encode(obj)
+
+
+def indented_json(payload) -> str:
+    """The text of json.dumps(payload, sort_keys=True, indent=2), or the
+    exception it raises."""
+    return _indented(payload, 0)
+
+
+@contextlib.contextmanager
+def replacing(path: str, binary: bool = False):
+    """A handle on `<path>.<pid>.tmp`, moved over `path` when the block
+    ends. When the block or the move raises, the temporary file is
+    deleted and `path` keeps its old bytes."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with (open(temp, "wb") if binary
+              else open(temp, "w", encoding="utf-8", newline="\n")) as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    with replacing(path) as handle:
+        handle.write(indented_json(payload) + "\n")
 
 
 def _roc_csv(points: list[dict]) -> str:
     lines = ["fpr,tpr,threshold"]
     for point in points:
         threshold = point.get("threshold")
-        thr = "" if threshold is None else format(float(threshold), ".17g")
-        lines.append(
-            f"{format(float(point['fpr']), '.17g')},"
-            f"{format(float(point['tpr']), '.17g')},{thr}"
-        )
+        if threshold is None:
+            lines.append("%.17g,%.17g," % (point["fpr"], point["tpr"]))
+        else:
+            lines.append("%.17g,%.17g,%.17g" % (point["fpr"], point["tpr"], threshold))
     return "\n".join(lines) + "\n"
 
 
@@ -173,7 +266,7 @@ def emit_report(report: Report, outdir: str) -> list[str]:
     written = [report_path]
     for name, text in report.files:
         path = os.path.join(outdir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with replacing(path) as handle:
             handle.write(text)
         written.append(path)
     return written

@@ -34,6 +34,7 @@ from .config import ExperimentConfig, PreparedDataset
 from .corpus import LabelScheme
 from .errors import DataError, SearchFailedError, ToolkitError, UsageError, check, read_json, whole
 from .metrics import EvaluationReport, evaluate_predictions, weighted_f1
+from .report import replacing
 from .seeds import STAGE_MODEL, STAGE_SEARCH, derive_seed
 
 SCHEMA_VERSION = 1
@@ -347,7 +348,7 @@ def save_model(fitted: FittedModel, stem: str) -> str:
         bundle["tfidf"] = fitted.featurizer.to_dict()
         bundle["model"] = fitted.spec.to_dict(fitted.payload)
     path = stem + ".model.json"
-    with open(path, "w", encoding="utf-8") as handle:
+    with replacing(path) as handle:
         handle.write(json.dumps(bundle, sort_keys=True))  # the C encoder; json.dump is Python
     return path
 
@@ -389,7 +390,7 @@ def write_bundle(contents: list[bytes], stem: str, family: str) -> str:
     `stem`; returns the bundle path, as save_model does."""
     paths = bundle_files(stem, family)
     for path, data in zip(paths, contents):
-        with open(path, "wb") as handle:
+        with replacing(path, binary=True) as handle:
             handle.write(data)
     return paths[-1]
 

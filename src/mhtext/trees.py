@@ -57,6 +57,7 @@ with another cell could overflow.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -885,6 +886,25 @@ def _ascending(name: str, values) -> np.ndarray:
     return array
 
 
+def _bin_bounds(bounds) -> list[np.ndarray]:
+    """`bounds` as one finite, strictly ascending float64 array per
+    feature, checked in one pass over the concatenated values; a list
+    that fails is checked again one feature at a time, so the refusal
+    names the feature."""
+    if isinstance(bounds, list) and bounds and all(type(b) is list for b in bounds):
+        try:
+            flat = np.array(list(itertools.chain.from_iterable(bounds)), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            flat = None
+        if flat is not None and flat.ndim == 1 and np.isfinite(flat).all():
+            ends = np.cumsum([len(b) for b in bounds])
+            rising = flat[1:] > flat[:-1]
+            rising[ends[(ends > 0) & (ends < flat.size)] - 1] = True  # pairs across features
+            if rising.all():
+                return np.split(flat, ends[:-1])
+    return [_ascending(f"bin_upper_bounds[{f}]", b) for f, b in enumerate(bounds)]
+
+
 def gbdt_from_dict(data: dict) -> GbdtModel:
     _check_header(data, "gbdt")
     n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
@@ -896,8 +916,7 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
     if any(len(rnd) != per_round for rnd in data["rounds"]):
         raise ValueError(f"rounds: expected {per_round} trees in each round for "
                          f"n_classes={n_classes}")
-    bin_upper_bounds = [_ascending(f"bin_upper_bounds[{f}]", b)
-                        for f, b in enumerate(data["bin_upper_bounds"])]
+    bin_upper_bounds = _bin_bounds(data["bin_upper_bounds"])
     return GbdtModel(
         base_score=base_score,
         # a split feature indexes the bounds, one list per feature

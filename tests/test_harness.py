@@ -8,6 +8,7 @@ is driven end to end through temp directories using its return codes.
 
 import base64
 import functools
+import io
 import json
 import os
 import re
@@ -673,6 +674,124 @@ class TestReport:
         assert root.tag.endswith("svg")
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         assert len(rects) >= 2
+
+
+def _stdlib_json(payload) -> str:
+    """The text write_json wrote before its encoder (less the final
+    newline): json.dump with indent, which runs in pure Python."""
+    buffer = io.StringIO()
+    json.dump(payload, buffer, sort_keys=True, indent=2)
+    return buffer.getvalue()
+
+
+def _roc_csv_loop(points: list[dict]) -> str:
+    """report._roc_csv as it was, with three format calls per row."""
+    lines = ["fpr,tpr,threshold"]
+    for point in points:
+        threshold = point.get("threshold")
+        thr = "" if threshold is None else format(float(threshold), ".17g")
+        lines.append(
+            f"{format(float(point['fpr']), '.17g')},"
+            f"{format(float(point['tpr']), '.17g')},{thr}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class _Float(float):
+    pass
+
+
+# keys and strings with the separator the encoder splits on, the % of its
+# templates, quotes, control characters and non-ASCII
+_JSON_TEXT = st.lists(st.sampled_from(
+    [",", " ", ", ", "%", "%s", '"', "\\", "\x00", "\x1f", "\n", "a", "é", "€", "😀"]),
+    max_size=5).map("".join)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63),
+    st.integers(max_value=-2**63), st.floats(), st.floats().map(_Float),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]), _JSON_TEXT,
+)
+# lists of records that share a key set, as the ROC points do
+_JSON_RECORDS = st.lists(_JSON_TEXT, min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, _JSON_SCALARS)),
+                          min_size=1, max_size=4))
+_JSON_TREES = st.recursive(
+    st.one_of(_JSON_SCALARS, _JSON_RECORDS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+        st.lists(st.dictionaries(_JSON_TEXT, children, max_size=3), max_size=3),
+    ),
+    max_leaves=12,
+)
+# keys json converts or refuses, and values it refuses
+_ODD_TREES = st.recursive(
+    st.one_of(_JSON_SCALARS, st.just(object()), st.just({1, 2}), st.just(b"x")),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.one_of(_JSON_TEXT, st.integers(), st.floats(), st.booleans(),
+                                  st.none(), st.just((1,))), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+def _assert_same_text_or_error(payload):
+    try:
+        expected = _stdlib_json(payload)
+    except Exception as exc:  # the encoder must refuse it the same way
+        with pytest.raises(Exception) as raised:
+            report.indented_json(payload)
+        assert type(raised.value) is type(exc)
+        return
+    assert report.indented_json(payload) == expected
+
+
+class TestIndentedJson:
+    """report.indented_json gives json.dump's indented text from C
+    encoder calls."""
+
+    @given(_JSON_TREES)
+    @settings(max_examples=400, deadline=None)
+    @example([])
+    @example({})
+    @example([[], {}, [{}], {"a": {}}])
+    @example([{"a, b": 1, "%s": "x, y"}, {"a, b": 2, "%s": "%"}])
+    @example([{"a": 1}, {"b": 1}])
+    @example([{"a": [1]}, {"a": [2]}])
+    @example([2**64, -0.0, float("nan"), float("inf"), float("-inf"), _Float(0.1), True, None])
+    def test_same_text_as_json_dump(self, payload):
+        _assert_same_text_or_error(payload)
+
+    @given(_ODD_TREES)
+    @settings(max_examples=300, deadline=None)
+    @example({1: "a", 2.5: "b", True: 0, None: 1})
+    @example({1: "a", "b": 2})
+    @example([object()])
+    def test_same_text_or_error_for_other_keys_and_values(self, payload):
+        _assert_same_text_or_error(payload)
+
+    def test_an_evaluation_and_a_vocabulary(self, prepared_multiclass):
+        y_true = np.arange(60) % 3
+        scores = np.random.default_rng(0).dirichlet(np.ones(3), size=60)
+        evaluation = metrics.evaluate_predictions(y_true, scores.argmax(1), scores, n_classes=3)
+        for payload in (binary_evaluation(), evaluation.to_dict(),
+                        prepared_multiclass.vocab.to_dict()):
+            assert report.indented_json(payload) == _stdlib_json(payload)
+
+    @given(st.lists(st.fixed_dictionaries({
+        "fpr": st.floats() | st.integers(-10**20, 10**20) | st.booleans(),
+        "tpr": st.floats() | st.integers(0, 10),
+        "threshold": st.none() | st.floats() | st.integers(-5, 5),
+    }), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_roc_csv_matches_the_three_format_loop(self, points):
+        assert report._roc_csv(points) == _roc_csv_loop(points)
+
+    def test_roc_csv_of_an_evaluation_matches_the_loop(self):
+        points = binary_evaluation()["metrics"]["roc_points"]
+        assert report._roc_csv(points) == _roc_csv_loop(points)
 
 
 @pytest.fixture(scope="module")
@@ -1415,6 +1534,130 @@ class TestWritePaths:
         )
         assert ran.returncode == 1
         assert "--outdir" in ran.stderr and "Traceback" not in ran.stderr
+
+
+class TestInterruptedWrites:
+    """Every file is written under <name>.<pid>.tmp and then moved over
+    its path: a write that fails or is cut leaves the old file's bytes
+    and no temporary file."""
+
+    @staticmethod
+    def _writers(cli_prepared, cli_artifacts) -> dict:
+        """name -> (the files it writes under a directory, the write)."""
+        dataset = PreparedDataset.load(cli_prepared["prep"])
+        cart = search.load_model(cli_artifacts["cart"]["stem"])
+        recurrent = search.load_model(cli_artifacts["gru"]["stem"])
+        kept = [Path(p).read_bytes() for p in search.bundle_files(cli_artifacts["gru"]["stem"],
+                                                                  "gru")]
+        gru_files = ["m.npz", "m.vocab.json", "m.model.json"]
+        return {
+            "write_json": (["f.json"], lambda d: report.write_json({"a": [1]}, str(d / "f.json"))),
+            "prepared": (["p.json"], lambda d: dataset.save(str(d / "p.json"))),
+            "save_model": (["m.model.json"], lambda d: search.save_model(cart, str(d / "m"))),
+            "save_model_gru": (gru_files, lambda d: search.save_model(recurrent, str(d / "m"))),
+            "write_bundle": (gru_files, lambda d: search.write_bundle(kept, str(d / "m"), "gru")),
+            "emit_report": (["report.json", "roc_points.csv", "class_distribution.csv",
+                             "class_distribution.svg"],
+                            lambda d: report.emit_report(
+                                report.check_evaluation(binary_evaluation()), str(d))),
+        }
+
+    @staticmethod
+    def _old_files(directory: Path, names) -> dict:
+        directory.mkdir()
+        for name in names:
+            (directory / name).write_bytes(b"old " + name.encode())
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @pytest.mark.parametrize("writer", ["write_json", "prepared", "save_model",
+                                        "save_model_gru", "write_bundle", "emit_report"])
+    @pytest.mark.parametrize("failure", [OSError, KeyboardInterrupt])
+    def test_a_failed_replace_keeps_the_old_bytes(self, cli_prepared, cli_artifacts, tmp_path,
+                                                  monkeypatch, writer, failure):
+        names, write = self._writers(cli_prepared, cli_artifacts)[writer]
+        before = self._old_files(tmp_path / "old", names)
+
+        def fail(src, dst):
+            raise failure("cut")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(failure):
+            write(tmp_path / "old")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
+
+    @pytest.mark.parametrize("failure", [TypeError, KeyboardInterrupt])
+    def test_an_encoder_that_raises_keeps_the_old_bytes(self, tmp_path, monkeypatch, failure):
+        path = tmp_path / "f.json"
+        path.write_bytes(b"old")
+        if failure is KeyboardInterrupt:
+            def interrupted(payload):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(report, "indented_json", interrupted)
+        with pytest.raises(failure):
+            report.write_json({"a": [1.0, object()]}, str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+        assert path.read_bytes() == b"old"
+
+    def test_a_cut_gru_archive_keeps_the_old_bundle(self, cli_artifacts, tmp_path, monkeypatch):
+        recurrent = search.load_model(cli_artifacts["gru"]["stem"])
+        before = self._old_files(tmp_path / "old", ["m.npz", "m.vocab.json", "m.model.json"])
+
+        def cut(handle, **arrays):
+            handle.write(b"PK\x03\x04")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", cut)
+        with pytest.raises(OSError):
+            search.save_model(recurrent, str(tmp_path / "old" / "m"))
+        assert {p.name: p.read_bytes() for p in (tmp_path / "old").iterdir()} == before
+
+    def test_the_cli_names_the_flag_and_keeps_the_old_output(self, writing_inputs, tmp_path,
+                                                             monkeypatch, capsys):
+        out = tmp_path / "evaluation.json"
+        out.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("cut")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert cli.run([*writing_inputs["evaluate"], "--out", str(out)]) == 1
+        assert f"cannot write --out {str(out)!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["evaluation.json"]
+        assert out.read_bytes() == b"old"
+
+    def test_every_json_file_re_encodes_to_its_bytes(self, cli_prepared, tmp_path):
+        """Each JSON file of a small run equals json.dumps of what it
+        holds: indented with a final newline from write_json, indented
+        without one for the gru vocabulary, compact for the prepared
+        dataset and model bundles."""
+        run = tmp_path / "run"
+        config = tmp_path / "experiment.json"
+        ExperimentConfig(family="cart", mode="grid", seed=3, fixed={},
+                         grid={"max_depth": [1, 2]}).save(str(config))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(FAMILY_PARAMS["gru"]), encoding="utf-8")
+        prep = run / "prepared.json"
+        for argv in (
+            ["prepare", "--corpus", cli_prepared["corpus"], "--out", prep,
+             "--scheme", "multiclass", "--max-features", "100"],
+            ["tune", "--prepared", prep, "--config", config, "--outdir", run / "tune"],
+            ["train", "--prepared", prep, "--family", "gru", "--params", params,
+             "--out", run / "gru"],
+            ["evaluate", "--prepared", prep, "--model", run / "gru", "--out", run / "eval.json"],
+            ["report", "--evaluation", run / "eval.json", "--outdir", run / "report"],
+        ):
+            assert cli.run([str(a) for a in argv]) == 0
+        files = sorted(run.rglob("*.json"))
+        assert len(files) == 8
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            payload = json.loads(text)
+            if path.name == "prepared.json" or path.name.endswith(".model.json"):
+                expected = json.dumps(payload, sort_keys=True)
+            else:
+                expected = json.dumps(payload, sort_keys=True, indent=2)
+                expected += "" if path.name.endswith(".vocab.json") else "\n"
+            assert text == expected, path.name
 
 
 # JSON values of every type, with the edges the rules draw lines at; each

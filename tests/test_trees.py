@@ -1071,3 +1071,44 @@ class TestSerialization:
             trees.forest_from_dict({"schema_version": 99})
         with pytest.raises(DataError):
             trees.gbdt_from_dict({"schema_version": 99})
+
+
+def _bin_bounds_loop(bounds) -> list[np.ndarray]:
+    """The gbdt decoder's bound check as it was: one call per feature."""
+    return [trees._ascending(f"bin_upper_bounds[{f}]", b) for f, b in enumerate(bounds)]
+
+
+_ASCENDING = st.lists(st.floats(-1e6, 1e6), unique=True, max_size=5).map(sorted)
+_BOUND_LISTS = st.lists(st.one_of(
+    _ASCENDING, _ASCENDING,
+    _ASCENDING.map(lambda b: b[::-1]),
+    _ASCENDING.map(lambda b: b + b[-1:]),  # a repeated last bound
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3), st.booleans(), st.none(),
+                       st.just("1.5"), st.just([1.0])), max_size=4),
+    st.just("12"), st.just(3.0), st.just([[1.0, 2.0]]), st.just({"a": 1}),
+), max_size=6)
+
+
+class TestGbdtBinBounds:
+    """The one-array check over every feature's bounds accepts what the
+    per-feature check accepts, with the same arrays, and otherwise
+    raises its error."""
+
+    @given(_BOUND_LISTS)
+    @settings(max_examples=400, deadline=None)
+    def test_same_arrays_or_error_as_one_check_per_feature(self, bounds):
+        try:
+            expected = _bin_bounds_loop(bounds)
+        except Exception as exc:  # the refusal names the same feature
+            with pytest.raises(type(exc)) as raised:
+                trees._bin_bounds(bounds)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+            return
+        got = trees._bin_bounds(bounds)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_bounds_may_fall_between_features(self):
+        got = trees._bin_bounds([[1.0, 2.0], [], [0.5], [0.5, 9.0], []])
+        assert [b.tolist() for b in got] == [[1.0, 2.0], [], [0.5], [0.5, 9.0], []]
