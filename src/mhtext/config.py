@@ -27,7 +27,7 @@ from .corpus import (
     load_csv,
     split_dataset,
 )
-from .errors import DataError, UsageError, check, read_json, real, whole, wholes
+from .errors import DataError, UsageError, check, check_header, read_json, real, whole, wholes
 from .families import REGISTRY
 from .gru import SeqVocabulary
 from .report import replacing, write_json
@@ -101,11 +101,7 @@ class PreparedDataset:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PreparedDataset":
-        version = data.get("schema_version")
-        if version != PREPARED_SCHEMA_VERSION:
-            raise DataError(f"unsupported prepared-dataset schema: found schema_version "
-                            f"{version!r}; this version reads {PREPARED_SCHEMA_VERSION}. "
-                            "Run `mhtext prepare` again to write it")
+        check_header(data, "prepared-dataset", DataError, schema_version=PREPARED_SCHEMA_VERSION)
         ids = data["ids"]
         if not (isinstance(ids, list) and all(type(i) is str for i in ids)
                 and len(set(ids)) == len(ids)):
@@ -268,8 +264,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise UsageError("unsupported experiment config payload")
+        check_header(data, "experiment config", UsageError, schema_version=SCHEMA_VERSION)
         if "family" not in data:
             raise UsageError("experiment config needs a 'family' field")
         return cls(

@@ -70,6 +70,17 @@ def read_json(path: str, what: str, decode, error=DataError):
         raise type(exc)(f"invalid {what} {path!r}: {exc}") from exc
 
 
+def check_header(data: dict, what: str, error: type[ToolkitError], **header) -> None:
+    """Raise `error` unless the `what` payload `data` holds the `header`
+    values this version reads: its schema_version, and its kind for a
+    format that holds several."""
+    found = {key: data.get(key) for key in header}
+    if found != header:
+        raise error(f"unsupported {what} schema: found "
+                    + " and ".join(f"{key} {value!r}" for key, value in found.items())
+                    + "; this version reads " + " and ".join(map(repr, header.values())))
+
+
 _COMPARE = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 
 

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, check_fields, finite, whole, wholes
+from .errors import DataError, check_fields, check_header, finite, whole, wholes
 
 SCHEMA_VERSION = 1
 
@@ -242,10 +242,7 @@ class TfIdfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TfIdfModel":
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise DataError(
-                f"unsupported TF-IDF model schema: {data.get('schema_version')!r}"
-            )
+        check_header(data, "TF-IDF model", DataError, schema_version=SCHEMA_VERSION)
         return cls(
             tuple(data["terms"]),
             np.array(data["idf"], dtype=np.float64),

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check, check_fields, read_json, real, whole
+from .errors import DataError, check, check_fields, check_header, finite, read_json, real, whole
 from .features import CodedDocs
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .metrics import weighted_f1
@@ -113,8 +113,7 @@ class SeqVocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeqVocabulary":
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise DataError("unsupported vocabulary payload")
+        check_header(data, "vocabulary", DataError, schema_version=SCHEMA_VERSION)
         return cls(dict(data["index"]), data["max_len"], data["min_freq"])
 
 
@@ -411,14 +410,33 @@ def to_dict(params: GruParams) -> dict[str, np.ndarray]:
     return {"meta": np.array(json.dumps(meta, sort_keys=True)), **dict(params.tensors())}
 
 
+# each tensor's sizes, read from the anchors embedding (V, E), u_update
+# (H, H) and b_out (K,): V vocabulary, E embedding, H hidden, K classes
+_ANCHORS = ("embedding", "u_update", "b_out")
+_SIZES = {"embedding": "VE", "w_out": "HK", "b_out": "K", **{
+    f"{kind}_{gate}": sizes for gate in ("update", "reset", "cand")
+    for kind, sizes in (("w", "EH"), ("u", "HH"), ("b", "H"))}}
+
+
 def from_dict(arrays) -> GruParams:
+    """The parameters in an npz sidecar; each tensor must be finite
+    float64 of its shape in `meta.shapes` and of the sizes the anchors
+    give, and a refusal names the tensor."""
     meta = json.loads(str(arrays["meta"]))
-    if meta.get("schema_version") != SCHEMA_VERSION:
-        raise DataError("unsupported recurrent model payload")
-    return GruParams(
-        **{name: arrays[name] for name in GruParams._ORDER},
-        dropout=check("dropout", meta["dropout"], _DROPOUT),
-    )
+    check_header(meta, "recurrent model", DataError, schema_version=SCHEMA_VERSION)
+    tensors, sizes = {}, {}
+    for name in dict.fromkeys(_ANCHORS + GruParams._ORDER):
+        tensor, dims = arrays[name], _SIZES[name]
+        if tensor.dtype != np.float64 or list(tensor.shape) != meta["shapes"][name]:
+            raise ValueError(f"{name} of {tensor.dtype} and shape {tensor.shape}: expected "
+                             f"float64 and the stored shape {meta['shapes'][name]}")
+        if len(dims) != tensor.ndim or any(
+                sizes.setdefault(dim, size) != size for dim, size in zip(dims, tensor.shape)):
+            known = ", ".join(f"{dim}={size}" for dim, size in sizes.items())
+            raise ValueError(f"{name} of shape {tensor.shape}: expected ({', '.join(dims)})"
+                             + (f" for {known}" if known else ""))
+        tensors[name] = finite(name, tensor)
+    return GruParams(**tensors, dropout=check("dropout", meta["dropout"], _DROPOUT))
 
 
 # the suffixes of the sidecar files a bundle stem gets, in the order save writes them
@@ -437,6 +455,12 @@ def load(stem: str) -> tuple[GruParams, SeqVocabulary]:
     try:
         with np.load(stem + WEIGHTS) as arrays:
             params = from_dict(arrays)
-    except (EOFError, zipfile.BadZipFile) as exc:  # an empty, cut or corrupt archive
+    # an empty, cut or corrupt archive, or a tensor or meta record that breaks its rule
+    except (AttributeError, DataError, EOFError, LookupError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
         raise DataError(f"invalid weights {stem + WEIGHTS!r}: {exc}") from exc
-    return params, read_json(stem + VOCAB, "vocabulary", SeqVocabulary.from_dict)
+    vocab = read_json(stem + VOCAB, "vocabulary", SeqVocabulary.from_dict)
+    if len(params.embedding) < vocab.vocab_size:  # each id reads its own row
+        raise DataError(f"invalid weights {stem + WEIGHTS!r}: embedding of {len(params.embedding)} "
+                        f"rows: expected one per id of the vocabulary's {vocab.vocab_size}")
+    return params, vocab

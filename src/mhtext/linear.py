@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check, check_fields, finite, one_of, real, stored, whole
+from .errors import (DataError, check, check_fields, check_header, finite, one_of, real, stored,
+                     whole)
 
 SCHEMA_VERSION = 1
 
@@ -229,10 +230,7 @@ def to_dict(params: LinearModelParams) -> dict:
 
 
 def from_dict(data: dict) -> LinearModelParams:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported linear model schema: {data.get('schema_version')!r}"
-        )
+    check_header(data, "linear model", DataError, schema_version=SCHEMA_VERSION)
     kind = check("kind", data["kind"], one_of("sigmoid", "softmax"))
     n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
     if kind == "sigmoid" and n_classes != 2:

@@ -93,29 +93,17 @@ def precision_recall_f1(cm: np.ndarray) -> PrfReport:
     recall = _safe_div(tp, tp + fn)
     f1 = _safe_div(2.0 * tp, 2.0 * tp + fp + fn)
     total = cm.sum()
-    tp_sum, fp_sum, fn_sum = tp.sum(), fp.sum(), fn.sum()
-    micro = {
-        "precision": float(tp_sum / (tp_sum + fp_sum)) if tp_sum + fp_sum else 0.0,
-        "recall": float(tp_sum / (tp_sum + fn_sum)) if tp_sum + fn_sum else 0.0,
-        "f1": float(2.0 * tp_sum / (2.0 * tp_sum + fp_sum + fn_sum))
-        if 2.0 * tp_sum + fp_sum + fn_sum
-        else 0.0,
-    }
-    macro = {
-        "precision": float(precision.mean()),
-        "recall": float(recall.mean()),
-        "f1": float(f1.mean()),
-    }
+    per_class = {"precision": precision, "recall": recall, "f1": f1}
+    macro = {name: float(values.mean()) for name, values in per_class.items()}
     if total > 0:
-        weighted = {
-            "precision": float(support @ precision / total),
-            "recall": float(support @ recall / total),
-            "f1": float(support @ f1 / total),
-        }
-        accuracy = float(tp_sum / total)
+        weighted = {name: float(support @ values / total) for name, values in per_class.items()}
+        accuracy = float(tp.sum() / total)
     else:
-        weighted = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        weighted = dict.fromkeys(per_class, 0.0)
         accuracy = 0.0
+    # every count is whole, so the fp and fn sums each make tp's up to the
+    # total exactly: micro precision, recall and F1 all equal accuracy
+    micro = dict.fromkeys(per_class, accuracy)
     return PrfReport(
         precision=precision,
         recall=recall,

@@ -26,6 +26,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
+from .errors import DataError, check_header
+
+EVALUATION_SCHEMA_VERSION = 1  # of the evaluation file `evaluate` writes and `report` reads
 FIXED_CLOCK_ENV = "MHTEXT_FIXED_CLOCK"
 _EPOCH_STAMP = "1970-01-01T00:00:00Z"
 
@@ -246,6 +249,8 @@ def check_evaluation(evaluation: dict) -> Report:
     """Decode an evaluation file read from JSON: its metrics must be an
     object that every report file can be drawn from, so a file that
     cannot be drawn is refused before any is written."""
+    check_header(evaluation, "evaluation file", DataError,
+                 schema_version=EVALUATION_SCHEMA_VERSION)
     if not isinstance(evaluation.get("metrics"), dict):
         raise ValueError("no metrics object")
     return Report(evaluation, _render(evaluation))

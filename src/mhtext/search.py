@@ -32,9 +32,10 @@ from . import features as features_mod
 from . import gru as gru_mod
 from .config import ExperimentConfig, PreparedDataset
 from .corpus import LabelScheme
-from .errors import DataError, SearchFailedError, ToolkitError, UsageError, check, read_json, whole
+from .errors import (DataError, SearchFailedError, ToolkitError, UsageError, check, check_header,
+                     read_json, whole)
 from .metrics import EvaluationReport, evaluate_predictions, weighted_f1
-from .report import replacing
+from .report import EVALUATION_SCHEMA_VERSION, replacing
 from .seeds import STAGE_MODEL, STAGE_SEARCH, derive_seed
 
 SCHEMA_VERSION = 1
@@ -301,6 +302,7 @@ def run_search(
 def decode_best_config(data: dict) -> tuple[str, dict, int]:
     """The family, params and model seed that retrain a best config's
     candidate exactly as the search trained it."""
+    check_header(data, "best config", DataError, schema_version=SCHEMA_VERSION)
     seed = trial_seed(check("seed", data.get("seed", 0), whole()),
                       check("trial_index", data.get("trial_index", 0), whole()))
     return data["family"], data.get("params", {}), seed
@@ -318,7 +320,7 @@ def evaluation_record(family: str, dataset: PreparedDataset, split_name: str,
                       evaluation: EvaluationReport) -> dict:
     """The evaluation file: what `mhtext evaluate` writes and `report` reads."""
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": EVALUATION_SCHEMA_VERSION,
         "family": family,
         "split": split_name,
         "n_eval": int(dataset.labels_for(split_name).size),
@@ -401,8 +403,7 @@ def load_model(stem: str) -> FittedModel:
 
 
 def _decode_bundle(bundle: dict, stem: str) -> FittedModel:
-    if bundle.get("schema_version") != SCHEMA_VERSION:
-        raise DataError("unsupported model bundle payload")
+    check_header(bundle, "model bundle", DataError, schema_version=SCHEMA_VERSION)
     spec = families.get(bundle["family"])
     scheme = LabelScheme.from_dict(bundle["scheme"])
     if spec.features == "vocab":

@@ -38,7 +38,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, UsageError, check, check_fields, finite, one_of, real, stored, whole
+from .errors import (DataError, UsageError, check, check_fields, check_header, finite, one_of,
+                     real, stored, whole)
 from .linear import class_weights, weight_mode
 
 SCHEMA_VERSION = 2  # 2: one config block, with the kernel fields in it
@@ -368,9 +369,7 @@ def _check_pair_shapes(classes, pairs) -> None:
 
 
 def from_dict(data: dict) -> SvmModel:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"unsupported SVM model schema: found schema_version "
-                        f"{data.get('schema_version')!r}; this version reads {SCHEMA_VERSION}")
+    check_header(data, "SVM model", DataError, schema_version=SCHEMA_VERSION)
     classes = tuple(check("classes", c, _CLASS_ID) for c in data["classes"])
     if len(classes) < 2 or list(classes) != sorted(set(classes)):
         raise DataError(f"classes={list(classes)!r}: expected two or more class ids "

@@ -63,7 +63,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check, check_fields, finite, one_of, real, stored, whole
+from .errors import (DataError, check, check_fields, check_header, finite, one_of, real, stored,
+                     whole)
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .seeds import derive_seed
 
@@ -176,17 +177,14 @@ def impurity(class_counts, criterion: str, class_weight_vec=None) -> float:
         raise ValueError("class counts must be nonnegative")
     if class_weight_vec is not None:
         counts = counts * np.asarray(class_weight_vec, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
+    total = counts.sum(keepdims=True)
+    if total[0] <= 0:
         return 0.0
-    probs = counts / total
-    if criterion == "gini":
-        return float(1.0 - np.sum(probs * probs))
-    logs = np.where(probs > 0, np.log(np.where(probs > 0, probs, 1.0)), 0.0)
-    return float(-np.sum(probs * logs))
+    return float(_impurity_rows(counts[None, :], total, criterion)[0])
 
 
 def _impurity_rows(weighted: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
+    """Gini or entropy of each row of weighted class counts with a positive total."""
     probs = weighted / totals[:, None]
     if criterion == "gini":
         return 1.0 - np.sum(probs * probs, axis=1)
@@ -666,9 +664,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
+def _gbdt_link(scores: np.ndarray) -> np.ndarray:
+    """The probabilities of (n, 1) binary logits (sigmoid) or of (n, K)
+    multiclass scores (softmax)."""
+    return sigmoid(scores) if scores.shape[1] == 1 else _softmax(scores)
+
+
 def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     """Boosted histogram trees on sigmoid/softmax gradients.
 
+    Binary is the one-column case: one score column (the logit of class
+    1) and one tree per round, against K columns and K trees per round.
     Deterministic given the data (no row or feature sampling), so it
     takes no seed. train_loss[r] records the weighted mean log-loss
     after r rounds, starting at the base score.
@@ -681,67 +687,45 @@ def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     sample_w = weights[y]
     bins = _bin_features(X, config.max_bins)
     n = y.size
-    rounds: list[list[TreeNode]] = []
-    losses: list[float] = []
+    rows = np.arange(n)
     if n_classes == 2:
-        target = (y == 1).astype(np.float64)
-        rate = float(sample_w @ target) / float(sample_w.sum())
+        target = (y == 1).astype(np.float64)[:, None]
+        rate = float(sample_w @ target[:, 0]) / float(sample_w.sum())
         rate = min(max(rate, 1e-12), 1.0 - 1e-12)
-        base = math.log(rate / (1.0 - rate))
-        scores = np.full(n, base)
+        base_score = np.array([math.log(rate / (1.0 - rate))])
+
         def loss() -> float:
-            point = np.logaddexp(0.0, scores) - target * scores
+            point = np.logaddexp(0.0, scores[:, 0]) - target[:, 0] * scores[:, 0]
             return float(sample_w @ point) / n
-        losses.append(loss())
-        for _ in range(config.n_estimators):
-            prob = sigmoid(scores)
-            grad = sample_w * (prob - target)
-            hess = sample_w * prob * (1.0 - prob)
-            root = _grow_tree_leafwise(bins, grad, hess, config, scores)
-            rounds.append([root])
-            losses.append(loss())
-        base_score = np.array([base])
     else:
-        counts = np.array(
-            [float(sample_w[y == k].sum()) for k in range(n_classes)]
-        )
-        priors = np.clip(counts / counts.sum(), 1e-12, None)
-        base_score = np.log(priors)
-        scores = np.tile(base_score, (n, 1))
-        rows = np.arange(n)
+        target = np.zeros((n, n_classes))
+        target[rows, y] = 1.0
+        counts = np.array([float(sample_w[y == k].sum()) for k in range(n_classes)])
+        base_score = np.log(np.clip(counts / counts.sum(), 1e-12, None))
+
         def loss() -> float:
             return float(-(sample_w @ log_softmax(scores)[rows, y])) / n
+    scores = np.tile(base_score, (n, 1))
+    rounds: list[list[TreeNode]] = []
+    losses = [loss()]
+    for _ in range(config.n_estimators):
+        prob = _gbdt_link(scores)
+        grads = sample_w[:, None] * (prob - target)
+        hesses = sample_w[:, None] * prob * (1.0 - prob)
+        rounds.append([_grow_tree_leafwise(bins, grads[:, k], hesses[:, k], config, scores[:, k])
+                       for k in range(scores.shape[1])])
         losses.append(loss())
-        one_hot = np.zeros((n, n_classes))
-        one_hot[rows, y] = 1.0
-        for _ in range(config.n_estimators):
-            prob = _softmax(scores)
-            round_trees = []
-            grads = sample_w[:, None] * (prob - one_hot)
-            hesses = sample_w[:, None] * prob * (1.0 - prob)
-            for k in range(n_classes):
-                root = _grow_tree_leafwise(
-                    bins, grads[:, k], hesses[:, k], config, scores[:, k]
-                )
-                round_trees.append(root)
-            rounds.append(round_trees)
-            losses.append(loss())
     return GbdtModel(base_score, rounds, n_classes, config, bins.upper_bounds, losses)
 
 
 def predict_gbdt_proba(model: GbdtModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if model.n_classes == 2:
-        margin = np.full(X.shape[0], model.base_score[0])
-        for (root,) in model.rounds:
-            margin += _tree_values(root, X)
-        pos = sigmoid(margin)
-        return np.column_stack([1.0 - pos, pos])
     scores = np.tile(model.base_score, (X.shape[0], 1))
     for round_trees in model.rounds:
         for k, root in enumerate(round_trees):
             scores[:, k] += _tree_values(root, X)
-    return _softmax(scores)
+    prob = _gbdt_link(scores)
+    return np.hstack([1.0 - prob, prob]) if prob.shape[1] == 1 else prob
 
 
 def predict_gbdt(model: GbdtModel, X) -> np.ndarray:
@@ -807,13 +791,6 @@ def node_from_dict(data: dict, need_counts: bool = False, n_classes: int | None 
     return read(data)
 
 
-def _check_header(data: dict, kind: str) -> None:
-    version, found = data.get("schema_version"), data.get("kind")
-    if (version, found) != (SCHEMA_VERSION, kind):
-        raise DataError(f"unsupported {kind} model schema: found schema_version {version!r} "
-                        f"and kind {found!r}; this version reads {SCHEMA_VERSION} and {kind!r}")
-
-
 def cart_to_dict(model: CartModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -826,7 +803,7 @@ def cart_to_dict(model: CartModel) -> dict:
 
 
 def cart_from_dict(data: dict) -> CartModel:
-    _check_header(data, "cart")
+    check_header(data, "cart model", DataError, schema_version=SCHEMA_VERSION, kind="cart")
     n_classes = check("n_classes", data["n_classes"], _POSITIVE)
     return CartModel(
         # scores read the counts of any leaf, not just the one the load probe reaches
@@ -851,7 +828,7 @@ def forest_to_dict(model: ForestModel) -> dict:
 
 
 def forest_from_dict(data: dict) -> ForestModel:
-    _check_header(data, "forest")
+    check_header(data, "forest model", DataError, schema_version=SCHEMA_VERSION, kind="forest")
     n_classes = check("n_classes", data["n_classes"], _POSITIVE)
     n_features = check("n_features", data["n_features"], _POSITIVE)
     return ForestModel(
@@ -906,7 +883,7 @@ def _bin_bounds(bounds) -> list[np.ndarray]:
 
 
 def gbdt_from_dict(data: dict) -> GbdtModel:
-    _check_header(data, "gbdt")
+    check_header(data, "gbdt model", DataError, schema_version=SCHEMA_VERSION, kind="gbdt")
     n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
     per_round = 1 if n_classes == 2 else n_classes  # trees per round and base scores
     base_score = finite("base_score", data["base_score"])

@@ -406,7 +406,8 @@ def test_acceptance_8_split_sizes_and_distribution_report(tmp_path):
     labels = np.array([mapping[status] for _, _, status in rows], dtype=np.int64)
     cm = metrics.confusion_matrix(labels, labels, len(spec.statuses))
     report.emit_report(report.check_evaluation(
-        {"class_names": list(spec.statuses), "metrics": {"confusion_matrix": cm.tolist()}}
+        {"schema_version": 1, "class_names": list(spec.statuses),
+         "metrics": {"confusion_matrix": cm.tolist()}}
     ), str(tmp_path))
     lines = (tmp_path / "class_distribution.csv").read_text().splitlines()[1:]
     counts = {line.split(",")[1]: int(line.split(",")[2]) for line in lines}

@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from mhtext import cli, families, gru, linear, metrics, presets, report, search, svm, trees
+from mhtext import config as config_mod
+from mhtext import features as features_mod
 from mhtext.config import FAMILIES, ExperimentConfig, PreparedDataset
 from mhtext.errors import DataError, SearchFailedError, UsageError
 
@@ -658,6 +660,7 @@ class TestReport:
 
     def test_missing_class_names_are_padded(self, tmp_path):
         evaluation = {
+            "schema_version": 1,
             "class_names": ["control", "depression"],
             "metrics": {"confusion_matrix": [[5, 0, 1], [1, 3, 0], [0, 2, 4]]},
         }
@@ -2342,6 +2345,136 @@ class TestMalformedArtifacts:
             {"empty": b"", "truncated": weights[: len(weights) // 2]}.get(cut, weights)
         )
         assert self._evaluate(cli_prepared, stem) == 2
+
+    def _gru_copy(self, cli_artifacts, tmp_path, edit) -> str:
+        """A copy of the gru bundle whose `.npz` tensors and meta record
+        (as a dict) went through `edit`; returns its stem."""
+        source, stem = cli_artifacts["gru"]["stem"], str(tmp_path / "gru")
+        for suffix in (".model.json", ".vocab.json"):
+            shutil.copy(source + suffix, stem + suffix)
+        with np.load(source + ".npz") as arrays:
+            tensors = dict(arrays)
+        meta = json.loads(str(tensors["meta"]))
+        edit(tensors, meta)
+        tensors["meta"] = np.array(json.dumps(meta, sort_keys=True))
+        np.savez(stem + ".npz", **tensors)
+        return stem
+
+    # the kind a refusal names -> (the file, the key holding its
+    # schema_version, the version this version reads, the exit code)
+    HEADERS = {
+        "prepared-dataset": ("prepared", None, config_mod.PREPARED_SCHEMA_VERSION, 2),
+        "experiment config": ("config", None, config_mod.SCHEMA_VERSION, 1),
+        "evaluation file": ("evaluation", None, report.EVALUATION_SCHEMA_VERSION, 2),
+        "best config": ("best", None, search.SCHEMA_VERSION, 2),
+        "model bundle": ("logistic", None, search.SCHEMA_VERSION, 2),
+        "linear model": ("logistic", "model", linear.SCHEMA_VERSION, 2),
+        "SVM model": ("svm", "model", svm.SCHEMA_VERSION, 2),
+        "cart model": ("cart", "model", trees.SCHEMA_VERSION, 2),
+        "forest model": ("forest", "model", trees.SCHEMA_VERSION, 2),
+        "gbdt model": ("gbdt", "model", trees.SCHEMA_VERSION, 2),
+        "TF-IDF model": ("logistic", "tfidf", features_mod.SCHEMA_VERSION, 2),
+        "vocabulary": ("gru", ".vocab.json", gru.SCHEMA_VERSION, 2),
+        "recurrent model": ("gru", ".npz", gru.SCHEMA_VERSION, 2),
+    }
+
+    @pytest.mark.parametrize("what", sorted(HEADERS))
+    def test_payload_of_another_schema_version_names_both(
+        self, cli_prepared, cli_artifacts, cli_inputs, tmp_path, capsys, what
+    ):
+        """One header check serves every decoder: each refusal exits with
+        its file's code and names the version found and the one read."""
+        source, key, version, expected = self.HEADERS[what]
+        capsys.readouterr()
+        if source in cli_inputs:
+            payload = dict(cli_inputs[source], schema_version=99)
+            path = tmp_path / f"{source}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            code = self._read(cli_prepared, tmp_path, source, path)
+        elif source == "best":
+            best = dict(cli_artifacts["logistic"]["best"], schema_version=99)
+            code = self._train_best(cli_prepared, tmp_path, best)
+        elif key == ".npz":
+            stem = self._gru_copy(cli_artifacts, tmp_path,
+                                  lambda tensors, meta: meta.update(schema_version=99))
+            code = self._evaluate(cli_prepared, stem)
+        else:
+            stem = str(tmp_path / source)
+            for suffix in (".npz", ".vocab.json", ".model.json"):
+                if os.path.exists(cli_artifacts[source]["stem"] + suffix):
+                    shutil.copy(cli_artifacts[source]["stem"] + suffix, stem + suffix)
+            path = stem + (key if key == ".vocab.json" else ".model.json")
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            (payload if key in (None, ".vocab.json") else payload[key])["schema_version"] = 99
+            Path(path).write_text(json.dumps(payload), encoding="utf-8")
+            code = self._evaluate(cli_prepared, stem)
+        err = capsys.readouterr().err
+        assert code == expected
+        assert f"unsupported {what} schema: found schema_version 99" in err
+        assert f"; this version reads {version}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", gru.GruParams._ORDER)
+    def test_gru_tensor_missing_an_entry_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, name
+    ):
+        """A tensor one entry short of its stored shape is refused by
+        name, as load once let a short b_cand through to a numpy
+        broadcast error in evaluate."""
+        def drop(tensors, meta):
+            tensors[name] = tensors[name][:-1]
+
+        stem = self._gru_copy(cli_artifacts, tmp_path, drop)
+        capsys.readouterr()
+        assert self._evaluate(cli_prepared, stem) == 2
+        err = capsys.readouterr().err
+        assert f"npz': {name} of float64 and shape " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", [n for n in gru.GruParams._ORDER if n not in gru._ANCHORS])
+    def test_gru_tensor_off_the_anchor_sizes_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, name
+    ):
+        """With the stored shape edited to match, a short tensor still
+        breaks the sizes embedding, u_update and b_out give."""
+        def drop(tensors, meta):
+            tensors[name] = tensors[name][:-1]
+            meta["shapes"][name] = list(tensors[name].shape)
+
+        stem = self._gru_copy(cli_artifacts, tmp_path, drop)
+        capsys.readouterr()
+        assert self._evaluate(cli_prepared, stem) == 2
+        assert f"npz': {name} of shape " in capsys.readouterr().err
+
+    def test_gru_embedding_short_of_the_vocabulary_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys
+    ):
+        """An embedding that lost rows, with its stored shape to match,
+        would leave the last vocabulary ids without a row to read."""
+        def drop(tensors, meta):
+            tensors["embedding"] = tensors["embedding"][:-1]
+            meta["shapes"]["embedding"] = list(tensors["embedding"].shape)
+
+        stem = self._gru_copy(cli_artifacts, tmp_path, drop)
+        capsys.readouterr()
+        assert self._evaluate(cli_prepared, stem) == 2
+        err = capsys.readouterr().err
+        assert "npz': embedding of " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "float32"])
+    def test_gru_tensor_not_finite_float64_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, value
+    ):
+        def spoil(tensors, meta):
+            if value == "float32":
+                tensors["b_cand"] = tensors["b_cand"].astype(np.float32)
+            else:
+                tensors["b_cand"][0] = value
+
+        stem = self._gru_copy(cli_artifacts, tmp_path, spoil)
+        capsys.readouterr()
+        assert self._evaluate(cli_prepared, stem) == 2
+        assert "npz': b_cand" in capsys.readouterr().err
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhtext import metrics
@@ -74,6 +74,57 @@ class TestConfusionMatrix:
             metrics.confusion_matrix([0, 1], [0], 2)
 
 
+def aggregates_as_they_were(cm):
+    """The macro, micro and weighted blocks and accuracy as
+    precision_recall_f1 computed them before micro was read from
+    accuracy: micro precision, recall and F1 each from the summed
+    counts."""
+    cm = np.asarray(cm, dtype=np.float64)
+    tp = np.diag(cm)
+    fp = cm.sum(axis=0) - tp
+    fn = cm.sum(axis=1) - tp
+    support = cm.sum(axis=1)
+    precision = metrics._safe_div(tp, tp + fp)
+    recall = metrics._safe_div(tp, tp + fn)
+    f1 = metrics._safe_div(2.0 * tp, 2.0 * tp + fp + fn)
+    total = cm.sum()
+    tp_sum, fp_sum, fn_sum = tp.sum(), fp.sum(), fn.sum()
+    micro = {
+        "precision": float(tp_sum / (tp_sum + fp_sum)) if tp_sum + fp_sum else 0.0,
+        "recall": float(tp_sum / (tp_sum + fn_sum)) if tp_sum + fn_sum else 0.0,
+        "f1": float(2.0 * tp_sum / (2.0 * tp_sum + fp_sum + fn_sum))
+        if 2.0 * tp_sum + fp_sum + fn_sum
+        else 0.0,
+    }
+    macro = {
+        "precision": float(precision.mean()),
+        "recall": float(recall.mean()),
+        "f1": float(f1.mean()),
+    }
+    if total > 0:
+        weighted = {
+            "precision": float(support @ precision / total),
+            "recall": float(support @ recall / total),
+            "f1": float(support @ f1 / total),
+        }
+        accuracy = float(tp_sum / total)
+    else:
+        weighted = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        accuracy = 0.0
+    return macro, micro, weighted, accuracy
+
+
+def float_bits(value):
+    """Every float in `value` (nested dicts and tuples) as its hex form,
+    which tells -0.0 from 0.0 and every last bit apart."""
+    if isinstance(value, dict):
+        return {key: float_bits(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(float_bits(v) for v in value)
+    assert type(value) is float
+    return value.hex()
+
+
 class TestPrf:
     def test_textbook_counts(self):
         # Class 1: TP=8, FP=2, FN=4.
@@ -134,6 +185,19 @@ class TestPrf:
         assert rep.micro["precision"] == acc
         assert rep.micro["recall"] == acc
         assert rep.accuracy == acc
+
+    @given(st.integers(1, 6).flatmap(lambda k: st.lists(
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**6)), min_size=k, max_size=k),
+        min_size=k, max_size=k)))
+    @example([[0, 0], [0, 0]])
+    @settings(max_examples=500, deadline=None)
+    def test_aggregates_match_the_summed_count_oracle_bitwise(self, cm):
+        """Micro precision, recall and F1 read from accuracy carry the bits
+        the summed counts gave, as do the macro and weighted blocks; the
+        all-zero matrix included."""
+        rep = metrics.precision_recall_f1(np.array(cm))
+        got = (rep.macro, rep.micro, rep.weighted, rep.accuracy)
+        assert float_bits(got) == float_bits(aggregates_as_they_were(cm))
 
     def test_all_zero_matrix_reports_zeros(self):
         rep = metrics.precision_recall_f1(np.zeros((2, 2), dtype=np.int64))

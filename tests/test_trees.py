@@ -30,6 +30,23 @@ def oracle_impurity(counts, criterion, weights=None):
     return -sum(p * math.log(p) for p in probs if p > 0)
 
 
+def impurity_as_it_was(class_counts, criterion, class_weight_vec=None):
+    """trees.impurity before it read one row through _impurity_rows."""
+    counts = np.asarray(class_counts, dtype=np.float64)
+    if (counts < 0).any():
+        raise ValueError("class counts must be nonnegative")
+    if class_weight_vec is not None:
+        counts = counts * np.asarray(class_weight_vec, dtype=np.float64)
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    probs = counts / total
+    if criterion == "gini":
+        return float(1.0 - np.sum(probs * probs))
+    logs = np.where(probs > 0, np.log(np.where(probs > 0, probs, 1.0)), 0.0)
+    return float(-np.sum(probs * logs))
+
+
 def oracle_enumerate_splits(X, y, criterion, min_leaf, weights=None):
     """Every admissible (feature, threshold, gain), by brute force."""
     n, d = X.shape
@@ -392,6 +409,75 @@ def oracle_booster():
         yield
 
 
+def two_loop_fit_gbdt(X, y, config):
+    """fit_gbdt as it was: one loop over a score vector for binary and
+    another over a score matrix for multiclass."""
+    X, y = trees._fit_inputs(X, y, "booster")
+    n_classes = int(y.max()) + 1
+    weights = trees.class_weights(y, config.class_weight, n_classes)
+    sample_w = weights[y]
+    bins = trees._bin_features(X, config.max_bins)
+    n = y.size
+    rounds, losses = [], []
+    if n_classes == 2:
+        target = (y == 1).astype(np.float64)
+        rate = float(sample_w @ target) / float(sample_w.sum())
+        rate = min(max(rate, 1e-12), 1.0 - 1e-12)
+        base = math.log(rate / (1.0 - rate))
+        scores = np.full(n, base)
+
+        def loss():
+            point = np.logaddexp(0.0, scores) - target * scores
+            return float(sample_w @ point) / n
+        losses.append(loss())
+        for _ in range(config.n_estimators):
+            prob = trees.sigmoid(scores)
+            grad = sample_w * (prob - target)
+            hess = sample_w * prob * (1.0 - prob)
+            rounds.append([trees._grow_tree_leafwise(bins, grad, hess, config, scores)])
+            losses.append(loss())
+        base_score = np.array([base])
+    else:
+        counts = np.array([float(sample_w[y == k].sum()) for k in range(n_classes)])
+        priors = np.clip(counts / counts.sum(), 1e-12, None)
+        base_score = np.log(priors)
+        scores = np.tile(base_score, (n, 1))
+        rows = np.arange(n)
+
+        def loss():
+            return float(-(sample_w @ trees.log_softmax(scores)[rows, y])) / n
+        losses.append(loss())
+        one_hot = np.zeros((n, n_classes))
+        one_hot[rows, y] = 1.0
+        for _ in range(config.n_estimators):
+            prob = trees._softmax(scores)
+            grads = sample_w[:, None] * (prob - one_hot)
+            hesses = sample_w[:, None] * prob * (1.0 - prob)
+            rounds.append([
+                trees._grow_tree_leafwise(bins, grads[:, k], hesses[:, k], config, scores[:, k])
+                for k in range(n_classes)
+            ])
+            losses.append(loss())
+    return trees.GbdtModel(base_score, rounds, n_classes, config, bins.upper_bounds, losses)
+
+
+def two_loop_predict_gbdt_proba(model, X):
+    """predict_gbdt_proba as it was: a margin vector for binary and a
+    score matrix for multiclass."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if model.n_classes == 2:
+        margin = np.full(X.shape[0], model.base_score[0])
+        for (root,) in model.rounds:
+            margin += trees._tree_values(root, X)
+        pos = trees.sigmoid(margin)
+        return np.column_stack([1.0 - pos, pos])
+    scores = np.tile(model.base_score, (X.shape[0], 1))
+    for round_trees in model.rounds:
+        for k, root in enumerate(round_trees):
+            scores[:, k] += trees._tree_values(root, X)
+    return trees._softmax(scores)
+
+
 def exhaustive_newton_split(X, upper_bounds, grad, hess, rows, min_child):
     """A leaf's best (gain, feature, bin) by routing its rows through every
     (feature, bin) cut, with no histograms; None when no cut gains."""
@@ -443,6 +529,22 @@ class TestImpurity:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             trees.impurity([-1, 2], "gini")
+
+    @given(
+        counts=st.lists(st.one_of(st.integers(0, 50), st.floats(0.0, 1e6)),
+                        min_size=1, max_size=8),
+        criterion=st.sampled_from(["gini", "entropy"]),
+        data=st.data(),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_one_row_matches_the_scalar_formula_bitwise(self, counts, criterion, data):
+        """impurity reads one row through the split scan's formula; the
+        bits are those of the scalar formula it replaced."""
+        weights = data.draw(st.none() | st.lists(
+            st.floats(1e-3, 1e3), min_size=len(counts), max_size=len(counts)))
+        got = trees.impurity(counts, criterion, weights)
+        expect = impurity_as_it_was(counts, criterion, weights)
+        assert type(got) is float and got.hex() == expect.hex()
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     def test_matches_plain_python(self, criterion, rng):
@@ -1007,6 +1109,64 @@ class TestBinnedBooster:
             model = trees.fit_gbdt(X, y, config)
         assert searched == [90] * 9
         assert all(not root.is_leaf for round_trees in model.rounds for root in round_trees)
+
+
+class TestOneBoostingLoop:
+    """Binary boosting is the one-column case of the multiclass loop: the
+    same model JSON, train_loss, probabilities and labels, bit for bit,
+    as the two loops it replaced."""
+
+    @staticmethod
+    def assert_same_booster(X, y, config):
+        got = trees.fit_gbdt(X, y, config)
+        expect = two_loop_fit_gbdt(X, y, config)
+        assert json.dumps(trees.gbdt_to_dict(got)) == json.dumps(trees.gbdt_to_dict(expect))
+        assert [v.hex() for v in got.train_loss] == [v.hex() for v in expect.train_loss]
+        # the training rows, then the same rows reversed and shifted off the bins
+        for rows in (X, X[::-1] + 0.125):
+            proba = trees.predict_gbdt_proba(got, rows)
+            oracle = two_loop_predict_gbdt_proba(expect, rows)
+            assert proba.dtype == oracle.dtype and proba.shape == oracle.shape
+            assert proba.tobytes() == oracle.tobytes()
+            assert np.array_equal(trees.predict_gbdt(got, rows), np.argmax(oracle, axis=1))
+
+    @given(
+        problem=sparse_problems(max_rows=40, max_features=5),
+        two_classes=st.booleans(),
+        constant=st.sampled_from([None, 0.0, 0.5]),
+        n_estimators=st.integers(1, 4),
+        learning_rate=st.sampled_from([0.1, 0.5, 1.0]),
+        num_leaves=st.integers(2, 6),
+        max_bins=st.integers(2, 40),
+        min_child_samples=st.integers(0, 4),
+        max_depth=st.sampled_from([None, -1, 1, 2]),
+        class_weight=st.sampled_from([None, "balanced"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fit_and_predict_match_the_two_loops(
+        self, problem, two_classes, constant, n_estimators, learning_rate, num_leaves,
+        max_bins, min_child_samples, max_depth, class_weight,
+    ):
+        X, y = problem
+        if two_classes:
+            y = y % 2
+        if constant is not None:  # a feature with one value, zero or not
+            X = X.copy()
+            X[:, 0] = constant
+        config = trees.GbdtConfig(
+            n_estimators=n_estimators, learning_rate=learning_rate, num_leaves=num_leaves,
+            min_child_samples=min_child_samples, max_bins=max_bins, max_depth=max_depth,
+            class_weight=class_weight,
+        )
+        self.assert_same_booster(X, y, config)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_one_valued_features_and_no_child_minimum(self, n_classes, rng):
+        X = np.column_stack([np.zeros(60), np.full(60, 0.5), rng.normal(0, 1, 60)])
+        y = np.arange(60) % n_classes
+        config = trees.GbdtConfig(n_estimators=5, num_leaves=8, min_child_samples=0,
+                                  max_bins=40, class_weight="balanced")
+        self.assert_same_booster(X, y, config)
 
 
 class TestNonFiniteFeatures:
