@@ -58,6 +58,7 @@ class PreparedDataset:
     seed: int
     n_dropped: int = 0
     _rows: dict = field(default_factory=dict, repr=False)
+    _fit_state: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_docs(self) -> int:
@@ -84,6 +85,12 @@ class PreparedDataset:
             docs = self.docs.take(self.indices(split_name))
             self._rows[key] = getattr(self, name).rows(docs)
         return self._rows[key]
+
+    def fit_state(self, name: str) -> dict:
+        """The dict kept under `name` for what fits on the train split
+        derive from its rows and may share, such as the GBDT binnings; it
+        is freed with the dataset."""
+        return self._fit_state.setdefault(name, {})
 
     def to_dict(self) -> dict:
         return {

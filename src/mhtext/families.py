@@ -2,11 +2,12 @@
 
 An entry says everything the harness needs to know about one family:
 its config, the featurizer it reads, how to fit it, how to label and
-score rows in one pass, and how its fitted payload turns into JSON and
-back. The config is a frozen dataclass whose fields are the
-hyperparameters the family accepts, with their defaults; it applies
-each value rule when it is built and raises ValueError for a value
-that breaks one.
+score rows in one pass, how its fitted payload turns into JSON and
+back, and, for a family that reads TF-IDF rows, which payload fields
+must fit the width of those rows. The config is a frozen dataclass
+whose fields are the hyperparameters the family accepts, with their
+defaults; it applies each value rule when it is built and raises
+ValueError for a value that breaks one.
 
 Entries call solvers through their module attribute at call time
 (``linear.fit_logistic(...)``), never through a function object taken
@@ -30,10 +31,13 @@ class Family:
     name: str
     config: type  # frozen dataclass; its fields are the accepted hyperparameters
     features: str  # the PreparedDataset featurizer it reads: "tfidf" or "vocab"
-    fit: Callable  # (X, y, config, seed, dataset) -> (payload, extra)
+    fit: Callable  # (X, y, config, seed, dataset) -> (payload, extra); X, y: its train split
     infer: Callable  # (payload, rows) -> (labels, (n, k) class scores), in one pass
     to_dict: Callable  # payload -> serializable mapping
     from_dict: Callable  # mapping -> payload
+    # (payload, width) -> None for a family that reads TF-IDF rows: raises
+    # DataError naming a field that does not fit rows `width` features wide
+    check_width: Callable | None = None
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -65,6 +69,39 @@ def _fit_gru(X, y, config, seed, dataset):
     return params, {"history": history}
 
 
+def _fit_gbdt(X, y, config, seed, dataset):
+    # a dataset keeps the binnings of its train rows, so the trials of a
+    # search that fit on them bin them once per max_bins
+    shared = dataset is not None and X is dataset.rows("tfidf", "train")
+    return trees.fit_gbdt(X, y, config, dataset.fit_state("gbdt binnings") if shared else None), {}
+
+
+def _width_is(name: str, found: int, width: int) -> None:
+    if found != width:
+        raise DataError(f"{name}: expected {width} features, the width of the bundle's "
+                        f"TF-IDF model; found {found}")
+
+
+def _svm_width(model, width: int) -> None:
+    for pair in model.pairs:
+        if pair.w is not None:
+            _width_is("w", pair.w.size, width)
+        elif pair.support_vectors.size:  # an empty support set reads no feature
+            _width_is("support_vectors", pair.support_vectors.shape[1], width)
+
+
+def _cart_width(model, width: int) -> None:
+    stack = [model.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        if node.feature >= width:
+            raise DataError(f"feature={node.feature}: expected a feature id below {width}, "
+                            "the width of the bundle's TF-IDF model")
+        stack += [node.left, node.right]
+
+
 def _argmax_labels(scores: Callable) -> Callable:
     """The inference hook of a family whose label is its most probable
     class: `scores(payload, rows)` once, ties going to the lowest id."""
@@ -85,6 +122,7 @@ REGISTRY: dict[str, Family] = {
             infer=_argmax_labels(lambda p, rows: linear.predict_proba(p, rows)),
             to_dict=linear.to_dict,
             from_dict=linear.from_dict,
+            check_width=lambda p, width: _width_is("weights", p.weights.shape[1], width),
         ),
         Family(
             "svm",
@@ -96,6 +134,7 @@ REGISTRY: dict[str, Family] = {
             infer=lambda p, rows: svm.votes_and_scores(p, rows),
             to_dict=svm.to_dict,
             from_dict=svm.from_dict,
+            check_width=_svm_width,
         ),
         Family(
             "cart",
@@ -110,6 +149,7 @@ REGISTRY: dict[str, Family] = {
             ),
             to_dict=trees.cart_to_dict,
             from_dict=trees.cart_from_dict,
+            check_width=_cart_width,
         ),
         Family(
             "forest",
@@ -119,15 +159,18 @@ REGISTRY: dict[str, Family] = {
             infer=_argmax_labels(lambda p, rows: trees.forest_scores(p, rows)),
             to_dict=trees.forest_to_dict,
             from_dict=trees.forest_from_dict,
+            check_width=lambda p, width: _width_is("n_features", p.n_features, width),
         ),
         Family(
             "gbdt",
             trees.GbdtConfig,
             "tfidf",
-            fit=lambda X, y, config, seed, dataset: (trees.fit_gbdt(X, y, config), {}),
+            fit=_fit_gbdt,
             infer=_argmax_labels(lambda p, rows: trees.predict_gbdt_proba(p, rows)),
             to_dict=trees.gbdt_to_dict,
             from_dict=trees.gbdt_from_dict,
+            check_width=lambda p, width: _width_is("bin_upper_bounds",
+                                                   len(p.bin_upper_bounds), width),
         ),
         Family(
             "gru",

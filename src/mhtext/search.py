@@ -411,6 +411,7 @@ def _decode_bundle(bundle: dict, stem: str) -> FittedModel:
     else:
         featurizer = features_mod.TfIdfModel.from_dict(bundle["tfidf"])
         payload = spec.from_dict(bundle["model"])
+        spec.check_width(payload, featurizer.dim)
     extra = bundle.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"extra={extra!r}: expected a JSON object")

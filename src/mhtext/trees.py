@@ -27,20 +27,31 @@ about _BLOCK_ENTRIES entries, which bounds the scan's memory. A block's
 first argmax replaces the best so far only when its gain is strictly
 greater, which keeps the tie rule.
 
-The booster bins each feature once per fit into at most max_bins bins.
-A feature of at most max_bins distinct values cuts midway between
-adjacent ones; a feature of more cuts at its distinct quantiles at
-levels 1/max_bins, ..., (max_bins - 1)/max_bins. One sort of a block of
-X's columns gives each feature's distinct values, and one np.quantile
-call over the block's unsorted many-valued columns gives each column's
-quantiles bit for bit. The bins are kept as one int64 code matrix, a
-cell's bin plus feature * width (width is the most bins a feature has),
-so one bincount over a leaf's rows of it gives every feature's gradient,
-hessian and count histogram; gains are computed at each feature's own
-cuts only, and a split routes rows by their codes. The
-root holds every row: its histograms read the matrix as it is, and its
-count histogram, the same in every tree, is counted once per fit. Each
-tree grows leaf-wise by largest Newton gain
+The booster bins each feature into at most max_bins bins. A feature
+of at most max_bins distinct values cuts midway between adjacent ones;
+a feature of more cuts at its distinct quantiles at levels
+1/max_bins, ..., (max_bins - 1)/max_bins. One sort of a block of
+_BIN_BLOCK of X's columns gives each feature's distinct values, and one
+np.quantile call over the block's unsorted many-valued columns gives
+each column's quantiles bit for bit. Bins depend only on X and max_bins
+and a fit only reads them, so fits over one X can share them: the
+trials of a search pass the binnings their prepared dataset keeps, and
+bin its train rows once per max_bins (LightGBM's histogram design, Ke
+et al. 2017, with the binning built once). Each block's codes are one
+C-ordered int64 array, a cell's bin plus its feature's place in the
+block * width (width is the most bins a feature has), so one bincount
+over a leaf's rows of a block gives that block's gradient, hessian and
+count histograms; a bin belongs to one feature, so it adds the leaf's
+rows in the same order whatever the block size. The weights a bincount
+reads, each row's gradient once per feature of a block, are built once
+per leaf for every full block. Gains are computed at each feature's own
+cuts only, and a split routes rows by their codes. The root holds every
+row: its histograms read each block as it is, and its counts, the same
+in every tree, come with the bins. A leaf keeps its rows at or below
+each cut while it may split; of two searched children the second takes
+the parent's counts less the first's, which is exact for whole numbers,
+while gradients and hessians are summed afresh. Each tree grows
+leaf-wise by largest Newton gain
 
     G_L^2/(H_L + reg) + G_R^2/(H_R + reg) - G_P^2/(H_P + reg)
 
@@ -504,18 +515,41 @@ def forest_scores(model: ForestModel, X) -> np.ndarray:
 # Histogram gradient boosting
 
 
-_BIN_BLOCK = 64  # features binned at once
+_BIN_BLOCK = 64  # features binned at once, and the features of one histogram
 
 
 @dataclass
 class _Bins:
-    """X's quantile bins, built once per fit and read by every tree."""
+    """X's quantile bins at one max_bins, read by every tree of a fit and
+    by every fit given the same binnings (see fit_gbdt)."""
 
-    codes: np.ndarray  # (rows, features) int64: a cell's bin plus feature * width
+    # per block of _BIN_BLOCK features, a C-ordered (rows, block features)
+    # int64 array: a cell's bin plus its feature's place in the block * width
+    blocks: list[np.ndarray]
     upper_bounds: list[np.ndarray]  # per feature, ascending
+    n_rows: int
+    block: int  # features per block: _BIN_BLOCK when binned
     width: int  # the most bins a feature has: one histogram row
     cuts: np.ndarray  # f * width + t for each feature f's cuts t, ascending
-    root_counts: np.ndarray  # rows per code over every row
+    cut_starts: np.ndarray  # block k's cuts are cuts[cut_starts[k]:cut_starts[k + 1]]
+    root_count_left: np.ndarray  # rows at or below each cut, over every row
+
+    def block_cuts(self, k: int) -> tuple[int, int, np.ndarray]:
+        """Where block k's cuts start and stop in `cuts`, and their places
+        in the block's histogram."""
+        start, stop = int(self.cut_starts[k]), int(self.cut_starts[k + 1])
+        return start, stop, self.cuts[start:stop] - k * self.block * self.width
+
+    def goes_left(self, rows: np.ndarray, feature: int, cut: int) -> np.ndarray:
+        """Which of `rows` have a bin of `feature` at most `cut`."""
+        k, at = divmod(feature, self.block)
+        return self.blocks[k][rows, at] <= cut + at * self.width
+
+
+def _left_sums(hist: np.ndarray, width: int, at: np.ndarray) -> np.ndarray:
+    """A block's histogram, a row of `width` bins per feature, summed over
+    bins 0..t of each cut t at its places `at`."""
+    return np.cumsum(hist.reshape(-1, width), axis=1).ravel()[at]
 
 
 def _bin_features(X, max_bins: int) -> _Bins:
@@ -523,9 +557,9 @@ def _bin_features(X, max_bins: int) -> _Bins:
     X's cells must pass _fit_inputs. bin(x) <= t exactly when
     x <= upper_bounds[t], so raw-threshold routing reproduces binned
     splits."""
-    codes = np.empty(X.shape, dtype=np.int64)
     levels = np.linspace(0.0, 1.0, max_bins + 1)[1:-1]
     upper_bounds: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     for lo in range(0, X.shape[1], _BIN_BLOCK):
         block = np.ascontiguousarray(X[:, lo:lo + _BIN_BLOCK].T)  # a row per feature
         ordered = np.sort(block, axis=1)
@@ -545,15 +579,24 @@ def _bin_features(X, max_bins: int) -> _Bins:
         first[:, 1:] = quantiles[:, 1:] != quantiles[:, :-1]
         for i, kept in zip(many, np.split(quantiles[first], np.cumsum(first.sum(axis=1))[:-1])):
             bounds[i] = kept
+        codes = np.empty((X.shape[0], len(block)), dtype=np.int64)
         for i, values in enumerate(block):
-            codes[:, lo + i] = np.searchsorted(bounds[i], values, side="left")
+            codes[:, i] = np.searchsorted(bounds[i], values, side="left")
+        blocks.append(codes)
         upper_bounds += bounds
     n_cuts = np.array([b.size for b in upper_bounds], dtype=np.int64)
     width = int(n_cuts.max(initial=0)) + 1
-    codes += np.arange(X.shape[1], dtype=np.int64) * width
     cuts = np.flatnonzero(np.arange(width) < n_cuts[:, None])
-    root_counts = np.bincount(codes.ravel(), minlength=codes.shape[1] * width)
-    return _Bins(codes, upper_bounds, width, cuts, root_counts)
+    cut_starts = np.searchsorted(cuts, np.arange(len(blocks) + 1) * _BIN_BLOCK * width)
+    bins = _Bins(blocks, upper_bounds, X.shape[0], _BIN_BLOCK, width, cuts, cut_starts,
+                 np.empty(cuts.size, dtype=np.int64))
+    # the root's count histogram is the same in every tree: count it here
+    for k, codes in enumerate(blocks):
+        codes += np.arange(codes.shape[1], dtype=np.int64) * width
+        start, stop, at = bins.block_cuts(k)
+        hist = np.bincount(codes.ravel(), minlength=codes.shape[1] * width)
+        bins.root_count_left[start:stop] = _left_sums(hist, width, at)
+    return bins
 
 
 @dataclass
@@ -564,24 +607,46 @@ class _LeafState:
     grad_sum: float
     hess_sum: float
     best: tuple[float, int, int] | None = None  # (gain, feature, bin)
+    count_left: np.ndarray | None = None  # rows at or below each cut, kept for its children
 
 
-def _leaf_best_split(bins: _Bins, idx, grad, hess, grad_sum, hess_sum, config):
-    """Best Newton split for one leaf via gradient/hessian histograms."""
+def _leaf_best_split(bins: _Bins, idx, grad, hess, grad_sum, hess_sum, config,
+                     count_left=None):
+    """Best Newton split for one leaf via gradient/hessian histograms, as
+    ((gain, feature, bin) or None, the leaf's rows at or below each cut);
+    (None, None) for a leaf too small to split.
+
+    The histograms are built over one block of features at a time.
+    `count_left`, when the caller has it (a parent's less a sibling's),
+    is not counted again; the root's comes with the bins."""
     width = bins.width
     if width < 2 or idx.size < 2 * config.min_child_samples:
-        return None
-    n_rows, n_features = bins.codes.shape
-    size = n_features * width
-    root = idx.size == n_rows  # a leaf of every row holds them in order
-    flat = (bins.codes if root else bins.codes[idx]).ravel()
-    hist_g = np.bincount(flat, weights=np.repeat(grad[idx], n_features), minlength=size)
-    hist_h = np.bincount(flat, weights=np.repeat(hess[idx], n_features), minlength=size)
-    hist_n = bins.root_counts if root else np.bincount(flat, minlength=size)
-    # the left side of each real cut t of feature f: its bins 0..t
-    grad_left = np.cumsum(hist_g.reshape(n_features, width), axis=1).ravel()[bins.cuts]
-    hess_left = np.cumsum(hist_h.reshape(n_features, width), axis=1).ravel()[bins.cuts]
-    count_left = np.cumsum(hist_n.reshape(n_features, width), axis=1).ravel()[bins.cuts]
+        return None, None
+    root = idx.size == bins.n_rows  # a leaf of every row holds them in order
+    if root and count_left is None:
+        count_left = bins.root_count_left
+    counting = count_left is None
+    if counting:
+        count_left = np.empty(bins.cuts.size, dtype=np.int64)
+    grad_left = np.empty(bins.cuts.size)
+    hess_left = np.empty(bins.cuts.size)
+    leaf_grad, leaf_hess = (grad, hess) if root else (grad[idx], hess[idx])
+    weights: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # by features per block
+    for k, codes in enumerate(bins.blocks):
+        start, stop, at = bins.block_cuts(k)
+        if start == stop:
+            continue  # no feature of the block has a cut
+        n_block = codes.shape[1]
+        if n_block not in weights:  # a row's weight once per feature, as its codes lie
+            weights[n_block] = np.repeat(leaf_grad, n_block), np.repeat(leaf_hess, n_block)
+        grad_w, hess_w = weights[n_block]
+        flat = (codes if root else codes[idx]).ravel()
+        size = n_block * width
+        # a bin belongs to one feature, so it adds its rows in leaf order
+        grad_left[start:stop] = _left_sums(np.bincount(flat, grad_w, minlength=size), width, at)
+        hess_left[start:stop] = _left_sums(np.bincount(flat, hess_w, minlength=size), width, at)
+        if counting:
+            count_left[start:stop] = _left_sums(np.bincount(flat, minlength=size), width, at)
     grad_right = grad_sum - grad_left
     hess_right = hess_sum - hess_left
     count_right = idx.size - count_left
@@ -596,9 +661,9 @@ def _leaf_best_split(bins: _Bins, idx, grad, hess, grad_sum, hess_sum, config):
     best = int(np.argmax(gains))  # the cuts ascend: lowest feature, then bin
     gain = float(gains[best])
     if not np.isfinite(gain) or gain <= 0.0:
-        return None
+        return None, count_left
     feat, cut = divmod(int(bins.cuts[best]), width)
-    return gain, int(feat), int(cut)
+    return (gain, int(feat), int(cut)), count_left
 
 
 def _grow_tree_leafwise(bins: _Bins, grad, hess, config, apply_to):
@@ -608,24 +673,23 @@ def _grow_tree_leafwise(bins: _Bins, grad, hess, config, apply_to):
     leaves: dict[int, _LeafState] = {}
     ticket = 0
 
-    def make_leaf(idx: np.ndarray, depth: int, can_split: bool) -> TreeNode:
+    def make_leaf(idx: np.ndarray, depth: int, can_split: bool, count_left=None) -> _LeafState:
         nonlocal ticket
-        node = TreeNode(n_samples=int(idx.size))
         state = _LeafState(
-            node, idx, depth, float(grad[idx].sum()), float(hess[idx].sum())
+            TreeNode(n_samples=int(idx.size)), idx, depth, float(grad[idx].sum()),
+            float(hess[idx].sum()),
         )
         if can_split and depth < config.depth_limit:
-            found = _leaf_best_split(
-                bins, idx, grad, hess, state.grad_sum, state.hess_sum, config
+            state.best, state.count_left = _leaf_best_split(
+                bins, idx, grad, hess, state.grad_sum, state.hess_sum, config, count_left
             )
-            if found is not None:
-                state.best = found
-                heapq.heappush(heap, (-found[0], ticket, ticket))
+            if state.best is not None:
+                heapq.heappush(heap, (-state.best[0], ticket, ticket))
         leaves[ticket] = state
         ticket += 1
-        return node
+        return state
 
-    root = make_leaf(np.arange(bins.codes.shape[0]), 0, True)
+    root = make_leaf(np.arange(bins.n_rows), 0, True).node
     n_leaves = 1
     while heap and n_leaves < config.num_leaves:
         _, _, leaf_id = heapq.heappop(heap)
@@ -635,11 +699,18 @@ def _grow_tree_leafwise(bins: _Bins, grad, hess, config, apply_to):
         node.feature = feat
         node.threshold = float(bins.upper_bounds[feat][cut])
         node.gain = gain
-        goes_left = bins.codes[state.idx, feat] <= cut + feat * bins.width
+        goes_left = bins.goes_left(state.idx, feat, cut)
         # the split that makes the last leaf leaves its children unsplit
         can_split = n_leaves + 1 < config.num_leaves
-        node.left = make_leaf(state.idx[goes_left], state.depth + 1, can_split)
-        node.right = make_leaf(state.idx[~goes_left], state.depth + 1, can_split)
+        left = make_leaf(state.idx[goes_left], state.depth + 1, can_split)
+        # the second child's counts are the parent's less the first's:
+        # whole numbers, so exact
+        right = make_leaf(state.idx[~goes_left], state.depth + 1, can_split,
+                          None if left.count_left is None else state.count_left - left.count_left)
+        for child in (left, right):
+            if child.best is None:
+                child.count_left = None  # a leaf that does not split has no children
+        node.left, node.right = left.node, right.node
         n_leaves += 1
     for state in leaves.values():
         value = -config.learning_rate * state.grad_sum / (state.hess_sum + GBDT_REG)
@@ -670,7 +741,8 @@ def _gbdt_link(scores: np.ndarray) -> np.ndarray:
     return sigmoid(scores) if scores.shape[1] == 1 else _softmax(scores)
 
 
-def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
+def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig(),
+             binnings: dict | None = None) -> GbdtModel:
     """Boosted histogram trees on sigmoid/softmax gradients.
 
     Binary is the one-column case: one score column (the logit of class
@@ -678,6 +750,10 @@ def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     Deterministic given the data (no row or feature sampling), so it
     takes no seed. train_loss[r] records the weighted mean log-loss
     after r rounds, starting at the base score.
+
+    `binnings`, when given, maps max_bins to a binning of this same X:
+    the fit reads the one for its max_bins, or bins X and adds it, so
+    the fits of a search over one X bin it once per max_bins.
     """
     X, y = _fit_inputs(X, y, "booster")
     n_classes = int(y.max()) + 1
@@ -685,7 +761,11 @@ def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
         raise DataError("boosting needs at least two classes")
     weights = class_weights(y, config.class_weight, n_classes)
     sample_w = weights[y]
-    bins = _bin_features(X, config.max_bins)
+    if binnings is None:
+        binnings = {}
+    if config.max_bins not in binnings:
+        binnings[config.max_bins] = _bin_features(X, config.max_bins)
+    bins = binnings[config.max_bins]
     n = y.size
     rows = np.arange(n)
     if n_classes == 2:

@@ -8,6 +8,7 @@ is driven end to end through temp directories using its return codes.
 
 import base64
 import functools
+import gc
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
@@ -1361,6 +1363,79 @@ class TestKeptModel:
         assert _bundle_contents(str(tmp_path / "model"), "cart") == kept_tunes["cart"]["refit"]
 
 
+class TestSharedBinnings:
+    """The gbdt trials of one search bin the train rows once per max_bins,
+    through their prepared dataset, and the model a tune keeps is the one
+    a refit that bins afresh writes."""
+
+    @pytest.fixture()
+    def binned(self, monkeypatch) -> list:
+        """The max_bins of each binning made by the calls that follow."""
+        calls = []
+        bin_features = trees._bin_features
+
+        def counting(X, max_bins):
+            calls.append(max_bins)
+            return bin_features(X, max_bins)
+
+        monkeypatch.setattr(trees, "_bin_features", counting)
+        return calls
+
+    @pytest.mark.parametrize("grid, binnings", [
+        ({"learning_rate": [0.3, 1.0]}, [255]),
+        ({"max_bins": [8, 16]}, [8, 16]),
+        ({"max_bins": [16, 8, 16], "learning_rate": [0.3, 1.0]}, [16, 8]),
+    ])
+    def test_one_binning_per_max_bins(self, cli_prepared, binned, tmp_path, grid, binnings):
+        config = tmp_path / "experiment.json"
+        ExperimentConfig(family="gbdt", mode="grid", seed=3,
+                         fixed={"n_estimators": 2, "num_leaves": 4}, grid=grid).save(str(config))
+        tune = tmp_path / "tune"
+        assert cli.run(["tune", "--prepared", cli_prepared["prep"], "--config", str(config),
+                        "--outdir", str(tune)]) == 0
+        assert binned == binnings
+        kept = search.bundle_files(str(tune / search.KEPT_STEM), "gbdt")
+        contents = [Path(path).read_bytes() for path in kept]
+        for path in kept:
+            os.remove(path)
+        refit = tmp_path / "refit"
+        assert _train_best(cli_prepared["prep"], tune / "best_config.json", refit) == 0
+        assert len(binned) == len(binnings) + 1
+        assert [Path(path).read_bytes()
+                for path in search.bundle_files(str(refit), "gbdt")] == contents
+
+    def test_other_rows_are_binned_afresh(self, prepared_binary, binned):
+        """A fit on rows other than the dataset's train rows neither reads
+        nor adds to its binnings."""
+        spec = families.get("gbdt")
+        config = spec.config(n_estimators=2, num_leaves=4, max_bins=16)
+        X, y = prepared_binary.rows("tfidf", "train"), prepared_binary.labels_for("train")
+        spec.fit(X, y, config, 0, prepared_binary)
+        held = dict(prepared_binary.fit_state("gbdt binnings"))
+        assert 16 in held
+        before = len(binned)
+        payload, _ = spec.fit(X[:-7], y[:-7], config, 0, prepared_binary)
+        assert binned[before:] == [16]
+        after = prepared_binary.fit_state("gbdt binnings")
+        assert after.keys() == held.keys() and all(after[k] is held[k] for k in held)
+        alone = trees.fit_gbdt(X[:-7], y[:-7], config)
+        assert json.dumps(trees.gbdt_to_dict(payload)) == json.dumps(trees.gbdt_to_dict(alone))
+
+    def test_binnings_are_freed_with_their_dataset(self, cli_prepared):
+        """No binning outlives the dataset whose rows it bins."""
+        dataset = PreparedDataset.load(cli_prepared["prep"])
+        config = make_config(family="gbdt", fixed={"n_estimators": 1, "num_leaves": 2},
+                             grid={"max_bins": [4, 8]})
+        search.run_search(dataset, config)
+        binnings = dataset.fit_state("gbdt binnings")
+        assert sorted(binnings) == [4, 8]
+        held = [weakref.ref(bins) for bins in binnings.values()]
+        assert PreparedDataset.load(cli_prepared["prep"]).fit_state("gbdt binnings") == {}
+        del dataset, binnings
+        gc.collect()
+        assert [ref() for ref in held] == [None, None]
+
+
 class TestReuseKey:
     BEST = {"schema_version": 1, "family": "gbdt", "seed": 3, "trial_index": 1,
             "params": {"n_estimators": 3, "num_leaves": 4, "learning_rate": 0.3,
@@ -2113,6 +2188,37 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and repr(bad) in err
+        assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("artifact, mutate, field", [
+        ("svm", lambda m: [pair["w"].pop() for pair in m["pairs"]], "w:"),
+        ("cart", lambda m: m["root"].update(feature=5000), "feature=5000"),
+        ("cart", lambda m: m["root"].update(feature=300), "feature=300"),
+        ("logistic", lambda m: [row.pop() for row in m["weights"]], "weights:"),
+        ("forest", lambda m: m.update(n_features=301), "n_features:"),
+        ("gbdt", lambda m: m["bin_upper_bounds"].append([0.5]), "bin_upper_bounds:"),
+    ], ids=["svm-every-w-one-short", "cart-feature-5000", "cart-feature-at-the-width",
+            "logistic-every-row-one-short", "forest-one-feature-more",
+            "gbdt-one-bound-list-more"])
+    def test_payload_not_fitting_its_features_exits_two(
+        self, cli_multiclass, tmp_path, capsys, artifact, mutate, field
+    ):
+        """A payload of the wrong width that agrees with itself: an svm
+        whose `w` arrays are all one short and a cart split on feature
+        5000 of 300 exited 2 only through numpy's message, naming no
+        field. Each is checked against the bundle's own TF-IDF width."""
+        bundle = json.loads(Path(cli_multiclass[artifact] + ".model.json").read_text(
+            encoding="utf-8"))
+        assert bundle["tfidf"]["terms"] and len(bundle["tfidf"]["terms"]) == 300
+        mutate(bundle["model"])
+        stem = str(tmp_path / artifact)
+        Path(stem + ".model.json").write_text(json.dumps(bundle), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run(["evaluate", "--prepared", cli_multiclass["prep"], "--model", stem,
+                        "--out", str(tmp_path / "evaluation.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and repr(stem + ".model.json") in err and "Traceback" not in err
         assert not (tmp_path / "evaluation.json").exists()
 
     def test_multiclass_bundles_evaluate(self, cli_multiclass, tmp_path):

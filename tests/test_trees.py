@@ -478,6 +478,68 @@ def two_loop_predict_gbdt_proba(model, X):
     return trees._softmax(scores)
 
 
+def flat_bins(bins):
+    """The booster's bins in the layout before feature blocks: one (rows,
+    features) int64 code matrix of a cell's bin plus feature * width,
+    and the count histogram of every row."""
+    n_features = len(bins.upper_bounds)
+    places = np.arange(n_features) % bins.block
+    codes = np.hstack(bins.blocks) if bins.blocks else np.empty((bins.n_rows, 0), np.int64)
+    codes = codes + (np.arange(n_features) - places) * bins.width
+    root_counts = np.bincount(codes.ravel(), minlength=n_features * bins.width)
+    return SimpleNamespace(codes=codes, upper_bounds=bins.upper_bounds, width=bins.width,
+                           cuts=bins.cuts, root_counts=root_counts)
+
+
+def flat_count_left(flat, idx):
+    """The rows of `idx` at or below each cut, from one count histogram."""
+    n_features = flat.codes.shape[1]
+    hist = np.bincount(flat.codes[idx].ravel(), minlength=n_features * flat.width)
+    return np.cumsum(hist.reshape(n_features, flat.width), axis=1).ravel()[flat.cuts]
+
+
+def flat_leaf_best_split(bins, idx, grad, hess, grad_sum, hess_sum, config):
+    """The leaf search before feature blocks, kept as the bitwise oracle:
+    one bincount over every feature's codes of the leaf's rows, and a
+    third one for the counts."""
+    width = bins.width
+    if width < 2 or idx.size < 2 * config.min_child_samples:
+        return None
+    n_rows, n_features = bins.codes.shape
+    size = n_features * width
+    root = idx.size == n_rows  # a leaf of every row holds them in order
+    flat = (bins.codes if root else bins.codes[idx]).ravel()
+    hist_g = np.bincount(flat, weights=np.repeat(grad[idx], n_features), minlength=size)
+    hist_h = np.bincount(flat, weights=np.repeat(hess[idx], n_features), minlength=size)
+    hist_n = bins.root_counts if root else np.bincount(flat, minlength=size)
+    # the left side of each real cut t of feature f: its bins 0..t
+    grad_left = np.cumsum(hist_g.reshape(n_features, width), axis=1).ravel()[bins.cuts]
+    hess_left = np.cumsum(hist_h.reshape(n_features, width), axis=1).ravel()[bins.cuts]
+    count_left = np.cumsum(hist_n.reshape(n_features, width), axis=1).ravel()[bins.cuts]
+    grad_right = grad_sum - grad_left
+    hess_right = hess_sum - hess_left
+    count_right = idx.size - count_left
+    parent_term = grad_sum * grad_sum / (hess_sum + trees.GBDT_REG)
+    gains = (
+        grad_left * grad_left / (hess_left + trees.GBDT_REG)
+        + grad_right * grad_right / (hess_right + trees.GBDT_REG)
+        - parent_term
+    )
+    valid = (count_left >= config.min_child_samples) & (count_right >= config.min_child_samples)
+    gains = np.where(valid, gains, -np.inf)
+    best = int(np.argmax(gains))  # the cuts ascend: lowest feature, then bin
+    gain = float(gains[best])
+    if not np.isfinite(gain) or gain <= 0.0:
+        return None
+    feat, cut = divmod(int(bins.cuts[best]), width)
+    return gain, int(feat), int(cut)
+
+
+def exact_leaf(found):
+    """A leaf search result with its gain as hex, so the bits must agree."""
+    return None if found is None else (found[0].hex(), found[1], found[2])
+
+
 def exhaustive_newton_split(X, upper_bounds, grad, hess, rows, min_child):
     """A leaf's best (gain, feature, bin) by routing its rows through every
     (feature, bin) cut, with no histograms; None when no cut gains."""
@@ -1015,10 +1077,19 @@ class TestBinnedBooster:
         assert bins.width == max(b.size for b in upper_bounds) + 1
         assert bins.cuts.tolist() == [f * bins.width + t for f, b in enumerate(upper_bounds)
                                       for t in range(b.size)]
-        assert bins.codes.dtype == np.int64
-        assert np.array_equal(bins.codes - np.arange(X.shape[1]) * bins.width, binned)
-        assert np.array_equal(bins.root_counts,
-                              np.bincount(bins.codes.ravel(), minlength=X.shape[1] * bins.width))
+        assert bins.n_rows == X.shape[0] and bins.block == block
+        assert [codes.shape[1] for codes in bins.blocks] == [
+            min(block, X.shape[1] - lo) for lo in range(0, X.shape[1], block)]
+        assert all(codes.dtype == np.int64 and codes.flags.c_contiguous for codes in bins.blocks)
+        places = np.arange(X.shape[1]) % block
+        assert np.array_equal(np.hstack(bins.blocks) - places * bins.width, binned)
+        assert bins.cut_starts.tolist() == [
+            int(np.searchsorted(bins.cuts, lo * bins.width))
+            for lo in [*range(0, X.shape[1], block), X.shape[1]]]
+        flat = flat_bins(bins)
+        assert np.array_equal(flat.codes - np.arange(X.shape[1]) * bins.width, binned)
+        assert np.array_equal(bins.root_count_left,
+                              flat_count_left(flat, np.arange(X.shape[0])))
 
     @given(
         problem=sparse_problems(max_rows=40, max_features=5),
@@ -1087,8 +1158,8 @@ class TestBinnedBooster:
             st.integers(0, n - 1), min_size=1, max_size=n, unique=True))))
         bins = trees._bin_features(X, max_bins)
         config = trees.GbdtConfig(min_child_samples=min_child)
-        got = trees._leaf_best_split(bins, rows, grad, hess, float(grad[rows].sum()),
-                                     float(hess[rows].sum()), config)
+        got, _ = trees._leaf_best_split(bins, rows, grad, hess, float(grad[rows].sum()),
+                                        float(hess[rows].sum()), config)
         assert got == exhaustive_newton_split(X, bins.upper_bounds, grad, hess, rows, min_child)
 
     def test_only_leaves_that_can_split_are_searched(self, rng):
@@ -1109,6 +1180,134 @@ class TestBinnedBooster:
             model = trees.fit_gbdt(X, y, config)
         assert searched == [90] * 9
         assert all(not root.is_leaf for round_trees in model.rounds for root in round_trees)
+
+
+@st.composite
+def booster_problems(draw):
+    """(X, y, max_bins, grad, hess): a sparse problem with a feature of one
+    value, one of exactly max_bins values and, when drawn, a copy of
+    another feature, whose cuts tie on gain with the original's;
+    gradients are arbitrary floats or quarter integers, whose sums are
+    exact and tie more often."""
+    X, y = draw(sparse_problems(max_rows=40, max_features=6))
+    n = X.shape[0]
+    max_bins = draw(st.integers(2, min(n, 8)))
+    one_value = np.full(n, draw(st.sampled_from([0.0, 0.5, -1.0])))
+    # each of max_bins values at least once, in a drawn order
+    levels = np.arange(n) % max_bins * 0.25
+    all_bins = levels[np.array(draw(st.permutations(range(n))))]
+    columns = [X, one_value[:, None], all_bins[:, None]]
+    if draw(st.booleans()):
+        columns.append(X[:, [draw(st.integers(0, X.shape[1] - 1))]])
+    order = draw(st.permutations(range(len(columns))))
+    X = np.hstack([columns[i] for i in order])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        grad, hess = rng.normal(0.0, 1.0, n), rng.random(n)
+    else:
+        grad = rng.integers(-8, 9, n) / 4.0
+        hess = np.abs(rng.integers(-8, 9, n)) / 4.0
+    return X, y, max_bins, grad, hess
+
+
+class TestBlockHistograms:
+    """Leaf histograms built one block of features at a time, with counts
+    by subtraction, against the search over one histogram of every
+    feature, bit for bit: each bin still adds the leaf's rows in order."""
+
+    @given(problem=booster_problems(), block=st.sampled_from([1, 3, 64]),
+           min_child=st.integers(0, 4), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_leaf_search_matches_the_flat_search(self, problem, block, min_child, data):
+        X, _, max_bins, grad, hess = problem
+        n = X.shape[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_BIN_BLOCK", block)
+            bins = trees._bin_features(X, max_bins)
+        flat = flat_bins(bins)
+        rows = np.arange(n) if data.draw(st.booleans()) else np.array(sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))))
+        config = trees.GbdtConfig(min_child_samples=min_child)
+        sums = float(grad[rows].sum()), float(hess[rows].sum())
+        got, count_left = trees._leaf_best_split(bins, rows, grad, hess, *sums, config)
+        expect = flat_leaf_best_split(flat, rows, grad, hess, *sums, config)
+        assert exact_leaf(got) == exact_leaf(expect)
+        if count_left is None:
+            assert rows.size < 2 * min_child or bins.width < 2
+            return
+        assert np.array_equal(count_left, flat_count_left(flat, rows))
+        # the counts as a parent's less a sibling's: the same search
+        others = np.setdiff1d(np.arange(n), rows)
+        given_counts = bins.root_count_left - flat_count_left(flat, others)
+        again, kept = trees._leaf_best_split(bins, rows, grad, hess, *sums, config,
+                                             given_counts)
+        assert exact_leaf(again) == exact_leaf(expect) and kept is given_counts
+
+    @given(
+        problem=booster_problems(),
+        n_estimators=st.integers(1, 3),
+        num_leaves=st.integers(2, 8),
+        min_child_samples=st.integers(0, 4),
+        max_depth=st.sampled_from([None, 1, 2]),
+        class_weight=st.sampled_from([None, "balanced"]),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_leaf_and_model_match_the_flat_search(
+        self, problem, n_estimators, num_leaves, min_child_samples, max_depth, class_weight,
+        block,
+    ):
+        """Each leaf a fit searches gets the flat search's (gain, feature,
+        bin) and counts, and the model equals the one grown by the flat
+        search, which counts every leaf itself."""
+        X, y, max_bins, _, _ = problem
+        config = trees.GbdtConfig(
+            n_estimators=n_estimators, learning_rate=0.5, num_leaves=num_leaves,
+            min_child_samples=min_child_samples, max_bins=max_bins, max_depth=max_depth,
+            class_weight=class_weight,
+        )
+        search = trees._leaf_best_split
+
+        def checked(bins, idx, grad, hess, grad_sum, hess_sum, config, count_left=None):
+            got, counts = search(bins, idx, grad, hess, grad_sum, hess_sum, config, count_left)
+            flat = flat_bins(bins)
+            expect = flat_leaf_best_split(flat, idx, grad, hess, grad_sum, hess_sum, config)
+            assert exact_leaf(got) == exact_leaf(expect)
+            assert counts is None or np.array_equal(counts, flat_count_left(flat, idx))
+            return got, counts
+
+        def flat_search(bins, idx, grad, hess, grad_sum, hess_sum, config, count_left=None):
+            return flat_leaf_best_split(flat_bins(bins), idx, grad, hess, grad_sum, hess_sum,
+                                        config), None
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_BIN_BLOCK", block)
+            patch.setattr(trees, "_leaf_best_split", checked)
+            got = trees.fit_gbdt(X, y, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_leaf_best_split", flat_search)
+            expect = trees.fit_gbdt(X, y, config)
+        assert json.dumps(trees.gbdt_to_dict(got)) == json.dumps(trees.gbdt_to_dict(expect))
+        assert [v.hex() for v in got.train_loss] == [v.hex() for v in expect.train_loss]
+
+    def test_second_child_counts_by_subtraction(self, rng):
+        """Of two searched children, the second is given its counts: the
+        parent's less the first child's."""
+        X = rng.normal(0, 1, (200, 70))  # two blocks, the second short
+        y = (X[:, 0] + X[:, 65] > 0).astype(int)
+        given = []
+        search = trees._leaf_best_split
+
+        def recorded(bins, idx, grad, hess, grad_sum, hess_sum, config, count_left=None):
+            given.append(count_left is not None)
+            return search(bins, idx, grad, hess, grad_sum, hess_sum, config, count_left)
+
+        config = trees.GbdtConfig(n_estimators=1, num_leaves=4, min_child_samples=5,
+                                  max_bins=16)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_leaf_best_split", recorded)
+            trees.fit_gbdt(X, y, config)
+        assert given == [False, False, True, False, True]
 
 
 class TestOneBoostingLoop:
