@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, check, whole, wholes
+from .errors import DataError, check, one_of, whole, wholes
 from .lexicon import STOPWORDS, lemmatize
 
 BINARY_NORMAL_STATUS = "Normal"
+BINARY_NAMES = (BINARY_NORMAL_STATUS, "Abnormal")  # class ids 0 and 1 of a binary scheme
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _HTML_TAG_RE = re.compile(r"<[^>]*>")
@@ -49,8 +50,6 @@ class Document:
     """A record after cleaning, tokenization, and label mapping."""
 
     id: str
-    raw: str
-    status: str
     tokens: tuple[str, ...]
     label: int
 
@@ -203,7 +202,7 @@ class LabelScheme:
             status: 0 if status == BINARY_NORMAL_STATUS else 1
             for status in set(statuses)
         }
-        return cls("binary", (BINARY_NORMAL_STATUS, "Abnormal"), mapping)
+        return cls("binary", BINARY_NAMES, mapping)
 
     @classmethod
     def multiclass(cls, statuses) -> "LabelScheme":
@@ -218,7 +217,23 @@ class LabelScheme:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LabelScheme":
-        return cls(data["kind"], tuple(data["names"]), dict(data["mapping"]))
+        """Read back a scheme of one of the two kinds: distinct string
+        names, the binary pair for a binary scheme, and a mapping from
+        status strings to ids of those names."""
+        kind = check("scheme.kind", data["kind"], one_of("binary", "multiclass"))
+        names = data["names"]
+        if not (isinstance(names, list) and all(type(name) is str for name in names)
+                and len(set(names)) == len(names)):
+            raise ValueError(f"scheme.names={names!r}: expected distinct strings")
+        if kind == "binary" and tuple(names) != BINARY_NAMES:
+            raise ValueError(f"scheme.names={names!r}: a binary scheme names "
+                             f"{list(BINARY_NAMES)}")
+        mapping = data["mapping"]
+        if not (isinstance(mapping, dict) and all(type(status) is str for status in mapping)):
+            raise ValueError("scheme.mapping: expected an object from statuses to class ids")
+        class_id = whole(at_least=0, at_most=len(names) - 1)
+        return cls(kind, tuple(names), {status: check(f"scheme.mapping[{status!r}]", i, class_id)
+                                        for status, i in mapping.items()})
 
 
 def map_labels(records, scheme: LabelScheme) -> list[int]:
@@ -240,8 +255,6 @@ def build_documents(
     return [
         Document(
             id=rec.id,
-            raw=rec.statement,
-            status=rec.status,
             tokens=tuple(normalize(clean_text(rec.statement, drop_hashtags), lemmas)),
             label=label,
         )

@@ -2,12 +2,12 @@
 
 An entry says everything the harness needs to know about one family:
 its config, the featurizer it reads, how to fit it, how to label and
-score rows in one pass, how its fitted payload turns into JSON and
-back, and, for a family that reads TF-IDF rows, which payload fields
-must fit the width of those rows. The config is a frozen dataclass
-whose fields are the hyperparameters the family accepts, with their
-defaults; it applies each value rule when it is built and raises
-ValueError for a value that breaks one.
+score rows in one pass, and how its fitted payload turns into JSON and
+back. A TF-IDF family's decoder takes the width of the rows the payload
+will read and refuses a payload that does not fit them. The config is
+a frozen dataclass whose fields are the hyperparameters the family
+accepts, with their defaults; it applies each value rule when it is
+built and raises ValueError for a value that breaks one.
 
 Entries call solvers through their module attribute at call time
 (``linear.fit_logistic(...)``), never through a function object taken
@@ -34,10 +34,10 @@ class Family:
     fit: Callable  # (X, y, config, seed, dataset) -> (payload, extra); X, y: its train split
     infer: Callable  # (payload, rows) -> (labels, (n, k) class scores), in one pass
     to_dict: Callable  # payload -> serializable mapping
-    from_dict: Callable  # mapping -> payload
-    # (payload, width) -> None for a family that reads TF-IDF rows: raises
-    # DataError naming a field that does not fit rows `width` features wide
-    check_width: Callable | None = None
+    # (mapping, width) -> payload for a family that reads TF-IDF rows,
+    # refusing a field that does not fit rows `width` features wide; gru's
+    # takes the `.npz` arrays, and gru.load calls it
+    from_dict: Callable
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -76,32 +76,6 @@ def _fit_gbdt(X, y, config, seed, dataset):
     return trees.fit_gbdt(X, y, config, dataset.fit_state("gbdt binnings") if shared else None), {}
 
 
-def _width_is(name: str, found: int, width: int) -> None:
-    if found != width:
-        raise DataError(f"{name}: expected {width} features, the width of the bundle's "
-                        f"TF-IDF model; found {found}")
-
-
-def _svm_width(model, width: int) -> None:
-    for pair in model.pairs:
-        if pair.w is not None:
-            _width_is("w", pair.w.size, width)
-        elif pair.support_vectors.size:  # an empty support set reads no feature
-            _width_is("support_vectors", pair.support_vectors.shape[1], width)
-
-
-def _cart_width(model, width: int) -> None:
-    stack = [model.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        if node.feature >= width:
-            raise DataError(f"feature={node.feature}: expected a feature id below {width}, "
-                            "the width of the bundle's TF-IDF model")
-        stack += [node.left, node.right]
-
-
 def _argmax_labels(scores: Callable) -> Callable:
     """The inference hook of a family whose label is its most probable
     class: `scores(payload, rows)` once, ties going to the lowest id."""
@@ -122,7 +96,6 @@ REGISTRY: dict[str, Family] = {
             infer=_argmax_labels(lambda p, rows: linear.predict_proba(p, rows)),
             to_dict=linear.to_dict,
             from_dict=linear.from_dict,
-            check_width=lambda p, width: _width_is("weights", p.weights.shape[1], width),
         ),
         Family(
             "svm",
@@ -134,7 +107,6 @@ REGISTRY: dict[str, Family] = {
             infer=lambda p, rows: svm.votes_and_scores(p, rows),
             to_dict=svm.to_dict,
             from_dict=svm.from_dict,
-            check_width=_svm_width,
         ),
         Family(
             "cart",
@@ -149,7 +121,6 @@ REGISTRY: dict[str, Family] = {
             ),
             to_dict=trees.cart_to_dict,
             from_dict=trees.cart_from_dict,
-            check_width=_cart_width,
         ),
         Family(
             "forest",
@@ -159,7 +130,6 @@ REGISTRY: dict[str, Family] = {
             infer=_argmax_labels(lambda p, rows: trees.forest_scores(p, rows)),
             to_dict=trees.forest_to_dict,
             from_dict=trees.forest_from_dict,
-            check_width=lambda p, width: _width_is("n_features", p.n_features, width),
         ),
         Family(
             "gbdt",
@@ -169,8 +139,6 @@ REGISTRY: dict[str, Family] = {
             infer=_argmax_labels(lambda p, rows: trees.predict_gbdt_proba(p, rows)),
             to_dict=trees.gbdt_to_dict,
             from_dict=trees.gbdt_from_dict,
-            check_width=lambda p, width: _width_is("bin_upper_bounds",
-                                                   len(p.bin_upper_bounds), width),
         ),
         Family(
             "gru",

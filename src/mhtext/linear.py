@@ -229,7 +229,8 @@ def to_dict(params: LinearModelParams) -> dict:
     }
 
 
-def from_dict(data: dict) -> LinearModelParams:
+def from_dict(data: dict, width: int) -> LinearModelParams:
+    """The model in `data`, refused unless it reads rows `width` features wide."""
     check_header(data, "linear model", DataError, schema_version=SCHEMA_VERSION)
     kind = check("kind", data["kind"], one_of("sigmoid", "softmax"))
     n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
@@ -239,8 +240,9 @@ def from_dict(data: dict) -> LinearModelParams:
     weights = finite("weights", data["weights"])
     bias = finite("bias", data["bias"])
     rows = 1 if kind == "sigmoid" else n_classes
-    if weights.ndim != 2 or weights.shape[0] != rows or bias.shape != (rows,):
+    if weights.shape != (rows, width) or bias.shape != (rows,):
         raise DataError(f"weights and bias of shapes {weights.shape} and {bias.shape}: a "
-                        f"{kind} model over {n_classes} classes has {rows} of each")
+                        f"{kind} model over {n_classes} classes and {width} features has "
+                        f"weights: {(rows, width)} and bias: {(rows,)}")
     return LinearModelParams(weights, bias, n_classes, kind,
                              stored(LogisticConfig, data["config"]))

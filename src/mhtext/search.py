@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -160,15 +160,6 @@ class TrialRecord:
     error: str | None
     seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "params": dict(self.params),
-            "val_weighted_f1": self.val_weighted_f1,
-            "error": self.error,
-            "seconds": self.seconds,
-        }
-
 
 @dataclass
 class SearchResult:
@@ -193,7 +184,7 @@ class SearchResult:
             "schema_version": SCHEMA_VERSION,
             "status": "ok" if self.best_index >= 0 else "no successful trials",
             "config": self.config.to_dict(),
-            "trials": [t.to_dict() for t in self.trials],
+            "trials": [asdict(t) for t in self.trials],
         }
         if self.best_index >= 0:
             log.update(best_index=self.best_index, best_params=self.best_params,
@@ -410,8 +401,7 @@ def _decode_bundle(bundle: dict, stem: str) -> FittedModel:
         payload, featurizer = gru_mod.load(stem)
     else:
         featurizer = features_mod.TfIdfModel.from_dict(bundle["tfidf"])
-        payload = spec.from_dict(bundle["model"])
-        spec.check_width(payload, featurizer.dim)
+        payload = spec.from_dict(bundle["model"], featurizer.dim)
     extra = bundle.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"extra={extra!r}: expected a JSON object")

@@ -350,25 +350,28 @@ def to_dict(model: SvmModel) -> dict:
 _CLASS_ID = whole(at_least=0)
 
 
-def _check_pair_shapes(classes, pairs) -> None:
+def _check_pair_shapes(classes, pairs, width: int) -> None:
     """The pairs fit_svm writes: (a, b) for each a < b of `classes`, once
-    each, in order; every `w` 1-D of one length; `support_vectors` 2-D
-    (or empty) with one `dual_coef` per row."""
+    each, in order; every `w` of `width` entries; `support_vectors` of
+    rows of `width` entries (or empty) with one `dual_coef` per row."""
     found = [(pair.class_neg, pair.class_pos) for pair in pairs]
     expected = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
     if found != expected:
         raise DataError(f"pairs {found}: expected {expected}, one per class pair in order")
-    lengths = {pair.w.shape for pair in pairs if pair.w is not None}
-    if len(lengths) > 1 or any(len(shape) != 1 for shape in lengths):
-        raise DataError(f"w of shapes {sorted(lengths)}: expected one 1-D length")
+    shapes = sorted({pair.w.shape for pair in pairs if pair.w is not None})
+    if any(shape != (width,) for shape in shapes):
+        raise DataError(f"w: expected {width} entries, one per feature; found w of shapes {shapes}")
     for pair in pairs:
         sv, coef = pair.support_vectors, pair.dual_coef
-        if sv is not None and not ((sv.ndim == 2 or sv.size == 0) and coef.shape == (len(sv),)):
+        if sv is not None and not ((sv.shape == (0,) or sv.shape[1:] == (width,))
+                                   and coef.shape == (len(sv),)):
             raise DataError(f"support_vectors and dual_coef of shapes {sv.shape} and "
-                            f"{coef.shape}: expected one dual_coef per support vector row")
+                            f"{coef.shape}: expected support_vectors: (n, {width}), one entry "
+                            "per feature, and one dual_coef per support vector row")
 
 
-def from_dict(data: dict) -> SvmModel:
+def from_dict(data: dict, width: int) -> SvmModel:
+    """The model in `data`, refused unless it reads rows `width` features wide."""
     check_header(data, "SVM model", DataError, schema_version=SCHEMA_VERSION)
     classes = tuple(check("classes", c, _CLASS_ID) for c in data["classes"])
     if len(classes) < 2 or list(classes) != sorted(set(classes)):
@@ -396,7 +399,7 @@ def from_dict(data: dict) -> SvmModel:
         pair.support_vectors = stored_arrays.get("support_vectors")
         pair.dual_coef = stored_arrays.get("dual_coef")
         pairs.append(pair)
-    _check_pair_shapes(classes, pairs)
+    _check_pair_shapes(classes, pairs, width)
     return SvmModel(
         config=config,
         classes=classes,

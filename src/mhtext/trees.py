@@ -839,13 +839,13 @@ _REAL = real()
 _POSITIVE = whole(at_least=1)  # a tree header's class and feature counts
 
 
-def node_from_dict(data: dict, need_counts: bool = False, n_classes: int | None = None,
-                   n_features: int | None = None) -> TreeNode:
-    """The tree under `data`; when given, `n_classes` bounds every node's
-    `label` and is the length of its `counts`, and `n_features` bounds
-    every split `feature`."""
-    label = whole(at_least=0, at_most=None if n_classes is None else n_classes - 1)
-    feature = whole(at_least=0, at_most=None if n_features is None else n_features - 1)
+def node_from_dict(data: dict, n_classes: int, n_features: int,
+                   need_counts: bool = False) -> TreeNode:
+    """The tree under `data`: `n_classes` bounds every node's `label` and
+    is the length of its `counts`, and `n_features` bounds every split
+    `feature`."""
+    label = whole(at_least=0, at_most=n_classes - 1)
+    feature = whole(at_least=0, at_most=n_features - 1)
 
     def read(data: dict) -> TreeNode:
         node = TreeNode(
@@ -857,7 +857,7 @@ def node_from_dict(data: dict, need_counts: bool = False, n_classes: int | None 
         )
         if need_counts or "counts" in data:
             counts = [check("counts", c, _NONNEGATIVE) for c in data["counts"]]
-            if n_classes is not None and len(counts) != n_classes:
+            if len(counts) != n_classes:
                 raise ValueError(f"counts: expected {n_classes} entries for "
                                  f"n_classes={n_classes}, found {len(counts)}")
             node.counts = np.array(counts, dtype=np.int64)
@@ -882,12 +882,13 @@ def cart_to_dict(model: CartModel) -> dict:
     }
 
 
-def cart_from_dict(data: dict) -> CartModel:
+def cart_from_dict(data: dict, width: int) -> CartModel:
+    """The model in `data`, refused unless it reads rows `width` features wide."""
     check_header(data, "cart model", DataError, schema_version=SCHEMA_VERSION, kind="cart")
     n_classes = check("n_classes", data["n_classes"], _POSITIVE)
     return CartModel(
         # scores read the counts of any leaf, not just the one the load probe reaches
-        root=node_from_dict(data["root"], need_counts=True, n_classes=n_classes),
+        root=node_from_dict(data["root"], n_classes, width, need_counts=True),
         config=stored(TreeConfig, data["config"]),
         n_classes=n_classes,
         weight_per_class=finite("weight_per_class", data["weight_per_class"]),
@@ -907,13 +908,15 @@ def forest_to_dict(model: ForestModel) -> dict:
     }
 
 
-def forest_from_dict(data: dict) -> ForestModel:
+def forest_from_dict(data: dict, width: int) -> ForestModel:
+    """The model in `data`, refused unless it reads rows `width` features wide."""
     check_header(data, "forest model", DataError, schema_version=SCHEMA_VERSION, kind="forest")
     n_classes = check("n_classes", data["n_classes"], _POSITIVE)
     n_features = check("n_features", data["n_features"], _POSITIVE)
+    if n_features != width:
+        raise ValueError(f"n_features: expected {width}, the width of the rows; found {n_features}")
     return ForestModel(
-        roots=[node_from_dict(t, n_classes=n_classes, n_features=n_features)
-               for t in data["trees"]],
+        roots=[node_from_dict(t, n_classes, n_features) for t in data["trees"]],
         config=stored(ForestConfig, data["config"]),
         n_classes=n_classes,
         n_features=n_features,
@@ -962,7 +965,8 @@ def _bin_bounds(bounds) -> list[np.ndarray]:
     return [_ascending(f"bin_upper_bounds[{f}]", b) for f, b in enumerate(bounds)]
 
 
-def gbdt_from_dict(data: dict) -> GbdtModel:
+def gbdt_from_dict(data: dict, width: int) -> GbdtModel:
+    """The model in `data`, refused unless it reads rows `width` features wide."""
     check_header(data, "gbdt model", DataError, schema_version=SCHEMA_VERSION, kind="gbdt")
     n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
     per_round = 1 if n_classes == 2 else n_classes  # trees per round and base scores
@@ -974,11 +978,12 @@ def gbdt_from_dict(data: dict) -> GbdtModel:
         raise ValueError(f"rounds: expected {per_round} trees in each round for "
                          f"n_classes={n_classes}")
     bin_upper_bounds = _bin_bounds(data["bin_upper_bounds"])
+    if len(bin_upper_bounds) != width:
+        raise ValueError(f"bin_upper_bounds: expected {width} lists, one per feature; "
+                         f"found {len(bin_upper_bounds)}")
     return GbdtModel(
         base_score=base_score,
-        # a split feature indexes the bounds, one list per feature
-        rounds=[[node_from_dict(t, n_features=len(bin_upper_bounds)) for t in rnd]
-                for rnd in data["rounds"]],
+        rounds=[[node_from_dict(t, n_classes, width) for t in rnd] for rnd in data["rounds"]],
         n_classes=n_classes,
         config=stored(GbdtConfig, data["config"]),
         bin_upper_bounds=bin_upper_bounds,

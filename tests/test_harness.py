@@ -1787,7 +1787,7 @@ def _built_and_read_back(family: str, params: dict):
     kernel = {} if family != "svm" else {"kernel": "linear" if config.kernel == "linear"
                                          else "rbf"}
     model = dict(_bundle_model(family, **kernel), config=asdict(config))
-    return config, spec.from_dict(_json_copy(model)).config
+    return config, spec.from_dict(_json_copy(model), 2).config
 
 
 class TestHyperparameterRules:
@@ -1824,6 +1824,37 @@ class TestHyperparameterRules:
                 if not quoted:
                     default = words[default] if default in words else float(default)
                 assert getattr(config, name) == default, (family, name)
+
+
+class TestDecoderWidths:
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("family, params, field", [
+        ("logistic", {}, "weights:"),
+        ("svm", {"kernel": "linear"}, "w:"),
+        ("svm", {"kernel": "rbf"}, "support_vectors:"),
+        ("cart", {}, "feature=3"),
+        ("forest", {"n_estimators": 3}, "n_features:"),
+        ("gbdt", {"n_estimators": 2, "min_child_samples": 2}, "bin_upper_bounds:"),
+    ])
+    def test_decoder_refuses_a_width_other_than_its_fit(self, family, params, n_classes, field):
+        """Each TF-IDF decoder reads its payload back at the width it was
+        fit on and refuses one feature fewer and, where the payload
+        records its width, one more, naming the field. A cart payload
+        records only the features it splits on, so it refuses a width that
+        leaves out its last split feature, and reads a wider one."""
+        rng = default_rng(3)
+        y = np.arange(30) % n_classes
+        X = np.column_stack([rng.random((30, 3)), y + rng.random(30) / 2])  # feature 3 splits
+        spec = families.get(family)
+        payload, _ = spec.fit(X, y, spec.config(**params), 0, None)
+        stored = _json_copy(spec.to_dict(payload))
+        decoded = spec.from_dict(_json_copy(stored), 4)
+        assert np.array_equal(spec.infer(decoded, X)[1], spec.infer(payload, X)[1])
+        for width in (3, 5):
+            if family == "cart" and width == 5:
+                continue
+            with pytest.raises((DataError, ValueError), match=field):
+                spec.from_dict(_json_copy(stored), width)
 
 
 @pytest.fixture(scope="module")
@@ -1943,6 +1974,14 @@ def _as_support_vectors(support_vectors, dual_coef):
         del pair["w"]
         pair.update(support_vectors=support_vectors, dual_coef=dual_coef)
     return mutate
+
+
+def _as_rbf_support_vectors_one_column_short(model):
+    """A mutation that turns a linear svm model into an rbf one whose
+    pairs each keep their `w`, less its last entry, as one support vector."""
+    model["config"]["kernel"] = "rbf"
+    for pair in model["pairs"]:
+        pair.update(support_vectors=[pair.pop("w")[:-1]], dual_coef=[1.0])
 
 
 class TestMalformedArtifacts:
@@ -2197,9 +2236,15 @@ class TestMalformedArtifacts:
         ("logistic", lambda m: [row.pop() for row in m["weights"]], "weights:"),
         ("forest", lambda m: m.update(n_features=301), "n_features:"),
         ("gbdt", lambda m: m["bin_upper_bounds"].append([0.5]), "bin_upper_bounds:"),
+        ("svm", _as_rbf_support_vectors_one_column_short, "support_vectors:"),
+        ("logistic", lambda m: [row.append(0.0) for row in m["weights"]], "weights:"),
+        ("gbdt", lambda m: m["bin_upper_bounds"].pop(), "bin_upper_bounds:"),
+        ("gbdt", lambda m: m["rounds"][0][0].update(feature=300), "feature=300"),
     ], ids=["svm-every-w-one-short", "cart-feature-5000", "cart-feature-at-the-width",
             "logistic-every-row-one-short", "forest-one-feature-more",
-            "gbdt-one-bound-list-more"])
+            "gbdt-one-bound-list-more", "svm-rbf-support-vectors-one-column-short",
+            "logistic-every-row-one-more", "gbdt-one-bound-list-fewer",
+            "gbdt-feature-at-the-width"])
     def test_payload_not_fitting_its_features_exits_two(
         self, cli_multiclass, tmp_path, capsys, artifact, mutate, field
     ):
@@ -2219,6 +2264,44 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and repr(stem + ".model.json") in err and "Traceback" not in err
+        assert not (tmp_path / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("artifact", ["prepared", "bundle"])
+    @pytest.mark.parametrize("mutate, field", [
+        (lambda s: s.update(names="ab"), "scheme.names="),
+        (lambda s: s.update(kind="foo"), "scheme.kind="),
+        (lambda s: s["names"].append("Other"), "scheme.names="),
+        (lambda s: s.update(names=5), "scheme.names="),
+        (lambda s: s.update(kind="multiclass", names=["Normal", "Normal"]), "scheme.names="),
+        (lambda s: s["mapping"].update(Other=2), "scheme.mapping['Other']="),
+        (lambda s: s.update(mapping=[["Normal", 0]]), "scheme.mapping:"),
+    ], ids=["names-as-a-string", "unknown-kind", "binary-with-three-names", "names-as-a-number",
+            "names-twice", "mapping-id-past-the-names", "mapping-as-a-list"])
+    def test_scheme_breaking_its_rule_exits_two(
+        self, cli_prepared, cli_artifacts, tmp_path, capsys, artifact, mutate, field
+    ):
+        """A prepared scheme with `names` "ab" trained with classes `a`
+        and `b`; a `kind` of "foo" evaluated with exit 0 and was written
+        as the scheme_kind; a binary scheme of three names evaluated as a
+        3x3 confusion matrix; and `names` 5 exited 2 naming no field. Each
+        refusal names the file and the field, in a prepared dataset and in
+        a bundle."""
+        prepared, stem = cli_prepared["prep"], cli_artifacts["logistic"]["stem"]
+        if artifact == "prepared":
+            source, bad = prepared, str(tmp_path / "prepared.json")
+            prepared = bad
+        else:
+            source, stem = stem + ".model.json", str(tmp_path / "logistic")
+            bad = stem + ".model.json"
+        payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        mutate(payload["scheme"])
+        Path(bad).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = cli.run(["evaluate", "--prepared", prepared, "--model", stem,
+                        "--out", str(tmp_path / "evaluation.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and repr(bad) in err and "Traceback" not in err
         assert not (tmp_path / "evaluation.json").exists()
 
     def test_multiclass_bundles_evaluate(self, cli_multiclass, tmp_path):

@@ -380,7 +380,7 @@ class TestSerialization:
         params = linear.fit_logistic(
             X, y, linear.LogisticConfig(C=4.0, class_weight="balanced")
         )
-        again = linear.from_dict(json.loads(json.dumps(linear.to_dict(params))))
+        again = linear.from_dict(json.loads(json.dumps(linear.to_dict(params))), 3)
         assert again.kind == params.kind
         assert again.config == params.config
         assert np.array_equal(again.weights, params.weights)
@@ -390,7 +390,7 @@ class TestSerialization:
 
     def test_bad_schema_rejected(self):
         with pytest.raises(DataError):
-            linear.from_dict({"schema_version": 99})
+            linear.from_dict({"schema_version": 99}, 3)
 
 
 @st.composite

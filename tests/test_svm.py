@@ -416,7 +416,7 @@ class TestSerialization:
         ])
         y = np.repeat([0, 1, 2], 10)
         model = svm.fit_svm(X, y, replace(kernel, C=5.0))
-        again = svm.from_dict(json.loads(json.dumps(svm.to_dict(model))))
+        again = svm.from_dict(json.loads(json.dumps(svm.to_dict(model))), 2)
         assert again.classes == model.classes
         assert np.array_equal(svm.predict(again, X), svm.predict(model, X))
         assert np.allclose(
@@ -429,7 +429,7 @@ class TestSerialization:
 
     def test_bad_schema_rejected(self):
         with pytest.raises(DataError):
-            svm.from_dict({"schema_version": 99})
+            svm.from_dict({"schema_version": 99}, 2)
 
 
 class TestSolverEconomy:
@@ -613,10 +613,10 @@ class TestDecoderPairRules:
 
     def refused(self, payload, field):
         with pytest.raises(DataError, match=field):
-            svm.from_dict(payload)
+            svm.from_dict(payload, 2)
 
     def test_written_payload_decodes(self, payload):
-        again = svm.from_dict(payload)
+        again = svm.from_dict(payload, 2)
         assert [(p.class_neg, p.class_pos) for p in again.pairs] == [(0, 1), (0, 2), (1, 2)]
 
     def test_duplicated_pair_is_refused(self, payload):
@@ -660,6 +660,6 @@ class TestDecoderPairRules:
 
     def test_pair_without_support_vectors_decodes(self, rbf_payload):
         rbf_payload["pairs"][0].update(support_vectors=[], dual_coef=[])
-        model = svm.from_dict(rbf_payload)
+        model = svm.from_dict(rbf_payload, 2)
         pair = model.pairs[0]
         assert pair.margins(model.config, np.ones((2, 2))).tolist() == [pair.b, pair.b]

@@ -1394,7 +1394,7 @@ class TestNonFiniteFeatures:
         assert not trees.fit_cart(X, y).root.is_leaf
         model = trees.fit_gbdt(X, y, trees.GbdtConfig(n_estimators=1, min_child_samples=1))
         assert np.isfinite(np.concatenate(model.bin_upper_bounds)).all()
-        trees.gbdt_from_dict(json.loads(json.dumps(trees.gbdt_to_dict(model))))
+        trees.gbdt_from_dict(json.loads(json.dumps(trees.gbdt_to_dict(model))), 1)
 
 
 class TestSerialization:
@@ -1405,7 +1405,7 @@ class TestSerialization:
         model = trees.fit_forest(
             X, y, trees.ForestConfig(n_estimators=8), seed=2
         )
-        again = trees.forest_from_dict(json.loads(json.dumps(trees.forest_to_dict(model))))
+        again = trees.forest_from_dict(json.loads(json.dumps(trees.forest_to_dict(model))), 3)
         assert np.array_equal(
             trees.predict_forest(again, X), trees.predict_forest(model, X)
         )
@@ -1419,7 +1419,7 @@ class TestSerialization:
         y[:2] = [0, 1]
         config = trees.GbdtConfig(n_estimators=10, min_child_samples=5)
         model = trees.fit_gbdt(X, y, config)
-        again = trees.gbdt_from_dict(json.loads(json.dumps(trees.gbdt_to_dict(model))))
+        again = trees.gbdt_from_dict(json.loads(json.dumps(trees.gbdt_to_dict(model))), 3)
         assert np.array_equal(
             trees.predict_gbdt_proba(again, X), trees.predict_gbdt_proba(model, X)
         )
@@ -1427,9 +1427,9 @@ class TestSerialization:
 
     def test_bad_schema_rejected(self):
         with pytest.raises(DataError):
-            trees.forest_from_dict({"schema_version": 99})
+            trees.forest_from_dict({"schema_version": 99}, 1)
         with pytest.raises(DataError):
-            trees.gbdt_from_dict({"schema_version": 99})
+            trees.gbdt_from_dict({"schema_version": 99}, 1)
 
 
 def _bin_bounds_loop(bounds) -> list[np.ndarray]:
