@@ -156,6 +156,15 @@ def finite(name: str, values) -> np.ndarray:
     return array
 
 
+def positive(name: str, values) -> np.ndarray:
+    """`values` as a float64 array of finite numbers above 0; any other
+    entry raises ValueError naming the field."""
+    array = finite(name, values)
+    if (array <= 0).any():
+        raise ValueError(f"{name}: expected numbers above 0, found {array[array <= 0][0]}")
+    return array
+
+
 def check(name: str, value, rule):
     """`rule(value)`, with a refusal naming the field it was read from."""
     try:

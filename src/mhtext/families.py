@@ -4,10 +4,12 @@ An entry says everything the harness needs to know about one family:
 its config, the featurizer it reads, how to fit it, how to label and
 score rows in one pass, and how its fitted payload turns into JSON and
 back. A TF-IDF family's decoder takes the width of the rows the payload
-will read and refuses a payload that does not fit them. The config is
-a frozen dataclass whose fields are the hyperparameters the family
-accepts, with their defaults; it applies each value rule when it is
-built and raises ValueError for a value that breaks one.
+will read and refuses a payload that does not fit them: a tree payload
+states the width as n_features, a linear or svm payload as the length
+of its weight or support vector rows. The config is a frozen dataclass
+whose fields are the hyperparameters the family accepts, with their
+defaults; it applies each value rule when it is built and raises
+ValueError for a value that breaks one.
 
 Entries call solvers through their module attribute at call time
 (``linear.fit_logistic(...)``), never through a function object taken

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import (DataError, UsageError, check, check_fields, check_header, finite, one_of,
-                     real, stored, whole)
+                     positive, real, stored, whole)
 from .linear import class_weights, weight_mode
 
 SCHEMA_VERSION = 2  # 2: one config block, with the kernel fields in it
@@ -404,5 +404,5 @@ def from_dict(data: dict, width: int) -> SvmModel:
         config=config,
         classes=classes,
         pairs=pairs,
-        weight_per_class=finite("weight_per_class", data["weight_per_class"]),
+        weight_per_class=positive("weight_per_class", data["weight_per_class"]),
     )

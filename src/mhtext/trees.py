@@ -63,23 +63,28 @@ gradients from a logit(base rate) start; multiclass trains one tree per
 class per round on softmax gradients. A tree fit refuses an X with a NaN
 or infinite cell, or one of magnitude 2**1023 or more, whose midpoint
 with another cell could overflow.
+
+The bins serve the fit alone: a split keeps its cut's upper bound as a
+raw threshold, which routes rows as the codes do, so a booster predicts
+and is stored without its bins. Every tree payload opens with one
+header, schema_version, kind, config, n_classes and n_features (the
+width of the rows it reads), which one reader checks for each kind.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (DataError, check, check_fields, check_header, finite, one_of, real, stored,
-                     whole)
+from .errors import (DataError, check, check_fields, check_header, finite, one_of, positive, real,
+                     stored, whole)
 from .linear import class_weights, log_softmax, sigmoid, weight_mode
 from .seeds import derive_seed
 
-SCHEMA_VERSION = 2  # 2: each config block holds only its config's fields
+SCHEMA_VERSION = 3  # 3: every payload states n_features, and a booster keeps no bins
 
 GBDT_REG = 1e-3  # leaf-value and gain regularizer
 
@@ -396,6 +401,7 @@ class CartModel:
     root: TreeNode
     config: TreeConfig
     n_classes: int
+    n_features: int
     weight_per_class: np.ndarray
 
 
@@ -406,7 +412,7 @@ def fit_cart(X, y, config: TreeConfig = TreeConfig()) -> CartModel:
     weights = class_weights(y, config.class_weight, n_classes)
     root = _grow(X, SortedNonzeros(X), y, np.arange(y.size), config, weights, n_classes,
                  0, None, X.shape[1])
-    return CartModel(root, config, n_classes, weights)
+    return CartModel(root, config, n_classes, X.shape[1], weights)
 
 
 def _leaves(root: TreeNode, X):
@@ -725,7 +731,7 @@ class GbdtModel:
     rounds: list[list[TreeNode]]  # one tree per round (binary) or per class
     n_classes: int
     config: GbdtConfig
-    bin_upper_bounds: list[np.ndarray]
+    n_features: int
     train_loss: list[float] = field(default_factory=list, repr=False)
 
 
@@ -795,7 +801,7 @@ def fit_gbdt(X, y, config: GbdtConfig = GbdtConfig(),
         rounds.append([_grow_tree_leafwise(bins, grads[:, k], hesses[:, k], config, scores[:, k])
                        for k in range(scores.shape[1])])
         losses.append(loss())
-    return GbdtModel(base_score, rounds, n_classes, config, bins.upper_bounds, losses)
+    return GbdtModel(base_score, rounds, n_classes, config, X.shape[1], losses)
 
 
 def predict_gbdt_proba(model: GbdtModel, X) -> np.ndarray:
@@ -842,8 +848,8 @@ _POSITIVE = whole(at_least=1)  # a tree header's class and feature counts
 def node_from_dict(data: dict, n_classes: int, n_features: int,
                    need_counts: bool = False) -> TreeNode:
     """The tree under `data`: `n_classes` bounds every node's `label` and
-    is the length of its `counts`, and `n_features` bounds every split
-    `feature`."""
+    is the length of its `counts`, which sum to its `n_samples`, above 0;
+    `n_features` bounds every split `feature`."""
     label = whole(at_least=0, at_most=n_classes - 1)
     feature = whole(at_least=0, at_most=n_features - 1)
 
@@ -857,9 +863,11 @@ def node_from_dict(data: dict, n_classes: int, n_features: int,
         )
         if need_counts or "counts" in data:
             counts = [check("counts", c, _NONNEGATIVE) for c in data["counts"]]
-            if len(counts) != n_classes:
-                raise ValueError(f"counts: expected {n_classes} entries for "
-                                 f"n_classes={n_classes}, found {len(counts)}")
+            # a node with counts holds a row, so its scores divide by no zero
+            if len(counts) != n_classes or not 0 < sum(counts) == node.n_samples:
+                raise ValueError(f"counts: expected {n_classes} entries for n_classes={n_classes}, "
+                                 f"summing to n_samples={node.n_samples} > 0; found "
+                                 f"{len(counts)} summing to {sum(counts)}")
             node.counts = np.array(counts, dtype=np.int64)
         if "feature" in data:
             node.feature = check("feature", data["feature"], feature)
@@ -871,37 +879,56 @@ def node_from_dict(data: dict, n_classes: int, n_features: int,
     return read(data)
 
 
+def _header(kind: str, model) -> dict:
+    """The header every tree payload opens with."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "config": asdict(model.config),
+            "n_classes": model.n_classes, "n_features": model.n_features}
+
+
+def _read_header(data: dict, kind: str, width: int, config: type, classes=_POSITIVE):
+    """The config and n_classes of a tree payload's header, refused unless
+    it is a `kind` payload of this schema that reads rows `width` features
+    wide and its n_classes meets the rule `classes`."""
+    check_header(data, f"{kind} model", DataError, schema_version=SCHEMA_VERSION, kind=kind)
+    n_classes = check("n_classes", data["n_classes"], classes)
+    n_features = check("n_features", data["n_features"], _POSITIVE)
+    if n_features != width:
+        raise ValueError(f"n_features: expected {width}, the width of the rows; found {n_features}")
+    return stored(config, data["config"]), n_classes
+
+
+def _weight_per_class(data: dict, n_classes: int) -> np.ndarray:
+    """A cart or forest payload's class weights: one above 0 per class."""
+    weights = positive("weight_per_class", data["weight_per_class"])
+    if weights.shape != (n_classes,):
+        raise ValueError(f"weight_per_class: expected {n_classes} numbers, found {weights.shape}")
+    return weights
+
+
 def cart_to_dict(model: CartModel) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "cart",
+        **_header("cart", model),
         "root": node_to_dict(model.root),
-        "config": asdict(model.config),
-        "n_classes": model.n_classes,
         "weight_per_class": [float(w) for w in model.weight_per_class],
     }
 
 
 def cart_from_dict(data: dict, width: int) -> CartModel:
     """The model in `data`, refused unless it reads rows `width` features wide."""
-    check_header(data, "cart model", DataError, schema_version=SCHEMA_VERSION, kind="cart")
-    n_classes = check("n_classes", data["n_classes"], _POSITIVE)
+    config, n_classes = _read_header(data, "cart", width, TreeConfig)
     return CartModel(
         # scores read the counts of any leaf, not just the one the load probe reaches
         root=node_from_dict(data["root"], n_classes, width, need_counts=True),
-        config=stored(TreeConfig, data["config"]),
+        config=config,
         n_classes=n_classes,
-        weight_per_class=finite("weight_per_class", data["weight_per_class"]),
+        n_features=width,
+        weight_per_class=_weight_per_class(data, n_classes),
     )
 
 
 def forest_to_dict(model: ForestModel) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "forest",
-        "config": asdict(model.config),
-        "n_classes": model.n_classes,
-        "n_features": model.n_features,
+        **_header("forest", model),
         "weight_per_class": model.weight_per_class.tolist(),
         "tree_seeds": list(model.tree_seeds),
         "trees": [node_to_dict(root) for root in model.roots],
@@ -910,65 +937,29 @@ def forest_to_dict(model: ForestModel) -> dict:
 
 def forest_from_dict(data: dict, width: int) -> ForestModel:
     """The model in `data`, refused unless it reads rows `width` features wide."""
-    check_header(data, "forest model", DataError, schema_version=SCHEMA_VERSION, kind="forest")
-    n_classes = check("n_classes", data["n_classes"], _POSITIVE)
-    n_features = check("n_features", data["n_features"], _POSITIVE)
-    if n_features != width:
-        raise ValueError(f"n_features: expected {width}, the width of the rows; found {n_features}")
+    config, n_classes = _read_header(data, "forest", width, ForestConfig)
     return ForestModel(
-        roots=[node_from_dict(t, n_classes, n_features) for t in data["trees"]],
-        config=stored(ForestConfig, data["config"]),
+        roots=[node_from_dict(t, n_classes, width) for t in data["trees"]],
+        config=config,
         n_classes=n_classes,
-        n_features=n_features,
-        weight_per_class=finite("weight_per_class", data["weight_per_class"]),
+        n_features=width,
+        weight_per_class=_weight_per_class(data, n_classes),
         tree_seeds=tuple(check("tree_seeds", s, _NONNEGATIVE) for s in data["tree_seeds"]),
     )
 
 
 def gbdt_to_dict(model: GbdtModel) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "gbdt",
-        "config": asdict(model.config),
-        "n_classes": model.n_classes,
+        **_header("gbdt", model),
         "base_score": model.base_score.tolist(),
-        "bin_upper_bounds": [b.tolist() for b in model.bin_upper_bounds],
         "rounds": [[node_to_dict(t) for t in rnd] for rnd in model.rounds],
         "train_loss": [float(v) for v in model.train_loss],
     }
 
 
-def _ascending(name: str, values) -> np.ndarray:
-    """`values` as a 1-D float64 array of finite, strictly ascending numbers."""
-    array = finite(name, values)
-    if array.ndim != 1 or (array[1:] <= array[:-1]).any():
-        raise ValueError(f"{name}: expected strictly ascending numbers")
-    return array
-
-
-def _bin_bounds(bounds) -> list[np.ndarray]:
-    """`bounds` as one finite, strictly ascending float64 array per
-    feature, checked in one pass over the concatenated values; a list
-    that fails is checked again one feature at a time, so the refusal
-    names the feature."""
-    if isinstance(bounds, list) and bounds and all(type(b) is list for b in bounds):
-        try:
-            flat = np.array(list(itertools.chain.from_iterable(bounds)), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            flat = None
-        if flat is not None and flat.ndim == 1 and np.isfinite(flat).all():
-            ends = np.cumsum([len(b) for b in bounds])
-            rising = flat[1:] > flat[:-1]
-            rising[ends[(ends > 0) & (ends < flat.size)] - 1] = True  # pairs across features
-            if rising.all():
-                return np.split(flat, ends[:-1])
-    return [_ascending(f"bin_upper_bounds[{f}]", b) for f, b in enumerate(bounds)]
-
-
 def gbdt_from_dict(data: dict, width: int) -> GbdtModel:
     """The model in `data`, refused unless it reads rows `width` features wide."""
-    check_header(data, "gbdt model", DataError, schema_version=SCHEMA_VERSION, kind="gbdt")
-    n_classes = check("n_classes", data["n_classes"], whole(at_least=2))
+    config, n_classes = _read_header(data, "gbdt", width, GbdtConfig, whole(at_least=2))
     per_round = 1 if n_classes == 2 else n_classes  # trees per round and base scores
     base_score = finite("base_score", data["base_score"])
     if base_score.shape != (per_round,):
@@ -977,15 +968,11 @@ def gbdt_from_dict(data: dict, width: int) -> GbdtModel:
     if any(len(rnd) != per_round for rnd in data["rounds"]):
         raise ValueError(f"rounds: expected {per_round} trees in each round for "
                          f"n_classes={n_classes}")
-    bin_upper_bounds = _bin_bounds(data["bin_upper_bounds"])
-    if len(bin_upper_bounds) != width:
-        raise ValueError(f"bin_upper_bounds: expected {width} lists, one per feature; "
-                         f"found {len(bin_upper_bounds)}")
     return GbdtModel(
         base_score=base_score,
         rounds=[[node_from_dict(t, n_classes, width) for t in rnd] for rnd in data["rounds"]],
         n_classes=n_classes,
-        config=stored(GbdtConfig, data["config"]),
-        bin_upper_bounds=bin_upper_bounds,
+        config=config,
+        n_features=width,
         train_loss=[check("train_loss", v, _REAL) for v in data.get("train_loss", [])],
     )

@@ -1832,16 +1832,14 @@ class TestDecoderWidths:
         ("logistic", {}, "weights:"),
         ("svm", {"kernel": "linear"}, "w:"),
         ("svm", {"kernel": "rbf"}, "support_vectors:"),
-        ("cart", {}, "feature=3"),
+        ("cart", {}, "n_features:"),
         ("forest", {"n_estimators": 3}, "n_features:"),
-        ("gbdt", {"n_estimators": 2, "min_child_samples": 2}, "bin_upper_bounds:"),
+        ("gbdt", {"n_estimators": 2, "min_child_samples": 2}, "n_features:"),
     ])
     def test_decoder_refuses_a_width_other_than_its_fit(self, family, params, n_classes, field):
         """Each TF-IDF decoder reads its payload back at the width it was
-        fit on and refuses one feature fewer and, where the payload
-        records its width, one more, naming the field. A cart payload
-        records only the features it splits on, so it refuses a width that
-        leaves out its last split feature, and reads a wider one."""
+        fit on and refuses one feature fewer and one more, naming the
+        field."""
         rng = default_rng(3)
         y = np.arange(30) % n_classes
         X = np.column_stack([rng.random((30, 3)), y + rng.random(30) / 2])  # feature 3 splits
@@ -1851,8 +1849,6 @@ class TestDecoderWidths:
         decoded = spec.from_dict(_json_copy(stored), 4)
         assert np.array_equal(spec.infer(decoded, X)[1], spec.infer(payload, X)[1])
         for width in (3, 5):
-            if family == "cart" and width == 5:
-                continue
             with pytest.raises((DataError, ValueError), match=field):
                 spec.from_dict(_json_copy(stored), width)
 
@@ -1958,13 +1954,26 @@ def _add_a_logistic_class(bundle: dict) -> None:
     model["bias"].append(model["bias"][-1])
 
 
-def _a_gbdt_bound_list(bundle: dict) -> list:
-    """The bin upper bounds of the first feature that has two or more."""
-    return next(b for b in bundle["model"]["bin_upper_bounds"] if len(b) >= 2)
+def _leftmost_leaf(node: dict) -> dict:
+    while "left" in node:
+        node = node["left"]
+    return node
 
 
-def _reverse_a_gbdt_bound_list(bundle: dict) -> None:
-    _a_gbdt_bound_list(bundle).reverse()
+def _as_tree_schema_two(bundle: dict) -> None:
+    """The tree payload as schema 2 wrote it: n_features only in a
+    forest, and a booster's bin_upper_bounds, one list per feature."""
+    model = bundle["model"]
+    model["schema_version"] = 2
+    if model["kind"] != "forest":
+        del model["n_features"]
+    if model["kind"] == "gbdt":
+        model["bin_upper_bounds"] = [[0.5]] * len(bundle["tfidf"]["terms"])
+
+
+def _schema_two_refusal(kind: str) -> str:
+    return (f"unsupported {kind} model schema: found schema_version 2 and kind {kind!r}; "
+            f"this version reads {trees.SCHEMA_VERSION} and {kind!r}")
 
 
 def _as_support_vectors(support_vectors, dual_coef):
@@ -2171,7 +2180,6 @@ class TestMalformedArtifacts:
         ("gbdt", lambda b: b["model"]["rounds"][0].pop(), "rounds"),
         ("gbdt", lambda b: b["model"].update(base_score=b["model"]["base_score"][:1]),
          "base_score"),
-        ("gbdt", _reverse_a_gbdt_bound_list, "bin_upper_bounds["),
         ("cart", lambda b: b["model"]["root"]["left"].update(counts=[1]), "counts:"),
         ("cart", lambda b: b["model"]["root"]["left"].update(label=6), "label=6"),
         ("forest", lambda b: b["model"]["trees"][0]["left"].update(label=99), "label=99"),
@@ -2181,7 +2189,22 @@ class TestMalformedArtifacts:
          "feature="),
         ("gbdt", lambda b: b["model"]["rounds"][0][0].update(feature=5000), "feature=5000"),
         ("gbdt", lambda b: b["model"]["rounds"][1][2].update(
-            feature=len(b["model"]["bin_upper_bounds"])), "feature="),
+            feature=b["model"]["n_features"]), "feature="),
+        ("cart", lambda b: _leftmost_leaf(b["model"]["root"]).update(counts=[0] * 6),
+         "counts:"),
+        ("forest", lambda b: _leftmost_leaf(b["model"]["trees"][1]).update(counts=[0] * 6),
+         "counts:"),
+        ("cart", lambda b: _leftmost_leaf(b["model"]["root"]).update(n_samples=0, counts=[0] * 6),
+         "counts:"),
+        ("cart", lambda b: b["model"].update(weight_per_class=[0.0] * 6), "weight_per_class:"),
+        ("cart", lambda b: b["model"].update(weight_per_class=[1.0]), "weight_per_class:"),
+        ("forest", lambda b: b["model"]["weight_per_class"].__setitem__(2, 0.0),
+         "weight_per_class:"),
+        ("svm", lambda b: b["model"]["weight_per_class"].__setitem__(0, -1.0),
+         "weight_per_class:"),
+        ("cart", _as_tree_schema_two, _schema_two_refusal("cart")),
+        ("forest", _as_tree_schema_two, _schema_two_refusal("forest")),
+        ("gbdt", _as_tree_schema_two, _schema_two_refusal("gbdt")),
         ("prepared", lambda d: d.update(seed=0.9), "seed="),
         ("prepared", lambda d: d["split"].update(seed=0.9), "split.seed="),
         ("prepared", lambda d: d.update(n_dropped=-1), "n_dropped="),
@@ -2194,10 +2217,13 @@ class TestMalformedArtifacts:
             "logistic-class-beyond-the-scheme",
             "forest-bad-tree-seeds", "bundle-extra-as-list", "gbdt-fewer-classes",
             "gbdt-one-class", "gbdt-round-short-of-a-tree", "gbdt-one-base-score",
-            "gbdt-descending-bounds", "cart-one-class-count", "cart-label-beyond-the-classes",
+            "cart-one-class-count", "cart-label-beyond-the-classes",
             "forest-label-beyond-the-classes", "forest-seven-class-counts",
             "forest-feature-beyond-n-features", "gbdt-feature-5000",
-            "gbdt-feature-beyond-the-bounds", "prepared-fractional-seed",
+            "gbdt-feature-beyond-n-features", "cart-leaf-counts-all-zero",
+            "forest-leaf-counts-all-zero", "cart-empty-leaf", "cart-class-weights-zero",
+            "cart-one-class-weight", "forest-class-weight-zero", "svm-class-weight-negative",
+            "cart-schema-two", "forest-schema-two", "gbdt-schema-two", "prepared-fractional-seed",
             "prepared-fractional-split-seed", "prepared-negative-n-dropped"])
     def test_decoded_number_breaking_its_rule_exits_two(
         self, cli_multiclass, tmp_path, capsys, artifact, mutate, field
@@ -2209,8 +2235,12 @@ class TestMalformedArtifacts:
         `counts` of one class (weighted F1 0.48). A booster's single base
         score for six classes, a booster split on feature 5000 and a
         forest leaf's `label` of 99 ended in numpy's index error, and a
-        cart leaf's `label` of 99 in a traceback. The refusal names the
-        file and the field."""
+        cart leaf's `label` of 99 in a traceback. A cart leaf's `counts`
+        of zeros, with or without an `n_samples` of 0, and cart class
+        weights of zero gave NaN scores, and balanced cart class weights
+        cut to one number moved micro AUROC with exit 0. A tree payload
+        of schema 2 names both versions and its kind. The refusal names
+        the file and the field."""
         prepared, stem = cli_multiclass["prep"], cli_multiclass["logistic"]
         if artifact == "prepared":
             source, bad = prepared, str(tmp_path / "prepared.json")
@@ -2235,15 +2265,18 @@ class TestMalformedArtifacts:
         ("cart", lambda m: m["root"].update(feature=300), "feature=300"),
         ("logistic", lambda m: [row.pop() for row in m["weights"]], "weights:"),
         ("forest", lambda m: m.update(n_features=301), "n_features:"),
-        ("gbdt", lambda m: m["bin_upper_bounds"].append([0.5]), "bin_upper_bounds:"),
+        ("gbdt", lambda m: m.update(n_features=301), "n_features:"),
+        ("cart", lambda m: m.update(n_features=301), "n_features:"),
         ("svm", _as_rbf_support_vectors_one_column_short, "support_vectors:"),
         ("logistic", lambda m: [row.append(0.0) for row in m["weights"]], "weights:"),
-        ("gbdt", lambda m: m["bin_upper_bounds"].pop(), "bin_upper_bounds:"),
+        ("gbdt", lambda m: m.update(n_features=299), "n_features:"),
+        ("cart", lambda m: m.update(n_features=299), "n_features:"),
         ("gbdt", lambda m: m["rounds"][0][0].update(feature=300), "feature=300"),
     ], ids=["svm-every-w-one-short", "cart-feature-5000", "cart-feature-at-the-width",
             "logistic-every-row-one-short", "forest-one-feature-more",
-            "gbdt-one-bound-list-more", "svm-rbf-support-vectors-one-column-short",
-            "logistic-every-row-one-more", "gbdt-one-bound-list-fewer",
+            "gbdt-one-feature-more", "cart-one-feature-more",
+            "svm-rbf-support-vectors-one-column-short", "logistic-every-row-one-more",
+            "gbdt-one-feature-fewer", "cart-one-feature-fewer",
             "gbdt-feature-at-the-width"])
     def test_payload_not_fitting_its_features_exits_two(
         self, cli_multiclass, tmp_path, capsys, artifact, mutate, field
@@ -2327,13 +2360,11 @@ class TestMalformedArtifacts:
          "weight_per_class:"),
         ("gbdt", lambda b: b["model"]["base_score"].__setitem__(0, float("nan")),
          "base_score:"),
-        ("gbdt", lambda b: _a_gbdt_bound_list(b).__setitem__(0, float("nan")),
-         "bin_upper_bounds["),
         ("prepared", lambda d: d["tfidf"]["idf"].__setitem__(3, float("nan")), "idf:"),
     ], ids=["logistic-nan-weight", "logistic-null-weight", "logistic-infinite-bias",
             "svm-nan-w", "svm-infinite-support-vector", "svm-nan-dual-coef",
             "svm-nan-class-weight", "forest-infinite-class-weight", "cart-nan-class-weight",
-            "gbdt-nan-base-score", "gbdt-nan-bin-bound", "prepared-nan-idf"])
+            "gbdt-nan-base-score", "prepared-nan-idf"])
     def test_non_finite_array_exits_two(
         self, cli_prepared, cli_artifacts, cli_multiclass, tmp_path, capsys,
         artifact, mutate, field

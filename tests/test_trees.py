@@ -458,7 +458,7 @@ def two_loop_fit_gbdt(X, y, config):
                 for k in range(n_classes)
             ])
             losses.append(loss())
-    return trees.GbdtModel(base_score, rounds, n_classes, config, bins.upper_bounds, losses)
+    return trees.GbdtModel(base_score, rounds, n_classes, config, X.shape[1], losses)
 
 
 def two_loop_predict_gbdt_proba(model, X):
@@ -1393,7 +1393,7 @@ class TestNonFiniteFeatures:
         y = np.array([0, 1, 0, 1])
         assert not trees.fit_cart(X, y).root.is_leaf
         model = trees.fit_gbdt(X, y, trees.GbdtConfig(n_estimators=1, min_child_samples=1))
-        assert np.isfinite(np.concatenate(model.bin_upper_bounds)).all()
+        assert math.isfinite(model.rounds[0][0].threshold)
         trees.gbdt_from_dict(json.loads(json.dumps(trees.gbdt_to_dict(model))), 1)
 
 
@@ -1430,44 +1430,3 @@ class TestSerialization:
             trees.forest_from_dict({"schema_version": 99}, 1)
         with pytest.raises(DataError):
             trees.gbdt_from_dict({"schema_version": 99}, 1)
-
-
-def _bin_bounds_loop(bounds) -> list[np.ndarray]:
-    """The gbdt decoder's bound check as it was: one call per feature."""
-    return [trees._ascending(f"bin_upper_bounds[{f}]", b) for f, b in enumerate(bounds)]
-
-
-_ASCENDING = st.lists(st.floats(-1e6, 1e6), unique=True, max_size=5).map(sorted)
-_BOUND_LISTS = st.lists(st.one_of(
-    _ASCENDING, _ASCENDING,
-    _ASCENDING.map(lambda b: b[::-1]),
-    _ASCENDING.map(lambda b: b + b[-1:]),  # a repeated last bound
-    st.lists(st.one_of(st.floats(), st.integers(-3, 3), st.booleans(), st.none(),
-                       st.just("1.5"), st.just([1.0])), max_size=4),
-    st.just("12"), st.just(3.0), st.just([[1.0, 2.0]]), st.just({"a": 1}),
-), max_size=6)
-
-
-class TestGbdtBinBounds:
-    """The one-array check over every feature's bounds accepts what the
-    per-feature check accepts, with the same arrays, and otherwise
-    raises its error."""
-
-    @given(_BOUND_LISTS)
-    @settings(max_examples=400, deadline=None)
-    def test_same_arrays_or_error_as_one_check_per_feature(self, bounds):
-        try:
-            expected = _bin_bounds_loop(bounds)
-        except Exception as exc:  # the refusal names the same feature
-            with pytest.raises(type(exc)) as raised:
-                trees._bin_bounds(bounds)
-            assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
-            return
-        got = trees._bin_bounds(bounds)
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    def test_bounds_may_fall_between_features(self):
-        got = trees._bin_bounds([[1.0, 2.0], [], [0.5], [0.5, 9.0], []])
-        assert [b.tolist() for b in got] == [[1.0, 2.0], [], [0.5], [0.5, 9.0], []]
